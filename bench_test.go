@@ -223,6 +223,38 @@ func BenchmarkExtractLargeMesh(b *testing.B) {
 	b.ReportMetric(capDev, "cap_dev_rel")
 }
 
+// BenchmarkExtractDense — DESIGN.md §5l: one ~600-cell board (24×25 grid)
+// extracted on the dense path, below the operator gate, where the
+// O(n³) reduction (Γ = YᵀY, one Γ_ii factor, C_red = Wᵀ·P⁻¹·W) leads the
+// job time. Short enough for the smoke gate.
+func BenchmarkExtractDense(b *testing.B) {
+	spec := &core.BoardSpec{
+		Name:       "dense plane",
+		Shape:      core.ShapeSpec{Type: "rect", W: 50, H: 40},
+		PlaneSepMM: 0.4,
+		EpsR:       4.5,
+		SheetRes:   0.0006,
+		Operator:   "dense",
+		MeshNx:     24,
+		MeshNy:     25,
+		ExtraNodes: 8,
+		Ports: []core.PortSpec{
+			{Name: "U1", X: 40, Y: 30},
+			{Name: "U2", X: 12, Y: 8},
+			{Name: "VRM", X: 5, Y: 35},
+		},
+	}
+	var cells int
+	for i := 0; i < b.N; i++ {
+		res, err := spec.Extract()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = len(res.Mesh.Cells)
+	}
+	b.ReportMetric(float64(cells), "cells")
+}
+
 // BenchmarkAblationMesh — DESIGN.md §5: mesh-density convergence of the
 // first plane resonance.
 func BenchmarkAblationMesh(b *testing.B) {

@@ -458,25 +458,41 @@ func (a *Assembly) assembleR() {
 
 // CellCapacitance returns the Maxwell (short-circuit) capacitance matrix of
 // the cells, C = P⁻¹. Diagonal entries are positive (capacitance to the
-// return plane plus mutuals), off-diagonals negative.
+// return plane plus mutuals), off-diagonals negative. Reductions that only
+// need C applied to a few columns use ApplyCapacitance instead of this
+// explicit n×n inverse.
 func (a *Assembly) CellCapacitance() (*mat.Matrix, error) {
-	c, err := mat.InverseSPD(a.P)
+	c, err := a.ApplyCapacitance(mat.Eye(len(a.Mesh.Cells)))
 	if err != nil {
-		return nil, fmt.Errorf("bem: potential-coefficient matrix not invertible: %w", err)
+		return nil, err
 	}
 	c.Symmetrize()
 	return c, nil
 }
 
+// ApplyCapacitance returns C·W = P⁻¹·W (cells×k) by one k-column solve
+// against the factorised potential-coefficient matrix.
+func (a *Assembly) ApplyCapacitance(w *mat.Matrix) (*mat.Matrix, error) {
+	cw, err := mat.SolveSPD(a.P, w)
+	if err != nil {
+		return nil, fmt.Errorf("bem: potential-coefficient matrix not invertible: %w", err)
+	}
+	return cw, nil
+}
+
 // TotalCapacitance returns the total capacitance of the plane to its return
 // plane: 1ᵀ·C·1 (all cells tied together and driven against the return).
 func (a *Assembly) TotalCapacitance() (float64, error) {
-	c, err := a.CellCapacitance()
+	ones := mat.New(len(a.Mesh.Cells), 1)
+	for i := range ones.Data {
+		ones.Data[i] = 1
+	}
+	q, err := a.ApplyCapacitance(ones)
 	if err != nil {
 		return 0, err
 	}
 	var s float64
-	for _, v := range c.Data {
+	for _, v := range q.Data {
 		s += v
 	}
 	return s, nil
@@ -486,23 +502,26 @@ func (a *Assembly) TotalCapacitance() (float64, error) {
 // inverse-inductance operator of the link network. Its null space is the
 // all-ones vector (a floating network), matching paper Eq. 26 (L_mm = 0 for
 // the reference node).
+//
+// With the Cholesky factor L = L_c·L_cᵀ it is the Gram product Γ = YᵀY of
+// Y = L_c⁻¹·Aᵀ: one forward solve and a symmetric product, exactly
+// symmetric by construction.
 func (a *Assembly) InverseInductanceLaplacian() (*mat.Matrix, error) {
 	at := a.Mesh.Incidence().T() // links×cells
-	var x *mat.Matrix
 	if ch, err := mat.NewCholesky(a.L); err == nil {
-		x, err = ch.SolveMatrix(at)
+		y, err := ch.SolveLower(at)
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		lu, err := mat.NewLU(a.L)
-		if err != nil {
-			return nil, fmt.Errorf("bem: partial-inductance matrix not invertible: %w", err)
-		}
-		x, err = lu.SolveMatrix(at)
-		if err != nil {
-			return nil, err
-		}
+		return mat.Gram(y), nil
+	}
+	lu, err := mat.NewLU(a.L)
+	if err != nil {
+		return nil, fmt.Errorf("bem: partial-inductance matrix not invertible: %w", err)
+	}
+	x, err := lu.SolveMatrix(at)
+	if err != nil {
+		return nil, err
 	}
 	// Γ = A·X with A the cells×links incidence matrix: each link l
 	// contributes its X row to cell From and its negation to cell To. The

@@ -6,11 +6,15 @@
 // power/ground connection, plus optionally a number of interior cells that
 // preserve the distributed resonant behaviour — the paper's third example
 // keeps 42 nodes for a 5-port structure). Reduction is exact Kron/Schur
-// elimination performed independently on the three constituent networks:
+// elimination of the inductive and resistive networks, and Guyan
+// congruence of the capacitive one:
 //
-//   - Γ = A·L⁻¹·Aᵀ — the nodal inverse-inductance Laplacian,
-//   - G = A·R⁻¹·Aᵀ — the nodal DC-conductance Laplacian,
-//   - C = P⁻¹       — the Maxwell capacitance matrix.
+//   - Γ = A·L⁻¹·Aᵀ — the nodal inverse-inductance Laplacian, Kron-reduced;
+//   - G = A·R⁻¹·Aᵀ — the nodal DC-conductance Laplacian, Kron-reduced;
+//   - C = P⁻¹ — the Maxwell capacitance matrix, reduced as Wᵀ·C·W with the
+//     interpolation W = [I; −Γ_ii⁻¹·Γ_ik] that Γ's Kron reduction already
+//     computes. The dense path forms C·W by one solve against the factored
+//     P and never builds the explicit n×n inverse (see denseReduce).
 //
 // Branch values then follow the paper's Eq. 22–27: every node pair (m,n)
 // carries L_mn = −1/Γ_mn in series with R_mn = −1/G_mn, in parallel with
@@ -181,55 +185,10 @@ func ExtractCtx(ctx context.Context, a *bem.Assembly, opts Options) (nw *Network
 	}
 
 	if !done {
-		if err := simerr.CheckCtx(ctx, "extract: inductance system"); err != nil {
+		gammaRed, cRed, gRed, gammaScale, err = denseReduce(ctx, a, d, opts.Regularize, nodeCells, internal)
+		if err != nil {
 			return nil, err
 		}
-		gamma, err := a.InverseInductanceLaplacian()
-		if err != nil {
-			return nil, fmt.Errorf("extract: inductance system: %w", err)
-		}
-		if opts.Regularize > 0 {
-			loadDiagonal(gamma, opts.Regularize)
-			d.Warnf("extract", "regularization", opts.Regularize, 0, true,
-				"diagonal loading %.3g applied to Γ and C before reduction (supervised retry or explicit request)",
-				opts.Regularize)
-		}
-		gammaRed, err = mat.SchurReduce(gamma, nodeCells, internal)
-		if err != nil {
-			return nil, fmt.Errorf("extract: inductance reduction: %w", err)
-		}
-		if err := simerr.CheckCtx(ctx, "extract: capacitance system"); err != nil {
-			return nil, err
-		}
-		cFull, err := a.CellCapacitance()
-		if err != nil {
-			return nil, fmt.Errorf("extract: capacitance system: %w", err)
-		}
-		if opts.Regularize > 0 {
-			loadDiagonal(cFull, opts.Regularize)
-		}
-		// Capacitance is reduced by Guyan congruence, C_red = Wᵀ·C·W, where W
-		// interpolates eliminated cells from the kept nodes through the
-		// inductive network (W_i = −Γ_ii⁻¹·Γ_ik). A plain Schur complement of C
-		// would treat eliminated cells as electrically floating and lose their
-		// charge; physically they are tied to the kept nodes through the plane's
-		// inductive links, which are shorts at low frequency. Guyan reduction
-		// preserves the total plane capacitance exactly (W maps the all-ones
-		// vector to the all-ones vector because Γ·1 = 0).
-		cRed, err = guyanReduce(cFull, gamma, nodeCells, internal)
-		if err != nil {
-			return nil, fmt.Errorf("extract: capacitance reduction: %w", err)
-		}
-		if err := simerr.CheckCtx(ctx, "extract: resistance system"); err != nil {
-			return nil, err
-		}
-		if g := a.ConductanceLaplacian(); g != nil {
-			gRed, err = mat.SchurReduce(g, nodeCells, internal)
-			if err != nil {
-				return nil, fmt.Errorf("extract: resistance reduction: %w", err)
-			}
-		}
-		gammaScale = mat.NormInf(gamma)
 	}
 
 	// Physics-invariant guards on the reduced operators (small matrices, so
@@ -318,38 +277,78 @@ func loadDiagonal(m *mat.Matrix, rel float64) {
 	}
 }
 
-// guyanReduce computes Wᵀ·C·W with W = [I; −Γ_ii⁻¹·Γ_ik] (kept nodes first).
-func guyanReduce(c, gamma *mat.Matrix, keep, internal []int) (*mat.Matrix, error) {
-	ckk := c.Submatrix(keep, keep)
-	if len(internal) == 0 {
-		return ckk, nil
+// denseReduce is the O(n³) reduction on the assembled dense matrices. Γ is
+// Kron-reduced, Γ_red = Γ_kk − Γ_ki·x with x = Γ_ii⁻¹·Γ_ik, and the same x
+// defines the Guyan interpolation W = [I; −x] (kept nodes first) that
+// reduces the capacitance, C_red = Wᵀ·C·W. A plain Schur complement of C
+// would treat eliminated cells as electrically floating and lose their
+// charge; physically they are tied to the kept nodes through the plane's
+// inductive links, which are shorts at low frequency. Guyan reduction
+// preserves the total plane capacitance exactly (W maps the all-ones vector
+// to the all-ones vector because Γ·1 = 0). C·W = P⁻¹·W is one k-column
+// solve against the factorised P; only a regularised extraction forms the
+// explicit C, whose diagonal it loads. gammaScale is ‖Γ‖∞ for checkReduced.
+func denseReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, reg float64, keep, internal []int) (gammaRed, cRed, gRed *mat.Matrix, gammaScale float64, err error) {
+	if err := simerr.CheckCtx(ctx, "extract: inductance system"); err != nil {
+		return nil, nil, nil, 0, err
 	}
-	gii := gamma.Submatrix(internal, internal)
-	gik := gamma.Submatrix(internal, keep)
-	var x *mat.Matrix // x = Γ_ii⁻¹·Γ_ik, so W_internal = −x
-	if ch, err := mat.NewCholesky(gii); err == nil {
-		x, err = ch.SolveMatrix(gik)
+	gamma, err := a.InverseInductanceLaplacian()
+	if err != nil {
+		return nil, nil, nil, 0, fmt.Errorf("extract: inductance system: %w", err)
+	}
+	if reg > 0 {
+		loadDiagonal(gamma, reg)
+		d.Warnf("extract", "regularization", reg, 0, true,
+			"diagonal loading %.3g applied to Γ and C before reduction (supervised retry or explicit request)", reg)
+	}
+	gammaRed = gamma.Submatrix(keep, keep)
+	var x *mat.Matrix
+	if len(internal) > 0 {
+		x, err = mat.SolveSPD(gamma.Submatrix(internal, internal), gamma.Submatrix(internal, keep))
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, 0, fmt.Errorf("extract: inductance reduction: %w", err)
+		}
+		gammaRed = gammaRed.SubM(gamma.Submatrix(keep, internal).Mul(x))
+	}
+
+	if err := simerr.CheckCtx(ctx, "extract: capacitance system"); err != nil {
+		return nil, nil, nil, 0, err
+	}
+	w := mat.New(len(keep)+len(internal), len(keep))
+	for j, c := range keep {
+		w.Set(c, j, 1)
+	}
+	for r, c := range internal {
+		for j := range keep {
+			w.Set(c, j, -x.At(r, j))
+		}
+	}
+	var cw *mat.Matrix
+	if reg > 0 {
+		var cFull *mat.Matrix
+		if cFull, err = a.CellCapacitance(); err == nil {
+			loadDiagonal(cFull, reg)
+			cw = cFull.Mul(w)
 		}
 	} else {
-		lu, err := mat.NewLU(gii)
+		cw, err = a.ApplyCapacitance(w)
+	}
+	if err != nil {
+		return nil, nil, nil, 0, fmt.Errorf("extract: capacitance system: %w", err)
+	}
+	cRed = w.T().Mul(cw)
+	cRed.Symmetrize()
+
+	if err := simerr.CheckCtx(ctx, "extract: resistance system"); err != nil {
+		return nil, nil, nil, 0, err
+	}
+	if g := a.ConductanceLaplacian(); g != nil {
+		gRed, err = mat.SchurReduce(g, keep, internal)
 		if err != nil {
-			return nil, err
-		}
-		x, err = lu.SolveMatrix(gik)
-		if err != nil {
-			return nil, err
+			return nil, nil, nil, 0, fmt.Errorf("extract: resistance reduction: %w", err)
 		}
 	}
-	cki := c.Submatrix(keep, internal)
-	cii := c.Submatrix(internal, internal)
-	// C_red = C_kk − C_ki·x − xᵀ·C_ik + xᵀ·C_ii·x  (C_ik = C_kiᵀ).
-	red := ckk.SubM(cki.Mul(x))
-	red = red.SubM(x.T().Mul(cki.T()))
-	red = red.AddM(x.T().Mul(cii).Mul(x))
-	red.Symmetrize()
-	return red, nil
+	return gammaRed, cRed, gRed, mat.NormInf(gamma), nil
 }
 
 // selectNodes returns the port cells followed by up to extra interior cells

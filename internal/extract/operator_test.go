@@ -52,7 +52,7 @@ func assertMatAgree(t *testing.T, what string, got, want []float64, tol float64)
 	}
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > tol*scale {
-			t.Fatalf("%s[%d] = %.12g, dense path %.12g (scale %g, tol %g)", what, i, got[i], want[i], scale, tol)
+			t.Fatalf("%s[%d] = %.12g, reference %.12g (scale %g, tol %g)", what, i, got[i], want[i], scale, tol)
 		}
 	}
 }

@@ -71,6 +71,25 @@ func BenchmarkCholesky400(b *testing.B) {
 	}
 }
 
+// BenchmarkCholeskySolveMatrix400 times the blocked multi-RHS solve behind
+// the dense reduction: a 400×400 factor against 400 right-hand sides (the
+// shape of an explicit inverse).
+func BenchmarkCholeskySolveMatrix400(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	f, err := NewCholesky(randSPD(rng, benchN))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := randMatrix(rng, benchN, benchN)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.SolveMatrix(rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkToeplitzMatvec times the FFT-accelerated block-Toeplitz matvec at
 // a 64×64 grid (n = 4096 — a dense matrix of this size would hold 16.8M
 // entries). The allocs/op column is part of the contract: MulVecTo is

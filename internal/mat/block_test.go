@@ -121,7 +121,7 @@ func TestSyrkSubLowerMatchesNaive(t *testing.T) {
 	got := randMatrix(rng, rows, rows)
 	want := got.Clone()
 
-	syrkSubLower(got.Data, rows, a.Data, kk, rows, kk)
+	syrkSubLower(got.Data, rows, a.Data, kk, rows, kk, make([]float64, kk*rows))
 
 	var amax float64
 	for i := 0; i < rows; i++ {

@@ -24,10 +24,11 @@ const cholPanel = 48
 
 // NewCholesky factors a symmetric positive-definite matrix with a blocked
 // right-looking algorithm. Only the lower triangle of a is read; the input
-// is not modified. Per-element subtraction order is unchanged from the
-// classic left-looking loop up to the dot kernel's multi-accumulator
-// reordering, so factors agree with the historical ones to ulps (see
-// luEquivRelTol and DESIGN.md §5g).
+// is not modified. The trailing updates subtract earlier panels' terms one
+// at a time in ascending order, as the classic left-looking loop does; only
+// the terms inside the current panel go through the dot kernel's
+// multi-accumulator reordering, so factors agree with the classic ones to
+// ulps (see luEquivRelTol and DESIGN.md §5g).
 func NewCholesky(a *Matrix) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Cholesky requires a square matrix")
@@ -40,6 +41,8 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	for i := 0; i < n; i++ {
 		copy(ld[i*n:i*n+i+1], a.Data[i*n:i*n+i+1])
 	}
+	// Transposed-panel scratch of the trailing update, reused by every panel.
+	panelT := make([]float64, cholPanel*maxInt(n-cholPanel, 0))
 	for k0 := 0; k0 < n; k0 += cholPanel {
 		k1 := minInt(k0+cholPanel, n)
 		// Factor the diagonal block: left-looking within the panel (all
@@ -78,7 +81,7 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 			})
 		}
 		// Trailing update: C -= L21·L21ᵀ on the lower triangle.
-		syrkSubLower(ld[k1*n+k1:], n, ld[k1*n+k0:], n, below, k1-k0)
+		syrkSubLower(ld[k1*n+k1:], n, ld[k1*n+k0:], n, below, k1-k0, panelT)
 	}
 	return &Cholesky{l: l}, nil
 }
@@ -86,11 +89,15 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 // L returns (a copy of) the lower-triangular factor.
 func (c *Cholesky) L() *Matrix { return c.l.Clone() }
 
-// Solve solves A·x = b using the factorisation.
+// Solve solves A·x = b using the factorisation. Non-finite entries in b are
+// rejected up front, as in LU.Solve.
 func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	n := c.l.Rows
 	if len(b) != n {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: rhs length mismatch")
+	}
+	if err := checkFiniteRHS(b, 1); err != nil {
+		return nil, err
 	}
 	ld := c.l.Data
 	x := make([]float64, n)
@@ -115,50 +122,55 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveMatrix solves A·X = B; the independent columns run in parallel when
-// the work is large enough.
+// SolveMatrix solves A·X = B with the blocked triangular solves (block.go):
+// L·Y = B, then Lᵀ·X = Y reading the factor's rows as its transpose, over
+// disjoint column chunks of B that run in parallel when the work is large
+// enough.
 func (c *Cholesky) SolveMatrix(b *Matrix) (*Matrix, error) {
+	return c.solve(b, true)
+}
+
+// SolveLower is the forward half of SolveMatrix: it returns Y = L⁻¹·B, so
+// that Bᵀ·A⁻¹·B = YᵀY (see Gram).
+func (c *Cholesky) SolveLower(b *Matrix) (*Matrix, error) {
+	return c.solve(b, false)
+}
+
+func (c *Cholesky) solve(b *Matrix, back bool) (*Matrix, error) {
 	n := c.l.Rows
 	if b.Rows != n {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: rhs row count mismatch")
 	}
-	out := New(n, b.Cols)
-	errs := make([]error, b.Cols)
-	solveCol := func(j int) {
-		col := make([]float64, n)
-		for r := 0; r < n; r++ {
-			col[r] = b.At(r, j)
-		}
-		x, err := c.Solve(col)
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		for r := 0; r < n; r++ {
-			out.Set(r, j, x[r])
-		}
+	if err := checkFiniteRHS(b.Data, b.Cols); err != nil {
+		return nil, err
 	}
-	if n*n*b.Cols < parallelMinFlops {
-		for j := 0; j < b.Cols; j++ {
-			solveCol(j)
+	x := b.Clone()
+	ld, m := c.l.Data, x.Cols
+	forColumnChunks(n, m, func(c0, c1 int) {
+		triSolve(ld, n, 1, x.Data[c0:], m, n, c1-c0, false, false)
+		if back {
+			triSolve(ld, 1, n, x.Data[c0:], m, n, c1-c0, true, false)
 		}
-	} else {
-		ParallelFor(b.Cols, solveCol)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	})
+	return x, nil
 }
 
-// InverseSPD returns A⁻¹ for a symmetric positive-definite A, falling back
-// to LU if the Cholesky factorisation fails (e.g. slight asymmetry from
+// SolveSPD solves A·X = B for a symmetric positive-definite A by Cholesky,
+// falling back to LU if the factorisation fails (e.g. slight asymmetry from
 // numerical assembly).
-func InverseSPD(a *Matrix) (*Matrix, error) {
+func SolveSPD(a, b *Matrix) (*Matrix, error) {
 	if ch, err := NewCholesky(a); err == nil {
-		return ch.SolveMatrix(Eye(a.Rows))
+		return ch.SolveMatrix(b)
 	}
-	return Inverse(a)
+	f, err := NewLU(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.SolveMatrix(b)
+}
+
+// InverseSPD returns A⁻¹ for a symmetric positive-definite A (SolveSPD
+// against the identity).
+func InverseSPD(a *Matrix) (*Matrix, error) {
+	return SolveSPD(a, Eye(a.Rows))
 }

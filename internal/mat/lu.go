@@ -187,10 +187,8 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	if len(b) != n {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: rhs length mismatch")
 	}
-	for i, v := range b {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, simerr.Tagf(simerr.ErrBadInput, "mat: non-finite right-hand side entry %g at index %d", v, i)
-		}
+	if err := checkFiniteRHS(b, 1); err != nil {
+		return nil, err
 	}
 	x := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -213,42 +211,41 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveMatrix solves A·X = B for a matrix right-hand side; the independent
-// columns run in parallel when the work is large enough.
+// SolveMatrix solves A·X = B for a matrix right-hand side with the blocked
+// triangular solves (block.go): the pivoted rows of B, then the unit-lower
+// and upper factors, over disjoint column chunks of B that run in parallel
+// when the work is large enough.
 func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
 	n := f.lu.Rows
 	if b.Rows != n {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: rhs row count mismatch")
 	}
-	out := New(n, b.Cols)
-	errs := make([]error, b.Cols)
-	solveCol := func(c int) {
-		col := make([]float64, n)
-		for r := 0; r < n; r++ {
-			col[r] = b.At(r, c)
-		}
-		x, err := f.Solve(col)
-		if err != nil {
-			errs[c] = err
-			return
-		}
-		for r := 0; r < n; r++ {
-			out.Set(r, c, x[r])
+	if err := checkFiniteRHS(b.Data, b.Cols); err != nil {
+		return nil, err
+	}
+	m := b.Cols
+	x := New(n, m)
+	for i, p := range f.piv {
+		copy(x.Data[i*m:(i+1)*m], b.Data[p*m:(p+1)*m])
+	}
+	lu := f.lu.Data
+	forColumnChunks(n, m, func(c0, c1 int) {
+		triSolve(lu, n, 1, x.Data[c0:], m, n, c1-c0, false, true)
+		triSolve(lu, n, 1, x.Data[c0:], m, n, c1-c0, true, false)
+	})
+	return x, nil
+}
+
+// checkFiniteRHS rejects a right-hand side holding NaN or Inf (row-major,
+// cols wide): it would otherwise propagate silently through the
+// substitutions and poison every unknown.
+func checkFiniteRHS(b []float64, cols int) error {
+	for i, v := range b {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return simerr.Tagf(simerr.ErrBadInput, "mat: non-finite right-hand side entry %g at row %d, column %d", v, i/cols, i%cols)
 		}
 	}
-	if n*n*b.Cols < parallelMinFlops {
-		for c := 0; c < b.Cols; c++ {
-			solveCol(c)
-		}
-	} else {
-		ParallelFor(b.Cols, solveCol)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return nil
 }
 
 // Det returns the determinant of the factored matrix.

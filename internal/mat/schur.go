@@ -32,21 +32,9 @@ func SchurReduce(a *Matrix, keep, internal []int) (*Matrix, error) {
 	aik := a.Submatrix(internal, keep)
 	aii := a.Submatrix(internal, internal)
 
-	var x *Matrix
-	if ch, err := NewCholesky(aii); err == nil {
-		x, err = ch.SolveMatrix(aik)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		f, err := NewLU(aii)
-		if err != nil {
-			return nil, err
-		}
-		x, err = f.SolveMatrix(aik)
-		if err != nil {
-			return nil, err
-		}
+	x, err := SolveSPD(aii, aik)
+	if err != nil {
+		return nil, err
 	}
 	corr := aki.Mul(x)
 	return akk.SubM(corr), nil
