@@ -21,10 +21,11 @@ type File interface {
 }
 
 // FS is the filesystem seam every durable write in this package routes
-// through — Save, Load, the Journal, and (via them) the serve daemon's
-// manifest and cache I/O. Production uses the process filesystem (osFS);
-// tests and the internal/fault injector interpose a wrapper with SetFS to
-// observe or fail individual operations without touching the os package.
+// through — Save, Load, the Journal, and (via them) the serve daemon's job
+// journal, sweep snapshot and cache I/O. Production uses the process
+// filesystem (osFS); tests and the internal/fault injector interpose a
+// wrapper with SetFS to observe or fail individual operations without
+// touching the os package.
 type FS interface {
 	// OpenFile, Open, ReadFile, Rename, Remove and Stat mirror the os
 	// functions of the same names (Open is read-only).

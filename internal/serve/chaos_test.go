@@ -318,8 +318,9 @@ func TestPartialSweepIs200WithPointDetail(t *testing.T) {
 
 // TestDrainSnapshotsInFlightAndFlushesQueue is the shutdown invariant: a
 // drain whose grace expires mid-job must still terminate, cancelling the
-// in-flight sweep so it flushes a resumable snapshot, flushing queued jobs to
-// a manifest, and leaving every accepted job in a queryable terminal state.
+// in-flight sweep so it flushes a resumable snapshot, flushing queued jobs with
+// their journaled accept records intact, and leaving every accepted job in a
+// queryable terminal state.
 // The flushed snapshot then actually resumes on a fresh daemon.
 func TestDrainSnapshotsInFlightAndFlushesQueue(t *testing.T) {
 	check := noLeaks(t)
@@ -397,16 +398,20 @@ func TestDrainSnapshotsInFlightAndFlushesQueue(t *testing.T) {
 		}
 	}
 
-	// The manifest round-trips both queued jobs for resubmission.
-	reqs, err := serve.ReadManifest(dir)
-	if err != nil {
-		t.Fatalf("ReadManifest: %v", err)
+	// The journal carries both queued jobs for resubmission: accept records
+	// with their sweep specs and no finish record. A's finish record says
+	// snapshotted, so recovery leaves its resume to the client.
+	accepts, finishes := journaledJobs(t, dir)
+	for _, id := range []string{idB, idC} {
+		if _, ok := accepts[id]; !ok || finishes[id] != "" {
+			t.Fatalf("flushed job %s: accept journaled=%v, finish %q; want an accept record and no finish", id, ok, finishes[id])
+		}
 	}
-	if len(reqs) != 2 {
-		t.Fatalf("manifest has %d jobs, want 2", len(reqs))
+	if sw := accepts[idB]; sw == nil || sw.NF != 10 || accepts[idC] != nil {
+		t.Fatalf("accept records lost their sweep specs: B=%+v C=%+v", accepts[idB], accepts[idC])
 	}
-	if reqs[0].Sweep == nil || reqs[0].Sweep.NF != 10 || reqs[1].Sweep != nil {
-		t.Fatalf("manifest entries lost their sweep specs: %+v", reqs)
+	if finishes[idA] != string(serve.StateSnapshotted) {
+		t.Fatalf("job A finish record = %q, want %q", finishes[idA], serve.StateSnapshotted)
 	}
 
 	// Drain is idempotent, and the daemon refuses new work.

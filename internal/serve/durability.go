@@ -14,8 +14,7 @@ import (
 )
 
 // DurabilityState is the daemon's durability posture — the state machine
-// layered over the write-ahead journal, sweep snapshots, drain manifest and
-// operator cache:
+// layered over the write-ahead journal, sweep snapshots and operator cache:
 //
 //	disabled ──(StateDir + journal opens)──▶ armed
 //	armed ──(a storage write fails its bounded retries)──▶ degraded
@@ -27,8 +26,8 @@ import (
 // sick; the probe owns recovery), cache writes are skipped (serve from
 // memory), and readyz reports "degraded". The background probe re-arms by
 // proving the same write path a record takes (append + fsync) and then
-// rewriting the journal to a consistent WAL of the live jobs' accept
-// records — healing torn tails and dropping records that were skipped while
+// rewriting the journal to a consistent WAL of the accept records of the
+// jobs awaiting replay (live and flushed) — healing torn tails and dropping records that were skipped while
 // degraded — before the daemon claims durability again.
 type DurabilityState string
 
@@ -178,7 +177,8 @@ func (s *Server) rearmProbe() {
 //     reopened first. An append refused because a torn tail could not be
 //     healed falls through — the rewrite below rebuilds the file wholesale.
 //  2. Rewrite the journal to a consistent WAL: exactly one accept record
-//     per live (non-terminal) job, in acceptance order. This erases torn
+//     per job awaiting replay (non-terminal, or flushed by a drain that
+//     began after the state check), in acceptance order. This erases torn
 //     bytes, probe records, and the staleness accumulated while appends
 //     were skipped. Only after the rewrite lands is durability claimed.
 //  3. Restore the durable flag for exactly the jobs whose accept records
@@ -201,26 +201,13 @@ func (s *Server) tryRearm() {
 		s.mu.Unlock()
 		return
 	}
-	j := s.journal
 	s.mu.Unlock()
 
-	if j == nil {
-		nj, err := checkpoint.OpenJournal(filepath.Join(s.cfg.StateDir, journalFile))
-		if err != nil {
-			s.noteProbeFailure(err)
-			return
-		}
-		s.mu.Lock()
-		if s.journal == nil {
-			s.journal = nj
-		} else {
-			// A concurrent path installed a journal first; keep that one.
-			defer nj.Close()
-		}
-		j = s.journal
-		s.mu.Unlock()
+	j, err := s.openJournal()
+	if err != nil {
+		s.noteProbeFailure(err)
+		return
 	}
-
 	if err := j.Append(journalKindProbe, probeRec{At: stamp(time.Now())}); err != nil {
 		if !errors.Is(err, checkpoint.ErrTailUnhealed) {
 			s.noteProbeFailure(err)
@@ -244,13 +231,6 @@ func (s *Server) tryRearm() {
 	// non-durability this state machine exists to prevent — such jobs are
 	// collected for a catch-up append below and keep durable:false until it
 	// lands.
-	type catchup struct {
-		jb  *job
-		rec jobAcceptRec
-		// lastErr at collection time: the restore after a successful append
-		// must not paper over a storage failure recorded since.
-		lastErr string
-	}
 	var reflush []*job
 	var missed []catchup
 	s.mu.Lock()
@@ -259,19 +239,11 @@ func (s *Server) tryRearm() {
 	s.stats.RearmEvents++
 	for _, id := range s.order {
 		jb, ok := s.jobs[id]
-		if !ok || jb.state.Terminal() {
+		if !ok || !jb.state.awaitsReplay() {
 			continue
 		}
 		if !captured[id] {
-			missed = append(missed, catchup{
-				jb: jb,
-				rec: jobAcceptRec{
-					ID: jb.id, Board: jb.rawBoard, Sweep: jb.sweep,
-					DeadlineMS: jb.deadline.Milliseconds(), Fingerprint: jb.fingerprint,
-					Accepted: stamp(jb.submitted),
-				},
-				lastErr: jb.lastErr,
-			})
+			missed = append(missed, catchup{jb: jb, lastErr: jb.lastErr})
 			continue
 		}
 		jb.durable = true
@@ -282,25 +254,14 @@ func (s *Server) tryRearm() {
 	}
 	s.mu.Unlock()
 
-	for _, c := range missed {
-		err := s.storageRetry(func() error { return j.Append(journalKindAccept, c.rec) })
-		s.mu.Lock()
-		if err == nil {
-			if c.jb.lastErr == c.lastErr {
-				c.jb.durable = true
-				c.jb.lastErr = ""
-				if c.jb.sweep != nil && !c.jb.state.Terminal() {
-					reflush = append(reflush, c.jb)
-				}
-			}
-			s.mu.Unlock()
-			continue
+	restored := s.catchUpAccepts(missed, "re-arm catch-up")
+	s.mu.Lock()
+	for _, jb := range restored {
+		if jb.sweep != nil && !jb.state.Terminal() {
+			reflush = append(reflush, jb)
 		}
-		s.stats.JournalErrors++
-		s.markNonDurableLocked(c.jb, fmt.Sprintf("journal append (%s) failed: %v", journalKindAccept, err))
-		s.mu.Unlock()
-		s.degradeOn("journal append (re-arm catch-up)", err)
 	}
+	s.mu.Unlock()
 
 	for _, jb := range reflush {
 		jb.sweepMu.Lock()
@@ -314,6 +275,79 @@ func (s *Server) tryRearm() {
 	s.logf("durability re-armed: journal rewritten with %d live accept record(s)", len(keep))
 }
 
+// openJournal returns the write-ahead journal, opening and installing it
+// first when it never opened (Start's open failed, or it is the first
+// call). Call without holding s.mu.
+func (s *Server) openJournal() (*checkpoint.Journal, error) {
+	s.mu.Lock()
+	j := s.journal
+	s.mu.Unlock()
+	if j != nil {
+		return j, nil
+	}
+	nj, err := checkpoint.OpenJournal(filepath.Join(s.cfg.StateDir, journalFile))
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if s.journal == nil {
+		s.journal = nj
+		nj = nil
+	}
+	j = s.journal
+	s.mu.Unlock()
+	if nj != nil {
+		// A concurrent path installed a journal first; keep that one.
+		_ = nj.Close()
+	}
+	return j, nil
+}
+
+// catchup is a job whose accept record is missing from the journal, with its
+// lastErr at collection time: the durability restore after a landed append
+// must not paper over a storage failure recorded since.
+type catchup struct {
+	jb      *job
+	lastErr string
+}
+
+// catchUpAccepts appends a fresh accept record for each job under the
+// storage retry policy, opening the journal first if it never opened. A
+// landed append restores durable:true and is returned; a failed one leaves
+// the job durable:false with the cause and a diag warning, and degrades
+// durability. what names the caller in the degrade log. Call without
+// holding s.mu.
+func (s *Server) catchUpAccepts(jobs []catchup, what string) []*job {
+	var restored []*job
+	for _, c := range jobs {
+		rec := acceptRecord(c.jb)
+		err := s.storageRetry(func() error {
+			j, err := s.openJournal()
+			if err != nil {
+				return err
+			}
+			return j.Append(journalKindAccept, rec)
+		})
+		s.mu.Lock()
+		if err == nil {
+			if c.jb.lastErr == c.lastErr {
+				c.jb.durable = true
+				c.jb.lastErr = ""
+				restored = append(restored, c.jb)
+			}
+			s.mu.Unlock()
+			continue
+		}
+		s.stats.JournalErrors++
+		s.markNonDurableLocked(c.jb, fmt.Sprintf("journal append (%s) failed: %v", journalKindAccept, err))
+		c.jb.diag.Warnf("serve", "job journal", 0, 0, false,
+			"%s could not journal the accept record; crash recovery may not cover this job: %v", what, err)
+		s.mu.Unlock()
+		s.degradeOn("journal append ("+what+")", err)
+	}
+	return restored
+}
+
 // noteProbeFailure records a failed probe cycle (silently: one log line per
 // transition, not per tick — the status API carries the live cause).
 func (s *Server) noteProbeFailure(err error) {
@@ -324,8 +358,8 @@ func (s *Server) noteProbeFailure(err error) {
 	s.mu.Unlock()
 }
 
-// liveAcceptRecordsLocked renders one fresh accept record per non-terminal
-// job, in acceptance order — the compaction set for Rewrite — plus the id
+// liveAcceptRecordsLocked renders one fresh accept record per job awaiting
+// replay, in acceptance order — the compaction set for Rewrite — plus the id
 // set of the jobs actually captured, so the caller can restore durability
 // claims for exactly those and no others. Caller holds s.mu.
 func (s *Server) liveAcceptRecordsLocked() ([]checkpoint.JournalRecord, map[string]bool) {
@@ -333,15 +367,10 @@ func (s *Server) liveAcceptRecordsLocked() ([]checkpoint.JournalRecord, map[stri
 	captured := make(map[string]bool)
 	for _, id := range s.order {
 		jb, ok := s.jobs[id]
-		if !ok || jb.state.Terminal() {
+		if !ok || !jb.state.awaitsReplay() {
 			continue
 		}
-		rec := jobAcceptRec{
-			ID: jb.id, Board: jb.rawBoard, Sweep: jb.sweep,
-			DeadlineMS: jb.deadline.Milliseconds(), Fingerprint: jb.fingerprint,
-			Accepted: stamp(jb.submitted),
-		}
-		if b, err := json.Marshal(rec); err == nil {
+		if b, err := json.Marshal(acceptRecord(jb)); err == nil {
 			keep = append(keep, checkpoint.JournalRecord{Kind: journalKindAccept, Payload: b})
 			captured[jb.id] = true
 		}

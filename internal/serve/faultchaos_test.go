@@ -15,7 +15,6 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -74,7 +73,7 @@ func TestStorageFaultScheduleSweep(t *testing.T) {
 		"seed=5;checkpoint.*:eio{p=0.4}",
 		"seed=6;*:eio{p=0.2,times=20}",
 		"seed=7;journal.append:latency{delay=5ms,p=0.5};dir.sync:latency{delay=2ms}",
-		"seed=8;manifest.write:eio;journal.rewrite:eio{p=0.5}",
+		"seed=8;journal.rewrite:eio{p=0.5}",
 	}
 	for _, spec := range schedules {
 		t.Run(spec, func(t *testing.T) {
@@ -249,11 +248,15 @@ func gatedExtract(gate <-chan struct{}) func(context.Context, *core.BoardSpec, s
 // every job non-terminal so a finish record cannot vouch for anyone.
 func TestRearmWindowSubmitStaysHonest(t *testing.T) {
 	check := noLeaks(t)
-	// The first accept append burns the three eio faults (fastStorage: three
-	// attempts) and degrades durability; every later append succeeds. The
-	// re-arm rewrite is stretched by 250 ms, spanning many submit-loop
-	// iterations.
-	installFaults(t, "journal.append:eio{times=3};journal.rewrite:latency{delay=250ms,times=4}")
+	// Two appenders race for the eio faults: the first Submit's accept
+	// append and the worker's serve-start append for the same job. Each
+	// makes at most three attempts (fastStorage), so six faults guarantee
+	// one of them exhausts its retries and degrades durability whatever the
+	// interleaving; with only three, the two could split them and neither
+	// degrade. When the second append starts after the degrade it is
+	// skipped, and probe appends use up the faults it leaves over. The re-arm rewrite is stretched
+	// by 250 ms, spanning many submit-loop iterations.
+	installFaults(t, "journal.append:eio{times=6};journal.rewrite:latency{delay=250ms,times=4}")
 	dir := t.TempDir()
 	gate := make(chan struct{})
 	s := startServer(t, serve.Config{
@@ -396,6 +399,219 @@ func TestDegradedFromStartSkipsCacheWrites(t *testing.T) {
 	check()
 }
 
+// TestDrainJournalsFlushedJobsWhileDegraded: a daemon whose journal never
+// opened starts degraded and skips every accept append, so the jobs queued
+// behind its one (gated) worker have no accept records when a drain flushes
+// them. The drain's last act opens the journal and appends them. When the
+// appends land, every flushed job is durable:true and a second daemon's
+// Recover brings them back in order under their original ids. When the
+// appends keep failing, every flushed job says so with durable:false and a
+// last_error, and the drain still terminates without leaking. Neither case
+// writes a queue manifest.
+func TestDrainJournalsFlushedJobsWhileDegraded(t *testing.T) {
+	for _, tc := range []struct {
+		name, faults string
+		lands        bool
+	}{
+		{"catch-up lands", "journal.open:eio{times=1}", true},
+		{"appends keep failing", "journal.open:eio{times=1};journal.append:eio", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := noLeaks(t)
+			installFaults(t, tc.faults)
+			dir := t.TempDir()
+			// The gate never opens: the drain cancels the job holding the
+			// worker. The probe cadence is far beyond the test, so the
+			// drain, not a re-arm, is what journals the flushed jobs.
+			s := serve.New(serve.Config{
+				Workers: 1, QueueCap: 8, StateDir: dir,
+				StoragePolicy: fastStorage, RearmProbe: time.Hour,
+			}, serve.Hooks{Extract: gatedExtract(make(chan struct{}))})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s.Start(ctx)
+			if got := s.Durability(); got != serve.DurabilityDegraded {
+				t.Fatalf("durability with unopenable journal = %q, want degraded", got)
+			}
+
+			var ids []string
+			for _, req := range []*serve.JobRequest{{Board: []byte(testBoard)}, sweepReq(6, ""), {Board: []byte(testBoard)}} {
+				id, err := s.Submit(context.Background(), req)
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				ids = append(ids, id)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				st, err := s.JobStatus(ids[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.State == serve.StateRunning {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job %s never started: %+v", ids[0], st)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+
+			dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer dcancel()
+			if rep := s.Drain(dctx); rep.Flushed != 2 || rep.Cancelled != 1 {
+				t.Fatalf("drain report = %+v, want 2 flushed / 1 cancelled", rep)
+			}
+			flushed := ids[1:]
+			accepts, _ := journaledJobs(t, dir)
+			for _, id := range flushed {
+				st, err := s.JobStatus(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.State != serve.StateFlushed {
+					t.Fatalf("job %s = %q, want flushed", id, st.State)
+				}
+				if st.Durable != tc.lands || (st.LastError == "") != tc.lands {
+					t.Fatalf("flushed job %s: durable=%v last_error=%q, want durable=%v with a last_error exactly when not durable",
+						id, st.Durable, st.LastError, tc.lands)
+				}
+				if _, ok := accepts[id]; st.Durable && !ok {
+					t.Fatalf("flushed job %s claims durable:true but has no accept record in the journal", id)
+				}
+			}
+			// The cancelled job is non-durable in both cases; the flushed
+			// ones only when their catch-up failed.
+			wantNonDurable := int64(1)
+			if !tc.lands {
+				wantNonDurable += int64(len(flushed))
+			}
+			if got := s.Stats().NonDurable; got != wantNonDurable {
+				t.Fatalf("stats.NonDurable = %d, want %d", got, wantNonDurable)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "queue.manifest")); !os.IsNotExist(err) {
+				t.Fatalf("drain wrote a queue manifest (stat err %v)", err)
+			}
+			cancel()
+			check()
+			if !tc.lands {
+				return
+			}
+
+			s2 := startServer(t, serve.Config{Workers: 1, StateDir: dir}, serve.Hooks{})
+			rep, err := s2.Recover()
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if len(rep.Resubmitted) != 2 || rep.Resubmitted[0] != flushed[0] || rep.Resubmitted[1] != flushed[1] {
+				t.Fatalf("resubmitted = %v, want %v in order", rep.Resubmitted, flushed)
+			}
+			for _, id := range flushed {
+				if st := waitTerminal(t, s2, id, 60*time.Second); st.State != serve.StateDone {
+					t.Fatalf("recovered job %s = %q (error %q), want done", id, st.State, st.Error)
+				}
+			}
+			id4, err := s2.Submit(context.Background(), &serve.JobRequest{Board: []byte(testBoard)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id4 != "j-000004" {
+				t.Fatalf("post-recovery id = %s, want j-000004 (sequence restored)", id4)
+			}
+			waitTerminal(t, s2, id4, 30*time.Second)
+		})
+	}
+}
+
+// TestDrainDuringRearmKeepsFlushedJobs pins the drain/re-arm race: the
+// probe passes its draining check, then a drain flushes the queued jobs
+// before the probe captures its compaction set. Flushed jobs are terminal,
+// but their accept records are what re-admits them, so the rewrite must keep
+// them; dropping them would leave jobs durable:true with no record, and the
+// drain's catch-up only covers durable:false ones. Journal syncs, in order:
+// 1 A's accept, 2 A's serve-start (done once the extract hook is entered),
+// 3–4 B's and C's accepts, 5–7 D's accept failing three times (degrade),
+// 8 the probe's append, held for 500 ms while the drain flushes B, C and D.
+func TestDrainDuringRearmKeepsFlushedJobs(t *testing.T) {
+	check := noLeaks(t)
+	in := installFaults(t, "journal.append:latency{after=7,times=1,delay=500ms};journal.append:eio{after=4,times=3}")
+	dir := t.TempDir()
+	entered := make(chan struct{}, 1)
+	s := serve.New(serve.Config{
+		Workers: 1, QueueCap: 8, StateDir: dir,
+		StoragePolicy: fastStorage, RearmProbe: 20 * time.Millisecond,
+	}, serve.Hooks{Extract: func(ctx context.Context, _ *core.BoardSpec, _ supervise.Policy) (*core.Result, supervise.Status, error) {
+		entered <- struct{}{}
+		<-ctx.Done()
+		return nil, supervise.Status{}, &simerr.CancelledError{Op: "chaos: held extract", Err: ctx.Err()}
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	submit := func(req *serve.JobRequest) string {
+		t.Helper()
+		id, err := s.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		return id
+	}
+	submit(&serve.JobRequest{Board: []byte(testBoard)})
+	<-entered
+	flushed := []string{submit(sweepReq(6, "")), submit(&serve.JobRequest{Board: []byte(testBoard)})}
+	for _, id := range flushed {
+		if st, err := s.JobStatus(id); err != nil || !st.Durable {
+			t.Fatalf("job %s before the fault: %+v, %v; want durable:true", id, st, err)
+		}
+	}
+	flushed = append(flushed, submit(&serve.JobRequest{Board: []byte(testBoard)}))
+	waitDurability(t, s, serve.DurabilityDegraded, 10*time.Second)
+	deadline := time.Now().Add(10 * time.Second)
+	for in.Injected()["journal.sync"] < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the re-arm probe never reached its append (injected %v)", in.Injected())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	dctx, dcancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer dcancel()
+	if rep := s.Drain(dctx); rep.Flushed != 3 || rep.Cancelled != 1 {
+		t.Fatalf("drain report = %+v, want 3 flushed / 1 cancelled", rep)
+	}
+	accepts, _ := journaledJobs(t, dir)
+	for _, id := range flushed {
+		st, err := s.JobStatus(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := accepts[id]; st.State != serve.StateFlushed || !st.Durable || !ok {
+			t.Fatalf("job %s = %q durable=%v last_error=%q journaled=%v; want flushed, durable, with an accept record",
+				id, st.State, st.Durable, st.LastError, ok)
+		}
+	}
+	cancel()
+	check()
+
+	s2 := startServer(t, serve.Config{Workers: 1, StateDir: dir}, serve.Hooks{})
+	rep, err := s2.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(rep.Resubmitted) != len(flushed) {
+		t.Fatalf("resubmitted = %v, want %v in order", rep.Resubmitted, flushed)
+	}
+	for i, id := range flushed {
+		if rep.Resubmitted[i] != id {
+			t.Fatalf("resubmitted = %v, want %v in order", rep.Resubmitted, flushed)
+		}
+		if st := waitTerminal(t, s2, id, 60*time.Second); st.State != serve.StateDone {
+			t.Fatalf("recovered job %s = %q (error %q), want done", id, st.State, st.Error)
+		}
+	}
+}
+
 // writeJournalRecords appends raw records to a state directory's job
 // journal through the checkpoint layer (creating it if needed).
 func writeJournalRecords(t *testing.T, dir string, recs ...struct {
@@ -462,51 +678,12 @@ func TestRecoverJournalAcceptWithTornFinish(t *testing.T) {
 	if st.State != serve.StateDone {
 		t.Fatalf("recovered job = %q (error %q), want done", st.State, st.Error)
 	}
+	if !st.Durable {
+		t.Fatalf("recovered job durable=false; the compacting rewrite re-journaled it")
+	}
 	// Exactly once: no duplicate under a fresh id.
 	if jobs := s.Jobs(); len(jobs) != 1 {
 		t.Fatalf("daemon holds %d jobs after recovery, want exactly 1", len(jobs))
-	}
-}
-
-// TestRecoverManifestWithCorruptJournal: the drain manifest holds a flushed
-// job while the journal is corrupt mid-stream (bitrot before the tail).
-// The manifest is the canonical copy; the job must come back exactly once
-// under its original id.
-func TestRecoverManifestWithCorruptJournal(t *testing.T) {
-	dir := t.TempDir()
-	// A valid accept for the manifest job, then garbage clobbering the rest
-	// of the journal.
-	writeJournalRecords(t, dir, struct {
-		kind    string
-		payload any
-	}{"serve-accept", acceptPayload("j-000007")})
-	jpath := filepath.Join(dir, "jobs.journal")
-	if f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
-		fmt.Fprint(f, "{torn garbage that never parses")
-		f.Close()
-	}
-	// The manifest also lists the job (drain flushed it).
-	if err := checkpoint.Save(filepath.Join(dir, "queue.manifest"), "serve-queue", map[string]any{
-		"drained_at": time.Now().UTC().Format(time.RFC3339Nano),
-		"jobs":       []map[string]any{{"id": "j-000007", "board": json.RawMessage(testBoard)}},
-	}); err != nil {
-		t.Fatalf("Save manifest: %v", err)
-	}
-
-	s := startServer(t, serve.Config{Workers: 1, StateDir: dir}, serve.Hooks{})
-	rep, err := s.Recover()
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if len(rep.Resubmitted) != 1 || rep.Resubmitted[0] != "j-000007" {
-		t.Fatalf("resubmitted = %v, want exactly [j-000007] — journal ∪ manifest must dedupe", rep.Resubmitted)
-	}
-	st := waitTerminal(t, s, "j-000007", 30*time.Second)
-	if st.State != serve.StateDone {
-		t.Fatalf("recovered job = %q (error %q), want done", st.State, st.Error)
-	}
-	if !st.Durable {
-		t.Fatalf("recovered job durable=false; the compacting rewrite re-journaled it")
 	}
 }
 

@@ -41,8 +41,9 @@ const (
 	// sweep flushed a resumable checkpoint; resubmit with
 	// sweep.resume_from = SnapshotPath to pick the work back up.
 	StateSnapshotted JobState = "snapshotted"
-	// StateFlushed: accepted but never started when a drain began; the
-	// job's request was flushed to the queue manifest for resubmission.
+	// StateFlushed: accepted but never started when a drain began. Its
+	// journaled accept record has no finish record, so the next start's
+	// Recover resubmits it under its original id.
 	StateFlushed JobState = "flushed"
 )
 
@@ -53,6 +54,14 @@ func (s JobState) Terminal() bool {
 		return true
 	}
 	return false
+}
+
+// awaitsReplay reports whether a job in this state keeps an accept record
+// with no finish record in the journal: every non-terminal state, plus
+// StateFlushed, which the next start's Recover re-admits. A compacting
+// rewrite must keep these jobs' accept records.
+func (s JobState) awaitsReplay() bool {
+	return !s.Terminal() || s == StateFlushed
 }
 
 // SweepSpec asks for an S-parameter sweep of the extracted network.
@@ -161,13 +170,13 @@ type JobStatus struct {
 	Quarantined int `json:"quarantined,omitempty"`
 
 	// Durable reports whether the job's crash-recovery records are durably
-	// on disk (write-ahead accept record journaled, snapshots and manifest
-	// writes succeeding). Always false without a state directory. Never
+	// on disk (write-ahead accept record journaled, snapshot writes
+	// succeeding). Always false without a state directory. Never
 	// omitted: clients must be able to distinguish an explicit false from
 	// an old server that does not report durability.
 	Durable bool `json:"durable"`
 	// LastError is the most recent storage failure that touched this job
-	// (journal append, sweep snapshot, queue manifest); empty when none.
+	// (journal append, sweep snapshot); empty when none.
 	LastError string `json:"last_error,omitempty"`
 }
 

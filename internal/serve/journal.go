@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -45,6 +44,15 @@ type jobAcceptRec struct {
 	DeadlineMS  int64           `json:"deadline_ms,omitempty"`
 	Fingerprint string          `json:"fingerprint,omitempty"`
 	Accepted    string          `json:"accepted,omitempty"`
+}
+
+// acceptRecord renders jb's write-ahead accept record.
+func acceptRecord(jb *job) jobAcceptRec {
+	return jobAcceptRec{
+		ID: jb.id, Board: jb.rawBoard, Sweep: jb.sweep,
+		DeadlineMS: jb.deadline.Milliseconds(), Fingerprint: jb.fingerprint,
+		Accepted: stamp(jb.submitted),
+	}
 }
 
 // jobStartRec marks a worker picking the job up.
@@ -136,29 +144,22 @@ type RecoverReport struct {
 	// record (the expected signature of a mid-append crash); the valid
 	// prefix was replayed.
 	TruncatedTail bool `json:"truncated_tail,omitempty"`
-	// ManifestJobs counts jobs found in the drain queue manifest;
-	// ManifestEvicted reports that the manifest was removed because every
-	// job in it was re-admitted (or is unrecoverable).
-	ManifestJobs    int  `json:"manifest_jobs,omitempty"`
-	ManifestEvicted bool `json:"manifest_evicted,omitempty"`
 }
 
-// Recover replays the job journal and the drain queue manifest from the
-// state directory and resubmits every accepted-but-unfinished job under its
-// original id, marked recovered so its sweep resumes from the job's own
-// snapshot. Call once, after Start. The sequence is deliberate:
+// Recover replays the job journal from the state directory and resubmits
+// every accepted-but-unfinished job under its original id, marked recovered
+// so its sweep resumes from the job's own snapshot. Call once, after Start.
+// The sequence is deliberate:
 //
 //  1. Replay the journal (longest valid prefix; a torn tail is the normal
-//     crash signature) and union it with the manifest: journal accepts
-//     without a finish record are crash-interrupted work, manifest entries
-//     are drain-flushed work. Both resubmit; ids dedupe the overlap.
+//     crash signature). Accepts without a finish record are live: work a
+//     crash interrupted, and jobs a drain flushed before they started.
 //  2. Compact the journal down to fresh accept records for the live set
 //     BEFORE resubmitting — resubmitted jobs start finishing immediately,
 //     and their finish records must land after the compaction, not be
 //     erased by it.
 //  3. Resubmit in acceptance order, restoring the id sequence so new
 //     submissions never collide with recovered ids.
-//  4. Evict the manifest only once none of its jobs still need it.
 //
 // With no state directory Recover is a no-op. Admission failures are
 // per-job and reported; the returned error covers only an unreadable
@@ -205,38 +206,10 @@ func (s *Server) Recover() (RecoverReport, error) {
 		}
 	}
 
-	// Drain-flushed jobs carry accept records but no finish; the manifest is
-	// their canonical copy and covers journals lost to a separate failure.
-	manPath := filepath.Join(s.cfg.StateDir, "queue.manifest")
-	var man manifest
-	haveManifest := checkpoint.Load(manPath, manifestKind, &man) == nil
-	manifestIDs := make(map[string]bool)
-	if haveManifest {
-		rep.ManifestJobs = len(man.Jobs)
-		for _, e := range man.Jobs {
-			if e.ID == "" {
-				continue
-			}
-			manifestIDs[e.ID] = true
-			note(e.ID)
-			if _, seen := accepts[e.ID]; !seen {
-				order = append(order, e.ID)
-				accepts[e.ID] = jobAcceptRec{ID: e.ID, Board: e.Board, Sweep: e.Sweep, DeadlineMS: e.DeadlineMS}
-			}
-		}
-	}
-
 	// Validate the live set. A job whose board no longer parses (journal
 	// bitrot, schema drift) is unrecoverable: reported, then dropped by the
 	// compaction below.
-	type pendingJob struct {
-		rec       jobAcceptRec
-		spec      *core.BoardSpec
-		deadline  time.Duration
-		submitted time.Time
-	}
-	var live []pendingJob
-	failedIDs := make(map[string]bool)
+	var live []*job
 	for _, id := range order {
 		if finished[id] {
 			continue
@@ -248,7 +221,6 @@ func (s *Server) Recover() (RecoverReport, error) {
 		}
 		if perr != nil {
 			rep.Failed = append(rep.Failed, id+": "+perr.Error())
-			failedIDs[id] = true
 			continue
 		}
 		deadline := time.Duration(a.DeadlineMS) * time.Millisecond
@@ -262,7 +234,18 @@ func (s *Server) Recover() (RecoverReport, error) {
 		if terr != nil {
 			submitted = time.Now()
 		}
-		live = append(live, pendingJob{rec: a, spec: spec, deadline: deadline, submitted: submitted})
+		live = append(live, &job{
+			id:          id,
+			spec:        spec,
+			rawBoard:    append([]byte(nil), a.Board...),
+			sweep:       a.Sweep,
+			deadline:    deadline,
+			fingerprint: spec.Fingerprint(),
+			recovered:   true,
+			submitted:   submitted,
+			state:       StateQueued,
+			diag:        diag.New(),
+		})
 	}
 
 	s.mu.Lock()
@@ -271,46 +254,32 @@ func (s *Server) Recover() (RecoverReport, error) {
 	}
 	j := s.journal
 	s.mu.Unlock()
-	rewriteOK := false
-	var rewriteErr error
+	// The compacted journal's accept record is a recovered job's
+	// durability: if the rewrite failed, the job still runs but may not
+	// survive another crash.
 	if j != nil {
 		var keep []checkpoint.JournalRecord
-		for _, p := range live {
-			if b, merr := json.Marshal(p.rec); merr == nil {
+		for _, jb := range live {
+			if b, merr := json.Marshal(acceptRecord(jb)); merr == nil {
 				keep = append(keep, checkpoint.JournalRecord{Kind: journalKindAccept, Payload: b})
 			}
 		}
-		rewriteErr = s.storageRetry(func() error { return j.Rewrite(keep) })
+		rewriteErr := s.storageRetry(func() error { return j.Rewrite(keep) })
+		for _, jb := range live {
+			jb.durable = rewriteErr == nil
+			if rewriteErr != nil {
+				jb.lastErr = fmt.Sprintf("journal rewrite failed during recovery: %v", rewriteErr)
+			}
+		}
 		if rewriteErr != nil {
 			s.mu.Lock()
 			s.stats.JournalErrors++
 			s.mu.Unlock()
 			s.degradeOn("journal rewrite (recover)", rewriteErr)
-		} else {
-			rewriteOK = true
 		}
 	}
 
-	for _, p := range live {
-		jb := &job{
-			id:          p.rec.ID,
-			spec:        p.spec,
-			rawBoard:    append([]byte(nil), p.rec.Board...),
-			sweep:       p.rec.Sweep,
-			deadline:    p.deadline,
-			fingerprint: p.spec.Fingerprint(),
-			recovered:   true,
-			submitted:   p.submitted,
-			state:       StateQueued,
-			diag:        diag.New(),
-			// The compacted journal's accept record is the recovered job's
-			// durability: if the rewrite failed, the job still runs but may
-			// not survive another crash.
-			durable: rewriteOK,
-		}
-		if !rewriteOK && j != nil {
-			jb.lastErr = fmt.Sprintf("journal rewrite failed during recovery: %v", rewriteErr)
-		}
+	for _, jb := range live {
 		s.mu.Lock()
 		admitted := false
 		if s.accepting {
@@ -333,25 +302,6 @@ func (s *Server) Recover() (RecoverReport, error) {
 			rep.Resubmitted = append(rep.Resubmitted, jb.id)
 		} else {
 			rep.SkippedBusy = append(rep.SkippedBusy, jb.id)
-		}
-	}
-
-	if haveManifest {
-		needed := false
-		admitted := make(map[string]bool, len(rep.Resubmitted))
-		for _, id := range rep.Resubmitted {
-			admitted[id] = true
-		}
-		for id := range manifestIDs {
-			if !admitted[id] && !failedIDs[id] && !finished[id] {
-				needed = true
-				break
-			}
-		}
-		if !needed {
-			if os.Remove(manPath) == nil {
-				rep.ManifestEvicted = true
-			}
 		}
 	}
 	return rep, nil

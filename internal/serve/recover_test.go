@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,9 +22,9 @@ import (
 
 // The recovery suite exercises the crash-safety half of the daemon: the
 // write-ahead job journal, per-shard leases, poison-shard quarantine, and
-// Recover's replay of journal + queue manifest after both kinds of death —
-// SIGKILL mid-sweep (nothing flushed, torn journal tail) and a graceful
-// drain (manifest written, journal closed cleanly).
+// Recover's replay of the journal after both kinds of death — SIGKILL
+// mid-sweep (nothing flushed, torn journal tail) and a graceful drain
+// (queued jobs flushed, journal closed cleanly).
 
 // noWaitPolicy removes supervision and shard-requeue backoff so the chaos
 // clocks run on lease durations alone.
@@ -81,6 +82,35 @@ func countJournalKind(t *testing.T, dir, kind string) int {
 		}
 	}
 	return n
+}
+
+// journaledJobs replays the journal under dir and returns, by job id, the
+// sweep spec of every accept record (nil for an extraction-only job) and the
+// state of every finish record.
+func journaledJobs(t *testing.T, dir string) (accepts map[string]*serve.SweepSpec, finishes map[string]string) {
+	t.Helper()
+	recs, _, err := checkpoint.ReplayJournal(filepath.Join(dir, "jobs.journal"))
+	if err != nil {
+		t.Fatalf("ReplayJournal: %v", err)
+	}
+	accepts, finishes = make(map[string]*serve.SweepSpec), make(map[string]string)
+	for _, r := range recs {
+		var p struct {
+			ID    string           `json:"id"`
+			Sweep *serve.SweepSpec `json:"sweep"`
+			State string           `json:"state"`
+		}
+		if json.Unmarshal(r.Payload, &p) != nil || p.ID == "" {
+			continue
+		}
+		switch r.Kind {
+		case "serve-accept":
+			accepts[p.ID] = p.Sweep
+		case "serve-finish":
+			finishes[p.ID] = p.State
+		}
+	}
+	return accepts, finishes
 }
 
 // TestKill9RecoveryResumesBitwiseIdentical is the headline crash test: a
@@ -273,11 +303,12 @@ func TestPoisonShardQuarantinesJobPartial(t *testing.T) {
 	check()
 }
 
-// TestRecoverReplaysDrainManifest: jobs flushed to the queue manifest by a
-// drain are auto-resubmitted by Recover on the next start — under their
-// original ids, with the manifest evicted only after all of them are back in
-// the queue, and the id sequence restored past them.
-func TestRecoverReplaysDrainManifest(t *testing.T) {
+// TestRecoverReplaysDrainFlushedJobs: jobs a drain flushed before they
+// started keep their journaled accept records and no finish record, so
+// Recover auto-resubmits them on the next start — under their original ids,
+// in order, with the id sequence restored past them. The journal is the only
+// recovery source: the drain writes no second file.
+func TestRecoverReplaysDrainFlushedJobs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := serve.Config{Workers: 1, QueueCap: 8, StateDir: dir}
 	s1 := serve.New(cfg, serve.Hooks{Extract: delayedExtract(150 * time.Millisecond)})
@@ -318,6 +349,9 @@ func TestRecoverReplaysDrainManifest(t *testing.T) {
 	if rep.Flushed != 2 {
 		t.Fatalf("drain flushed %d jobs, want 2: %+v", rep.Flushed, rep)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "queue.manifest")); !os.IsNotExist(err) {
+		t.Fatalf("drain wrote a queue manifest (stat err %v); the journal is the only recovery source", err)
+	}
 
 	// Second daemon over the same state directory.
 	s2 := startServer(t, serve.Config{Workers: 1, StateDir: dir}, serve.Hooks{})
@@ -327,12 +361,6 @@ func TestRecoverReplaysDrainManifest(t *testing.T) {
 	}
 	if len(rrep.Resubmitted) != 2 || rrep.Resubmitted[0] != id2 || rrep.Resubmitted[1] != id3 {
 		t.Fatalf("resubmitted = %v, want [%s %s] in order", rrep.Resubmitted, id2, id3)
-	}
-	if rrep.ManifestJobs != 2 || !rrep.ManifestEvicted {
-		t.Fatalf("manifest handling = %+v, want 2 jobs and eviction", rrep)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "queue.manifest")); !os.IsNotExist(err) {
-		t.Fatalf("manifest not evicted from disk: %v", err)
 	}
 	for _, id := range []string{id2, id3} {
 		st := waitTerminal(t, s2, id, 60*time.Second)
@@ -371,7 +399,7 @@ func TestRecoverWithoutStateDirIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Resubmitted) != 0 || rep.ManifestJobs != 0 {
+	if len(rep.Resubmitted) != 0 {
 		t.Fatalf("no-op recover report = %+v", rep)
 	}
 }

@@ -22,13 +22,14 @@
 //   - Graceful drain: on SIGINT/SIGTERM the daemon stops accepting, lets
 //     in-flight jobs finish (or, past the grace deadline, cancels them so
 //     their sweeps flush resumable snapshots), flushes never-started jobs
-//     to a queue manifest, and exits 0. No accepted job is silently
-//     dropped — every one ends in a terminal state a client can query.
+//     (their journaled accept records re-admit them on restart), and exits
+//     0. No accepted job is silently dropped — every one ends in a
+//     terminal state a client can query.
 //   - Crash safety, not just graceful degradation: sweep jobs are split
 //     into shards dispatched to the shared pool under per-shard leases, a
 //     write-ahead journal (jobs.journal, on the checkpoint envelope)
 //     records accept/start/lease/shard-done/finish transitions, and
-//     Recover replays journal + queue manifest on restart so a daemon
+//     Recover replays the journal on restart so a daemon
 //     killed with SIGKILL mid-burst resumes every incomplete job from its
 //     last completed shard — bitwise-identical to an uninterrupted run. A
 //     shard whose lease expires is requeued with jittered backoff and
@@ -42,12 +43,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -136,8 +135,8 @@ type Config struct {
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
 	// StateDir, when non-empty, enables persistence: the operator/factor
-	// cache, per-job sweep snapshots, and the drain queue manifest all live
-	// here. Empty serves from memory (no cache, drain cannot snapshot).
+	// cache, per-job sweep snapshots, and the write-ahead job journal all
+	// live here. Empty serves from memory (no cache, drain cannot snapshot).
 	StateDir string
 	// CheckpointEvery is the sweep snapshot cadence (points between
 	// snapshots) for daemon jobs. Zero selects DefaultCheckpointEvery.
@@ -162,7 +161,7 @@ type Config struct {
 	// as a poison shard. Zero selects DefaultShardAttempts.
 	ShardAttempts int
 	// StoragePolicy bounds the retries of one recovery-critical storage
-	// write (journal append, sweep snapshot, drain manifest, cache entry)
+	// write (journal append, sweep snapshot, cache entry)
 	// before the daemon degrades durability. Only MaxAttempts and Backoff
 	// are honoured — RetryOn is fixed to the storage-failure class and
 	// perturbation does not apply. Zeros select DefaultStorageAttempts and
@@ -210,8 +209,8 @@ type Stats struct {
 	Shards        int64 `json:"shards"`
 	LeaseExpiries int64 `json:"lease_expiries"`
 	Quarantined   int64 `json:"quarantined"`
-	// Recovered counts jobs resubmitted by Recover (journal or manifest
-	// replay); JournalErrors counts write-ahead journal appends that failed
+	// Recovered counts jobs resubmitted by Recover (journal replay);
+	// JournalErrors counts write-ahead journal appends that failed
 	// (service continues; crash-recovery coverage degrades).
 	Recovered     int64 `json:"recovered"`
 	JournalErrors int64 `json:"journal_errors"`
@@ -234,7 +233,7 @@ type DrainReport struct {
 	Finished    int `json:"finished"`    // in-flight jobs that completed during the grace window
 	Snapshotted int `json:"snapshotted"` // in-flight jobs cancelled past grace with a resumable snapshot
 	Cancelled   int `json:"cancelled"`   // in-flight jobs cancelled past grace without a snapshot
-	Flushed     int `json:"flushed"`     // queued jobs flushed to the manifest, never started
+	Flushed     int `json:"flushed"`     // queued jobs flushed, never started; their accept records re-admit them
 }
 
 // Server is the daemon. Create with New, start workers with Start, attach
@@ -374,10 +373,9 @@ func (s *Server) Start(ctx context.Context) {
 		// Best-effort: persistence degrades to in-memory service if the
 		// directory cannot be created; the daemon must come up regardless.
 		_ = os.MkdirAll(s.cfg.StateDir, 0o755)
-		j, err := checkpoint.OpenJournal(filepath.Join(s.cfg.StateDir, journalFile))
+		_, err := s.openJournal()
 		s.mu.Lock()
 		if err == nil {
-			s.journal = j
 			s.durState = DurabilityArmed
 		} else if s.durState == DurabilityDisabled {
 			// An unopenable journal degrades durability, never service; the
@@ -467,11 +465,7 @@ func (s *Server) Submit(ctx context.Context, req *JobRequest) (string, error) {
 	// this lands — the replay treats a finish record as terminal regardless
 	// of record order, so the race is harmless.) Only a durably journaled
 	// accept record lets the job claim durable:true.
-	if s.journalAppend(jb, journalKindAccept, jobAcceptRec{
-		ID: jb.id, Board: jb.rawBoard, Sweep: jb.sweep,
-		DeadlineMS: jb.deadline.Milliseconds(), Fingerprint: jb.fingerprint,
-		Accepted: stamp(jb.submitted),
-	}) {
+	if s.journalAppend(jb, journalKindAccept, acceptRecord(jb)) {
 		s.mu.Lock()
 		// A later storage failure may already have stripped the claim (a
 		// fast worker can finish the job before this lands); never
@@ -714,7 +708,6 @@ func (s *Server) runJob(ctx context.Context, jb *job) {
 		// worker wins would prolong the drain, so they are flushed here
 		// with the same disposition.
 		s.flushJobLocked(jb)
-		s.report.Flushed++
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		return
@@ -868,12 +861,13 @@ func (s *Server) extract(ctx context.Context, jb *job) error {
 	return nil
 }
 
-// Drain gracefully shuts the daemon down: stop accepting, flush queued jobs
-// to the manifest, let in-flight jobs finish — and once ctx expires, cancel
-// them so their sweeps flush resumable snapshots. Drain always terminates:
-// in-flight work is context-aware by contract, and the escalation path
-// cancels it. Safe to call concurrently; every caller observes the first
-// drain's report.
+// Drain gracefully shuts the daemon down: stop accepting, flush queued jobs,
+// let in-flight jobs finish — and once ctx expires, cancel them so their
+// sweeps flush resumable snapshots. Its last act journals any flushed job
+// whose accept record is missing (see journalFlushed). Drain always
+// terminates: in-flight work is context-aware by contract, and the
+// escalation path cancels it. Safe to call concurrently; every caller
+// observes the first drain's report.
 func (s *Server) Drain(ctx context.Context) DrainReport {
 	s.mu.Lock()
 	if s.draining {
@@ -892,13 +886,12 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	}
 	s.mu.Unlock()
 
-	flushed := s.flushQueued()
+	s.flushQueued()
 	close(s.queue)
 	s.mu.Lock()
 	s.queueClosed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.writeManifest(flushed)
 
 	done := make(chan struct{})
 	go func() {
@@ -912,15 +905,15 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 		<-done
 	}
 
+	s.journalFlushed()
 	s.mu.Lock()
-	s.report.Flushed += len(flushed)
 	rep := s.report
 	j := s.journal
 	s.journal = nil
 	s.mu.Unlock()
 	if j != nil {
 		// Flushed jobs keep their accept records (no finish is journaled for
-		// them): a restarted daemon re-admits them from journal ∪ manifest.
+		// them): a restarted daemon's Recover re-admits them.
 		_ = j.Close()
 	}
 	close(s.drained)
@@ -928,17 +921,15 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 }
 
 // flushQueued empties the queue of never-started jobs, marking them flushed.
-func (s *Server) flushQueued() []*job {
-	var out []*job
+func (s *Server) flushQueued() {
 	for {
 		select {
 		case jb := <-s.queue:
 			s.mu.Lock()
 			s.flushJobLocked(jb)
 			s.mu.Unlock()
-			out = append(out, jb)
 		default:
-			return out
+			return
 		}
 	}
 }
@@ -947,76 +938,35 @@ func (s *Server) flushQueued() []*job {
 func (s *Server) flushJobLocked(jb *job) {
 	jb.state = StateFlushed
 	jb.finished = time.Now()
-	jb.err = simerr.Tagf(simerr.ErrCancelled, "serve: drained before start; resubmit from the queue manifest")
+	jb.err = simerr.Tagf(simerr.ErrCancelled, "serve: drained before start; recovery on the next start resubmits it")
+	s.report.Flushed++
 }
 
-// manifestKind tags drain queue manifests in the checkpoint envelope.
-const manifestKind = "serve-queue"
-
-// manifestEntry is one flushed job in the drain manifest: everything needed
-// to resubmit it.
-type manifestEntry struct {
-	ID         string          `json:"id"`
-	Board      json.RawMessage `json:"board"`
-	Sweep      *SweepSpec      `json:"sweep,omitempty"`
-	DeadlineMS int64           `json:"deadline_ms,omitempty"`
-}
-
-// manifest is the drain-time queue state.
-type manifest struct {
-	DrainedAt string          `json:"drained_at"`
-	Jobs      []manifestEntry `json:"jobs"`
-}
-
-// writeManifest persists the flushed queue so accepted-but-never-started
-// jobs survive the process. Best-effort: with no state directory the jobs
-// are still individually marked flushed and queryable until shutdown.
-func (s *Server) writeManifest(flushed []*job) {
-	if s.cfg.StateDir == "" || len(flushed) == 0 {
+// journalFlushed is the drain's last chance to persist flushed jobs: it
+// appends a fresh accept record for every flushed job still durable:false —
+// its accept append failed, or was skipped while degraded — so the next
+// Recover re-admits it. Flushed jobs that are already durable need nothing:
+// their accept records have no finish record. It scans job state rather
+// than the drain's own flush, so a job a worker dequeued and flushed is
+// covered too, and it runs even while degraded, opening the journal first
+// if it never opened. Call after in-flight work settles, before the journal
+// closes.
+func (s *Server) journalFlushed() {
+	if s.cfg.StateDir == "" {
 		return
 	}
-	m := manifest{DrainedAt: time.Now().UTC().Format(time.RFC3339Nano)}
-	for _, jb := range flushed {
-		m.Jobs = append(m.Jobs, manifestEntry{
-			ID: jb.id, Board: jb.rawBoard, Sweep: jb.sweep, DeadlineMS: jb.deadline.Milliseconds()})
-	}
-	path := filepath.Join(s.cfg.StateDir, "queue.manifest")
-	// The manifest is the last chance to persist these jobs, so it is
-	// attempted (with retries) even while durability is degraded.
-	err := s.storageRetry(func() error { return checkpoint.Save(path, manifestKind, &m) })
+	var pending []catchup
 	s.mu.Lock()
-	for _, jb := range flushed {
-		if err != nil {
-			jb.diag.Warnf("serve", "queue manifest", 0, 0, false,
-				"drain could not persist the queued job: %v", err)
-			s.markNonDurableLocked(jb, fmt.Sprintf("queue manifest write failed: %v", err))
-			s.stats.NonDurable++
-			continue
+	for _, id := range s.order {
+		if jb, ok := s.jobs[id]; ok && jb.state == StateFlushed && !jb.durable {
+			pending = append(pending, catchup{jb: jb, lastErr: jb.lastErr})
 		}
-		// The manifest alone re-admits a flushed job on restart, so a
-		// durable manifest makes the job durable even if its accept record
-		// never reached the journal.
-		jb.durable = true
-		jb.lastErr = ""
 	}
 	s.mu.Unlock()
-	if err != nil {
-		s.degradeOn("queue manifest write", err)
-	}
-}
-
-// ReadManifest loads a drain queue manifest written by a previous run, so a
-// restarted daemon (or an operator script) can resubmit flushed jobs.
-func ReadManifest(stateDir string) ([]JobRequest, error) {
-	var m manifest
-	if err := checkpoint.Load(filepath.Join(stateDir, "queue.manifest"), manifestKind, &m); err != nil {
-		return nil, err
-	}
-	reqs := make([]JobRequest, 0, len(m.Jobs))
-	for _, e := range m.Jobs {
-		reqs = append(reqs, JobRequest{Board: e.Board, Sweep: e.Sweep, DeadlineMS: e.DeadlineMS})
-	}
-	return reqs, nil
+	restored := s.catchUpAccepts(pending, "drain")
+	s.mu.Lock()
+	s.stats.NonDurable += int64(len(pending) - len(restored))
+	s.mu.Unlock()
 }
 
 // cancelInFlight cancels every running job (drain escalation past the grace

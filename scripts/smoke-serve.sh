@@ -8,7 +8,11 @@
 # drain grace. The contract under test: the daemon drains instead of dying
 # (exit 0), the interrupted job ends "snapshotted" with a resumable snapshot
 # on disk, and a restarted daemon resumes that snapshot to a clean "done",
-# restoring completed points instead of recomputing them.
+# restoring completed points instead of recomputing them. An extract-only
+# job queued behind the sweep (one worker) is flushed by the drain when the
+# sweep still holds the worker at SIGTERM; the restarted daemon's startup
+# recovery must then resubmit it from the journal under its original id and
+# finish it. No queue manifest may exist either way.
 #
 # A second leg covers the crash path: the daemon is killed with SIGKILL
 # mid-sweep (no drain, no flush) and restarted over the same state directory.
@@ -100,6 +104,9 @@ for _ in $(seq 1 20); do
   sleep 0.1
 done
 [ "$hit" = 1 ] || { echo "smoke-serve: sweep job missed the warmed cache"; exit 1; }
+# Queued behind the sweep's shards on the single worker: the drain flushes it
+# unless the sweep finished before SIGTERM and let it run.
+fid=$(submit "{\"board\":$board,\"deadline_ms\":600000}")
 sleep 1.5
 
 echo "smoke-serve: SIGTERM mid-sweep (drain grace 1s)"
@@ -109,6 +116,10 @@ wait "$pid" || status=$?
 pid=""
 [ "$status" -eq 0 ] || {
   echo "smoke-serve: drain must exit 0, got $status"; cat "$tmp/serve.err"; exit 1; }
+flushed=0
+grep -q '"flushed":1' "$tmp/serve.err" && flushed=1
+[ ! -e "$state/queue.manifest" ] || {
+  echo "smoke-serve: the drain wrote $state/queue.manifest; the journal is the only recovery source"; exit 1; }
 
 snap="$state/$id.sweep.ckpt"
 if [ -s "$snap" ]; then
@@ -135,6 +146,17 @@ else
     echo "smoke-serve: no snapshot and no finished job after drain"; cat "$tmp/serve.err"; exit 1; }
   echo "smoke-serve: sweep finished before the kill landed (snapshot-resume leg skipped)"
   start_daemon
+fi
+
+if [ "$flushed" = 1 ]; then
+  echo "smoke-serve: startup recovery must resubmit flushed job $fid from the journal"
+  grep -q "recovery: resubmitted job $fid" "$tmp/serve.err" || {
+    echo "smoke-serve: restart did not resubmit flushed job $fid"; cat "$tmp/serve.err"; exit 1; }
+  wait_state "$fid" done 1200
+else
+  # The sweep finished before SIGTERM, so job $fid ran instead of being
+  # flushed and there is nothing for recovery to resubmit.
+  echo "smoke-serve: job $fid ran before the drain (flushed-job recovery leg skipped)"
 fi
 
 echo "smoke-serve: uninterrupted reference sweep for the crash leg"
@@ -239,4 +261,4 @@ echo "smoke-serve: final graceful drain"
 kill -TERM "$pid"
 wait "$pid" || { echo "smoke-serve: final drain failed"; exit 1; }
 pid=""
-echo "smoke-serve: drained mid-sweep with exit 0; snapshot resumed to done with restored points; degraded durability re-armed"
+echo "smoke-serve: drained mid-sweep with exit 0; snapshot resumed to done with restored points; flushed job recovered from the journal; degraded durability re-armed"
