@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-smoke check vet race lint pdnlint lint-sarif smoke smoke-serve chaos
+.PHONY: build test bench bench-smoke check vet race lint pdnlint lint-sarif smoke smoke-serve chaos perfbench-check
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,13 @@ bench-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-check vets and tests the repository benchmark (perfbench/, run
+# by perfbench/run.sh). It is its own Go module (replace pdnsim => ../), so
+# the root build never compiles it; this target is what catches a library API
+# change that breaks the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # pdnlint is the project's own static analyser (cmd/pdnlint): it enforces
 # the solver's safety contracts — typed errors, cancellation in hot loops,

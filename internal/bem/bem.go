@@ -19,9 +19,13 @@
 // package greens. Two testing schemes are supported (paper §3.2 discusses
 // both): collocation (point matching, fast) and Galerkin (same basis as
 // testing, more accurate and stable, more quadrature work). On the uniform
-// grids produced by mesh.Grid the kernels are translation invariant, so
-// entries are cached by integer grid offset (Toeplitz caching), reducing
-// kernel evaluations from O(N²) to O(N).
+// grids produced by mesh.Grid the kernels are translation invariant, so P
+// and each same-direction L block are functions of the integer grid offset
+// alone. One flat offset table per block holds one panel integral per
+// realised offset (Toeplitz caching: O(N) kernel evaluations instead of
+// O(N²)); it fills the dense matrix and backs the block's FFT-applied
+// ToeplitzOp. Options.Operator is the one knob that selects the path, and
+// OpDirect is the reference fill that integrates every entry.
 package bem
 
 import (
@@ -57,20 +61,26 @@ func (s TestingScheme) String() string {
 	return "galerkin"
 }
 
-// OperatorMode selects whether the assembly emits structure-preserving
-// Toeplitz operators alongside the dense fill.
+// OperatorMode selects the assembly path: whether P and L fill from the
+// grid-offset tables, and whether those tables are also emitted as
+// structure-preserving Toeplitz operators alongside the dense matrices.
 type OperatorMode int
 
 const (
-	// OpAuto emits ToeplitzOp operators whenever the mesh passes the
-	// uniform-grid validation and Toeplitz caching is on; otherwise the
-	// assembly silently stays dense-only. The default.
+	// OpAuto fills from the offset tables and emits ToeplitzOp operators
+	// whenever the mesh passes the uniform-grid validation; a mesh that fails
+	// it takes the direct fill (Opts.Operator becomes OpDirect) with a
+	// "grid uniformity" diag warning. The default.
 	OpAuto OperatorMode = iota
-	// OpDense never emits operators: downstream solves always densify.
+	// OpDense fills from the offset tables like OpAuto but never emits
+	// operators: downstream solves always densify.
 	OpDense
 	// OpToeplitz requires operators: a mesh that fails the uniform-grid
-	// validation is an error instead of a silent dense fallback.
+	// validation is an error instead of a direct-fill fallback.
 	OpToeplitz
+	// OpDirect is the reference fill: every entry is its own panel integral,
+	// with no offset table and no operators. It needs no uniform grid.
+	OpDirect
 )
 
 func (m OperatorMode) String() string {
@@ -79,6 +89,8 @@ func (m OperatorMode) String() string {
 		return "dense"
 	case OpToeplitz:
 		return "toeplitz"
+	case OpDirect:
+		return "direct"
 	default:
 		return "auto"
 	}
@@ -87,13 +99,11 @@ func (m OperatorMode) String() string {
 // Options configure an assembly.
 type Options struct {
 	Testing    TestingScheme
-	GaussOrder int  // Galerkin quadrature order per axis (default 2)
-	Toeplitz   bool // cache kernel integrals by grid offset (default on via DefaultOptions)
+	GaussOrder int // Galerkin quadrature order per axis (default 2)
 
-	// Operator controls emission of FFT-applicable ToeplitzOp operators for
-	// P and the per-direction L blocks (the superlinear solve path in
-	// internal/extract). Requires Toeplitz caching and a validated uniform
-	// grid; see OperatorMode.
+	// Operator selects the fill path and the emission of FFT-applicable
+	// ToeplitzOp operators for P and the per-direction L blocks (the
+	// superlinear solve path in internal/extract); see OperatorMode.
 	Operator OperatorMode
 
 	// SheetResistance is the resistance per square of the meshed plane (Ω/sq).
@@ -105,7 +115,7 @@ type Options struct {
 
 // DefaultOptions returns the recommended assembly configuration.
 func DefaultOptions() Options {
-	return Options{Testing: Collocation, GaussOrder: 2, Toeplitz: true}
+	return Options{Testing: Collocation, GaussOrder: 2}
 }
 
 // Assembly holds the assembled BEM operators for one plane.
@@ -128,7 +138,7 @@ type Assembly struct {
 	LOps [2]*mat.ToeplitzOp
 
 	// Diag records assembly-stage warnings: currently the uniform-grid
-	// fallback (Toeplitz caching requested on a non-uniform mesh).
+	// fallback (a non-uniform mesh under OpAuto or OpDense).
 	Diag *diag.Diagnostics
 
 	// KernelEvals counts distinct panel-integral evaluations performed
@@ -136,8 +146,8 @@ type Assembly struct {
 	// counts only evaluations that actually completed.
 	KernelEvals int
 
-	// gridNX, gridNY are the validated uniform-grid dimensions (0 when the
-	// mesh failed validation or Toeplitz caching is off).
+	// gridNX, gridNY are the validated uniform-grid dimensions, which size
+	// the offset tables (0 on the OpDirect path).
 	gridNX, gridNY int
 }
 
@@ -170,13 +180,8 @@ func AssembleCtx(ctx context.Context, m *mesh.Mesh, k *greens.Kernel, opts Optio
 			opts.SheetResistance, opts.ReturnSheetResistance)
 	}
 	a = &Assembly{Mesh: m, Kernel: k, Opts: opts, Diag: diag.New()}
-	if a.Opts.Operator == OpToeplitz && !a.Opts.Toeplitz {
-		// Operator emission reads the offset cache; forcing the operator
-		// implies the cache.
-		a.Opts.Toeplitz = true
-	}
-	if a.Opts.Toeplitz {
-		// The offset cache (and the ToeplitzOp built from it) assumes the
+	if a.Opts.Operator != OpDirect {
+		// The offset tables (and the ToeplitzOps built from them) assume the
 		// kernel is translation invariant across cells, which holds only on a
 		// uniform grid — validate instead of silently filling a wrong matrix.
 		nx, ny, dev, err := uniformGrid(m)
@@ -184,9 +189,9 @@ func AssembleCtx(ctx context.Context, m *mesh.Mesh, k *greens.Kernel, opts Optio
 			if a.Opts.Operator == OpToeplitz {
 				return nil, simerr.BadInput("bem: assemble", "Operator: toeplitz requires a uniform grid: %v", err)
 			}
-			a.Opts.Toeplitz = false
+			a.Opts.Operator = OpDirect
 			a.Diag.Warnf("bem", "grid uniformity", dev, gridUniformRelTol, true,
-				"Toeplitz offset cache disabled, direct fill used: %v", err)
+				"Toeplitz offset tables disabled, direct fill used: %v", err)
 		} else {
 			a.gridNX, a.gridNY = nx, ny
 		}
@@ -217,85 +222,19 @@ func (a *Assembly) scalarEntryNoCount(ci, cj mesh.Cell) float64 {
 
 func (a *Assembly) assembleP(ctx context.Context) error {
 	cells := a.Mesh.Cells
-	n := len(cells)
-	a.P = mat.New(n, n)
-	if a.Opts.Toeplitz {
-		// Entries depend only on the grid offset (Δix, Δiy); cell sizes are
-		// uniform so the kernel is translation invariant. |Δ| suffices by
-		// symmetry of the kernel in each axis. The distinct offsets are
-		// enumerated first and their panel integrals evaluated across
-		// workers; the fill loop then only reads the table.
-		type job struct {
-			key  [2]int
-			i, j int
-		}
-		seen := make(map[[2]int]job)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				key := [2]int{abs(cells[i].IX - cells[j].IX), abs(cells[i].IY - cells[j].IY)}
-				if _, ok := seen[key]; !ok {
-					seen[key] = job{key, i, j}
-				}
-			}
-		}
-		cache := make(map[[2]int]float64, len(seen))
-		jobs := make([]job, 0, len(seen))
-		for _, jb := range seen {
-			jobs = append(jobs, jb)
-		}
-		vals := make([]float64, len(jobs))
-		var done atomic.Int64
-		parallelFor(len(jobs), func(k int) {
-			if ctx != nil && ctx.Err() != nil {
-				return // abandon remaining integrals once cancelled
-			}
-			vals[k] = a.scalarEntryNoCount(cells[jobs[k].i], cells[jobs[k].j])
-			done.Add(1)
-		})
-		// Count completed evaluations before the cancellation check so the
-		// ablation numbers stay honest under timeout.
-		a.KernelEvals += int(done.Load())
-		if err := simerr.CheckCtx(ctx, "bem: assemble P"); err != nil {
-			return err
-		}
-		for k, jb := range jobs {
-			cache[jb.key] = vals[k]
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				key := [2]int{abs(cells[i].IX - cells[j].IX), abs(cells[i].IY - cells[j].IY)}
-				a.P.Set(i, j, cache[key])
-			}
-		}
-		if a.Opts.Operator != OpDense {
-			op, err := a.toeplitzFromCache(func(dx, dy int) (float64, bool) {
-				v, ok := cache[[2]int{dx, dy}]
-				return v, ok
-			}, cellCoords(cells))
-			if err != nil {
-				return err
-			}
-			a.POp = op
-		}
-	} else {
-		var done atomic.Int64
-		parallelFor(n, func(i int) {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			for j := 0; j < n; j++ {
-				a.P.Set(i, j, a.scalarEntryNoCount(cells[i], cells[j]))
-			}
-			done.Add(int64(n))
-		})
-		a.KernelEvals += int(done.Load())
-		if err := simerr.CheckCtx(ctx, "bem: assemble P"); err != nil {
-			return err
-		}
+	g := offsetGroup{idx: make([]int, len(cells)), coords: make([][2]int, len(cells))}
+	for i, c := range cells {
+		g.idx[i], g.coords[i] = i, [2]int{c.IX, c.IY}
 	}
-	// Collocation leaves P very slightly asymmetric; the physical operator
-	// is symmetric, so restore it before any SPD factorisation.
-	a.P.Symmetrize()
+	var ops []*mat.ToeplitzOp
+	var err error
+	a.P, ops, err = a.fill(ctx, "bem: assemble P", len(cells), []offsetGroup{g}, func(i, j int) float64 {
+		return a.scalarEntryNoCount(cells[i], cells[j])
+	})
+	if err != nil {
+		return err
+	}
+	a.POp = ops[0]
 	return nil
 }
 
@@ -316,136 +255,134 @@ func (a *Assembly) vectorEntryNoCount(lk, ll mesh.Link) float64 {
 
 func (a *Assembly) assembleL(ctx context.Context) error {
 	links := a.Mesh.Links
-	n := len(links)
-	a.L = mat.New(n, n)
-	if a.Opts.Toeplitz {
-		type key struct {
-			dir      mesh.Direction
-			dix, diy int
-		}
-		type job struct {
-			kk   key
-			i, j int
-		}
-		seen := make(map[key]job)
-		linkKey := func(i, j int) key {
-			fi, fj := a.Mesh.Cells[links[i].From], a.Mesh.Cells[links[j].From]
-			return key{links[i].Dir, abs(fi.IX - fj.IX), abs(fi.IY - fj.IY)}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if links[i].Dir != links[j].Dir {
-					continue // orthogonal currents do not couple
-				}
-				kk := linkKey(i, j)
-				if _, ok := seen[kk]; !ok {
-					seen[kk] = job{kk, i, j}
-				}
-			}
-		}
-		jobs := make([]job, 0, len(seen))
-		for _, jb := range seen {
-			jobs = append(jobs, jb)
-		}
-		vals := make([]float64, len(jobs))
-		var done atomic.Int64
-		parallelFor(len(jobs), func(k int) {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			vals[k] = a.vectorEntryNoCount(links[jobs[k].i], links[jobs[k].j])
-			done.Add(1)
-		})
-		a.KernelEvals += int(done.Load())
-		if err := simerr.CheckCtx(ctx, "bem: assemble L"); err != nil {
-			return err
-		}
-		cache := make(map[key]float64, len(jobs))
-		for k, jb := range jobs {
-			cache[jb.kk] = vals[k]
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if links[i].Dir != links[j].Dir {
-					continue
-				}
-				a.L.Set(i, j, cache[linkKey(i, j)])
-			}
-		}
-		if a.Opts.Operator != OpDense {
-			for _, dir := range []mesh.Direction{mesh.DirX, mesh.DirY} {
-				var coords [][2]int
-				for i := range links {
-					if links[i].Dir == dir {
-						c := a.Mesh.Cells[links[i].From]
-						coords = append(coords, [2]int{c.IX, c.IY})
-					}
-				}
-				if len(coords) == 0 {
-					continue
-				}
-				op, err := a.toeplitzFromCache(func(dx, dy int) (float64, bool) {
-					v, ok := cache[key{dir, dx, dy}]
-					return v, ok
-				}, coords)
-				if err != nil {
-					return err
-				}
-				a.LOps[dir] = op
-			}
-		}
-	} else {
-		var done atomic.Int64
-		parallelFor(n, func(i int) {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			row := 0
-			for j := 0; j < n; j++ {
-				if links[i].Dir != links[j].Dir {
-					continue
-				}
-				a.L.Set(i, j, a.vectorEntryNoCount(links[i], links[j]))
-				row++
-			}
-			done.Add(int64(row))
-		})
-		a.KernelEvals += int(done.Load())
-		if err := simerr.CheckCtx(ctx, "bem: assemble L"); err != nil {
-			return err
-		}
+	var groups [2]offsetGroup // indexed by mesh.Direction
+	for i, l := range links {
+		c := a.Mesh.Cells[l.From]
+		g := &groups[l.Dir]
+		g.idx = append(g.idx, i)
+		g.coords = append(g.coords, [2]int{c.IX, c.IY})
 	}
-	a.L.Symmetrize()
+	var ops []*mat.ToeplitzOp
+	var err error
+	a.L, ops, err = a.fill(ctx, "bem: assemble L", len(links), groups[:], func(i, j int) float64 {
+		return a.vectorEntryNoCount(links[i], links[j])
+	})
+	if err != nil {
+		return err
+	}
+	copy(a.LOps[:], ops)
 	return nil
 }
 
-// cellCoords returns the integer grid coordinate of every cell, in cell
-// order — the unknown ordering of the P operator.
-func cellCoords(cells []mesh.Cell) [][2]int {
-	coords := make([][2]int, len(cells))
-	for i := range cells {
-		coords[i] = [2]int{cells[i].IX, cells[i].IY}
-	}
-	return coords
+// offsetGroup is a set of unknowns whose mutual entries depend on their grid
+// offset alone: every cell for P, and the links of one direction for each L
+// block. Entries between groups are zero (orthogonal currents do not
+// couple).
+type offsetGroup struct {
+	idx    []int    // unknown indices, ascending
+	coords [][2]int // grid coordinate of each unknown (a link's From cell)
 }
 
-// toeplitzFromCache assembles a ToeplitzOp over the validated uniform grid
-// from the offset cache just used for the dense fill. Offsets absent from
-// the cache never occur between two unknowns (a partial plane does not
-// realise every offset of its bounding grid), so their table entries are
-// never read by the operator's scatter/gather product and zero is a safe
-// placeholder.
-func (a *Assembly) toeplitzFromCache(lookup func(dx, dy int) (float64, bool), coords [][2]int) (*mat.ToeplitzOp, error) {
-	nx, ny := a.gridNX, a.gridNY
-	table := make([]float64, nx*ny)
-	for dy := 0; dy < ny; dy++ {
-		for dx := 0; dx < nx; dx++ {
-			if v, ok := lookup(dx, dy); ok {
-				table[dy*nx+dx] = v
+// fill assembles the n×n matrix whose entry (i, j) is entry(i, j) when i and
+// j share a group and zero otherwise. Under OpDirect every entry is its own
+// panel integral (directFill). Otherwise the grid has been validated uniform
+// and each group's block is copied from its offset table (offsetTable), which
+// also becomes the group's ToeplitzOp unless Opts.Operator is OpDense. The
+// returned operators are indexed like groups, nil where none was built.
+func (a *Assembly) fill(ctx context.Context, stage string, n int, groups []offsetGroup, entry func(i, j int) float64) (*mat.Matrix, []*mat.ToeplitzOp, error) {
+	m := mat.New(n, n)
+	ops := make([]*mat.ToeplitzOp, len(groups))
+	for gi, g := range groups {
+		if len(g.idx) == 0 {
+			continue
+		}
+		var table []float64
+		var evals int
+		if a.Opts.Operator == OpDirect {
+			evals = directFill(ctx, m, g, entry)
+		} else {
+			table, evals = a.offsetTable(ctx, g, entry)
+		}
+		// Count completed evaluations before the cancellation check so the
+		// ablation numbers stay honest under timeout.
+		a.KernelEvals += evals
+		if err := simerr.CheckCtx(ctx, stage); err != nil {
+			return nil, nil, err
+		}
+		if table == nil {
+			continue
+		}
+		for p, cp := range g.coords {
+			row := m.Data[g.idx[p]*n:]
+			for q, cq := range g.coords {
+				row[g.idx[q]] = table[abs(cp[1]-cq[1])*a.gridNX+abs(cp[0]-cq[0])]
+			}
+		}
+		if a.Opts.Operator != OpDense {
+			op, err := mat.NewToeplitzOp(a.gridNX, a.gridNY, table, g.coords)
+			if err != nil {
+				return nil, nil, err
+			}
+			ops[gi] = op
+		}
+	}
+	// Collocation leaves the direct fill very slightly asymmetric; the
+	// physical operator is symmetric, so restore it before any SPD
+	// factorisation.
+	m.Symmetrize()
+	return m, ops, nil
+}
+
+// directFill is the reference fill: one panel integral per entry of the
+// group's block, rows spread across workers. Returns the number of integrals
+// completed (rows abandoned after cancellation are not counted).
+func directFill(ctx context.Context, m *mat.Matrix, g offsetGroup, entry func(i, j int) float64) int {
+	var done atomic.Int64
+	parallelFor(len(g.idx), func(p int) {
+		if ctx != nil && ctx.Err() != nil {
+			return // abandon remaining integrals once cancelled
+		}
+		i := g.idx[p]
+		for _, j := range g.idx {
+			m.Set(i, j, entry(i, j))
+		}
+		done.Add(int64(len(g.idx)))
+	})
+	return int(done.Load())
+}
+
+// offsetTable evaluates a group's offset table: the flat nx·ny slice whose
+// entry |Δiy|·nx + |Δix| is the group's matrix entry at that grid offset. On
+// the validated uniform grid the kernels are translation invariant and
+// symmetric in each axis, so one integral per offset suffices. A row-major
+// (i, j) scan takes the first pair that realises each offset as its
+// representative, and the representatives are evaluated across workers.
+// Offsets no pair realises (a partial plane does not fill its bounding grid)
+// are never evaluated and stay zero: no entry between two unknowns reads
+// them. Returns the table and the number of integrals completed.
+func (a *Assembly) offsetTable(ctx context.Context, g offsetGroup, entry func(i, j int) float64) ([]float64, int) {
+	nx, n := a.gridNX, len(g.idx)
+	rep := make([]int, nx*a.gridNY) // 1 + p·n + q of the representative pair; 0 while unrealised
+	var offs []int
+	for p, cp := range g.coords {
+		for q, cq := range g.coords {
+			if o := abs(cp[1]-cq[1])*nx + abs(cp[0]-cq[0]); rep[o] == 0 {
+				rep[o] = 1 + p*n + q
+				offs = append(offs, o)
 			}
 		}
 	}
-	return mat.NewToeplitzOp(nx, ny, table, coords)
+	table := make([]float64, len(rep))
+	var done atomic.Int64
+	parallelFor(len(offs), func(k int) {
+		if ctx != nil && ctx.Err() != nil {
+			return
+		}
+		pq := rep[offs[k]] - 1
+		table[offs[k]] = entry(g.idx[pq/n], g.idx[pq%n])
+		done.Add(1)
+	})
+	return table, int(done.Load())
 }
 
 func (a *Assembly) assembleR() {
@@ -707,25 +644,28 @@ func WorstIRDrop(v []float64) float64 {
 	return worst
 }
 
-// gridUniformRelTol is the relative tolerance within which every cell's
-// width and height must match the first cell's for the mesh to count as a
-// uniform grid. mesh.Grid computes cell edges as cumulative sums of one
-// float step, so legitimate uniform grids agree to a few ulps; a genuinely
-// graded mesh differs at the percent level. 1e-9 sits comfortably between
-// the two regimes.
+// gridUniformRelTol is the relative tolerance, in cell widths and heights,
+// within which every cell's size must match the first cell's, and its origin
+// must sit at the first cell's origin plus its grid offset times that size,
+// for the mesh to count as a uniform grid. mesh.Grid computes cell edges from
+// one float step, so legitimate uniform grids agree to a few ulps per cell of
+// grid extent (under 1e-10 for a thousand cells a side); a graded or
+// misplaced cell is off by a percent of a cell or more. 1e-9 sits
+// comfortably between the two regimes.
 const gridUniformRelTol = 1e-9
 
-// uniformGrid validates the Toeplitz cache's translation-invariance
-// precondition: all cells share one width and height (within
-// gridUniformRelTol relative) and carry consistent non-negative integer
-// grid coordinates. Returns the bounding grid dimensions and the largest
-// relative size deviation observed; a non-nil error describes the first
-// violation.
+// uniformGrid validates the offset tables' translation-invariance
+// precondition: all cells share one width and height, each cell's origin
+// equals cell 0's plus (ΔIX·w0, ΔIY·h0) (both within gridUniformRelTol), and
+// the integer grid coordinates are non-negative and never repeat. Returns the
+// bounding grid dimensions and the largest relative size or origin deviation
+// observed; a non-nil error describes the first violation.
 func uniformGrid(m *mesh.Mesh) (nx, ny int, dev float64, err error) {
 	if len(m.Cells) == 0 {
 		return 0, 0, 0, simerr.Tagf(simerr.ErrBadInput, "empty mesh")
 	}
-	w0, h0 := m.Cells[0].Rect.W(), m.Cells[0].Rect.H()
+	c0 := &m.Cells[0]
+	w0, h0 := c0.Rect.W(), c0.Rect.H()
 	if w0 <= 0 || h0 <= 0 {
 		return 0, 0, 0, simerr.Tagf(simerr.ErrBadInput, "cell 0 has non-positive size %g×%g", w0, h0)
 	}
@@ -734,24 +674,30 @@ func uniformGrid(m *mesh.Mesh) (nx, ny int, dev float64, err error) {
 		if c.IX < 0 || c.IY < 0 {
 			return 0, 0, dev, simerr.Tagf(simerr.ErrBadInput, "cell %d has negative grid coordinate (%d,%d)", i, c.IX, c.IY)
 		}
-		if c.IX+1 > nx {
-			nx = c.IX + 1
-		}
-		if c.IY+1 > ny {
-			ny = c.IY + 1
-		}
+		nx, ny = max(nx, c.IX+1), max(ny, c.IY+1)
 		dw := math.Abs(c.Rect.W()-w0) / w0
 		dh := math.Abs(c.Rect.H()-h0) / h0
-		if dw > dev {
-			dev = dw
-		}
-		if dh > dev {
-			dev = dh
-		}
+		dev = max(dev, dw, dh)
 		if dw > gridUniformRelTol || dh > gridUniformRelTol {
 			return 0, 0, dev, simerr.Tagf(simerr.ErrBadInput, "cell %d is %g×%g, cell 0 is %g×%g (relative deviation %.3g > %g)",
 				i, c.Rect.W(), c.Rect.H(), w0, h0, dev, gridUniformRelTol)
 		}
+		ox := math.Abs(c.Rect.X0-c0.Rect.X0-float64(c.IX-c0.IX)*w0) / w0
+		oy := math.Abs(c.Rect.Y0-c0.Rect.Y0-float64(c.IY-c0.IY)*h0) / h0
+		dev = max(dev, ox, oy)
+		if ox > gridUniformRelTol || oy > gridUniformRelTol {
+			return 0, 0, dev, simerr.Tagf(simerr.ErrBadInput, "cell %d at (%g, %g) is off its grid position (%d,%d) by %.3g cells (> %g)",
+				i, c.Rect.X0, c.Rect.Y0, c.IX, c.IY, max(ox, oy), gridUniformRelTol)
+		}
+	}
+	owner := make([]int, nx*ny) // 1 + index of the cell at each grid coordinate
+	for i := range m.Cells {
+		c := &m.Cells[i]
+		o := &owner[c.IY*nx+c.IX]
+		if *o != 0 {
+			return 0, 0, dev, simerr.Tagf(simerr.ErrBadInput, "cells %d and %d share grid coordinate (%d,%d)", *o-1, i, c.IX, c.IY)
+		}
+		*o = i + 1
 	}
 	return nx, ny, dev, nil
 }

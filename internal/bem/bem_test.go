@@ -259,33 +259,108 @@ func TestInverseInductanceLaplacianNullspace(t *testing.T) {
 	}
 }
 
+// plusShape is a plus-shaped outline on a 6 mm square: two 2 mm arms
+// crossing at the centre. On a 6×6 grid it keeps 20 cells that realise only
+// 24 of the bounding grid's 36 offsets, so the offset tables hold entries no
+// cell pair reads.
+func plusShape() geom.Shape {
+	var outline geom.Polygon
+	for _, xy := range [][2]float64{{2, 0}, {4, 0}, {4, 2}, {6, 2}, {6, 4}, {4, 4}, {4, 6}, {2, 6}, {2, 4}, {0, 4}, {0, 2}, {2, 2}} {
+		outline = append(outline, geom.Point{X: xy[0] * 1e-3, Y: xy[1] * 1e-3})
+	}
+	return geom.Shape{Outline: outline}
+}
+
+// holedShape is an 8×6 mm plane with a 2×2 mm anti-pad in the middle.
+func holedShape() geom.Shape {
+	s := geom.RectShape(0, 0, 8e-3, 6e-3)
+	s.Holes = []geom.Polygon{{
+		{X: 3e-3, Y: 2e-3}, {X: 5e-3, Y: 2e-3}, {X: 5e-3, Y: 4e-3}, {X: 3e-3, Y: 4e-3},
+	}}
+	return s
+}
+
+// realisedOffsets counts, naively, the distinct grid offsets realised by a
+// pair of cells (P) and by a pair of same-direction links (L, keyed by
+// direction too): the integrals the offset tables must evaluate.
+func realisedOffsets(m *mesh.Mesh) (p, l int) {
+	type key struct {
+		dir      int // -1 for cells
+		dix, diy int
+	}
+	seen := map[key]bool{}
+	for _, ci := range m.Cells {
+		for _, cj := range m.Cells {
+			seen[key{-1, abs(ci.IX - cj.IX), abs(ci.IY - cj.IY)}] = true
+		}
+	}
+	p = len(seen)
+	for _, li := range m.Links {
+		for _, lj := range m.Links {
+			if li.Dir == lj.Dir {
+				fi, fj := m.Cells[li.From], m.Cells[lj.From]
+				seen[key{int(li.Dir), abs(fi.IX - fj.IX), abs(fi.IY - fj.IY)}] = true
+			}
+		}
+	}
+	return p, len(seen) - p
+}
+
+// TestToeplitzCachingMatchesDirect compares the offset-table fill against
+// the direct fill on full and partial planes, where the partial ones leave
+// offsets of the bounding grid unrealised, and checks that exactly the
+// realised offsets are evaluated.
 func TestToeplitzCachingMatchesDirect(t *testing.T) {
-	m := mustMesh(t, geom.RectShape(0, 0, 6e-3, 4e-3), 6, 4)
 	k := mustKernel(t, greens.OverGround, 0.25e-3, 4.5, 1)
-	optFast := DefaultOptions()
-	optSlow := DefaultOptions()
-	optSlow.Toeplitz = false
-	fast, err := Assemble(m, k, optFast)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		shape    geom.Shape
+		nx, ny   int
+		pOffsets int // distinct P offsets the mesh realises, when pinned
+	}{
+		{"rect", geom.RectShape(0, 0, 6e-3, 4e-3), 6, 4, 24},
+		{"lshape", geom.LShape(8e-3, 8e-3, 3e-3, 4e-3), 8, 8, 0},
+		{"holed", holedShape(), 8, 6, 0},
+		{"plus", plusShape(), 6, 6, 24},
 	}
-	slow, err := Assemble(m, k, optSlow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fast.P.Data {
-		if math.Abs(fast.P.Data[i]-slow.P.Data[i]) > 1e-9*slow.P.MaxAbs() {
-			t.Fatalf("P entry %d differs between cached and direct assembly", i)
+	for _, tc := range cases {
+		for _, ts := range []TestingScheme{Collocation, Galerkin} {
+			m := mustMesh(t, tc.shape, tc.nx, tc.ny)
+			optFast := DefaultOptions()
+			optFast.Testing = ts
+			optSlow := optFast
+			optSlow.Operator = OpDirect
+			fast, err := Assemble(m, k, optFast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := Assemble(m, k, optSlow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range fast.P.Data {
+				if math.Abs(fast.P.Data[i]-slow.P.Data[i]) > 1e-9*slow.P.MaxAbs() {
+					t.Fatalf("%s/%v: P entry %d differs between cached and direct assembly", tc.name, ts, i)
+				}
+			}
+			for i := range fast.L.Data {
+				if math.Abs(fast.L.Data[i]-slow.L.Data[i]) > 1e-9*slow.L.MaxAbs() {
+					t.Fatalf("%s/%v: L entry %d differs between cached and direct assembly", tc.name, ts, i)
+				}
+			}
+			pOff, lOff := realisedOffsets(m)
+			if tc.pOffsets != 0 && pOff != tc.pOffsets {
+				t.Fatalf("%s: mesh realises %d P offsets, want %d", tc.name, pOff, tc.pOffsets)
+			}
+			if fast.KernelEvals != pOff+lOff {
+				t.Fatalf("%s/%v: cached fill made %d kernel evaluations, want one per realised offset (%d P + %d L)",
+					tc.name, ts, fast.KernelEvals, pOff, lOff)
+			}
+			if fast.KernelEvals >= slow.KernelEvals {
+				t.Fatalf("%s/%v: Toeplitz caching should reduce kernel evaluations: %d vs %d",
+					tc.name, ts, fast.KernelEvals, slow.KernelEvals)
+			}
 		}
-	}
-	for i := range fast.L.Data {
-		if math.Abs(fast.L.Data[i]-slow.L.Data[i]) > 1e-9*slow.L.MaxAbs() {
-			t.Fatalf("L entry %d differs between cached and direct assembly", i)
-		}
-	}
-	if fast.KernelEvals >= slow.KernelEvals {
-		t.Fatalf("Toeplitz caching should reduce kernel evaluations: %d vs %d",
-			fast.KernelEvals, slow.KernelEvals)
 	}
 }
 

@@ -39,37 +39,61 @@ func gradedMesh() *mesh.Mesh {
 // TestGradedMeshFallsBackToDirectFill is the uniform-grid regression test:
 // before the guard, Toeplitz caching on a graded mesh silently filled P from
 // one column's kernel values; now it must fall back to the direct fill (same
-// entries as Toeplitz: false) and leave a diag warning.
+// entries as OpDirect), record that path in Opts and leave a diag warning.
 func TestGradedMeshFallsBackToDirectFill(t *testing.T) {
 	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.2, 1)
-	opts := DefaultOptions()
-	opts.Toeplitz = true
-	at, err := Assemble(gradedMesh(), k, opts)
+	assertDirectFallback(t, "graded mesh", gradedMesh, k)
+}
+
+// assertDirectFallback asserts that a mesh failing the uniform-grid check
+// takes the direct fill under OpAuto and OpDense, with a grid-uniformity
+// warning and no operators, and is ErrBadInput under OpToeplitz.
+func assertDirectFallback(t *testing.T, what string, build func() *mesh.Mesh, k *greens.Kernel) {
+	t.Helper()
+	direct := DefaultOptions()
+	direct.Operator = OpDirect
+	ad, err := Assemble(build(), k, direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Toeplitz = false
-	ad, err := Assemble(gradedMesh(), k, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range at.P.Data {
-		if at.P.Data[i] != ad.P.Data[i] {
-			t.Fatalf("graded mesh: Toeplitz-cached P differs from direct fill at flat index %d: %g vs %g",
-				i, at.P.Data[i], ad.P.Data[i])
+	for _, mode := range []OperatorMode{OpAuto, OpDense} {
+		opts := DefaultOptions()
+		opts.Operator = mode
+		at, err := Assemble(build(), k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range at.P.Data {
+			if at.P.Data[i] != ad.P.Data[i] {
+				t.Fatalf("%s (%v): fallback P differs from the direct fill at flat index %d: %g vs %g",
+					what, mode, i, at.P.Data[i], ad.P.Data[i])
+			}
+		}
+		for i := range at.L.Data {
+			if at.L.Data[i] != ad.L.Data[i] {
+				t.Fatalf("%s (%v): fallback L differs from the direct fill at flat index %d", what, mode, i)
+			}
+		}
+		if at.POp != nil || at.LOps[0] != nil || at.LOps[1] != nil {
+			t.Fatalf("%s (%v) must not emit a Toeplitz operator", what, mode)
+		}
+		if at.Opts.Operator != OpDirect {
+			t.Fatalf("%s (%v): Opts.Operator = %v after the fallback, want direct", what, mode, at.Opts.Operator)
+		}
+		warned := false
+		for _, item := range at.Diag.Items() {
+			if item.Check == "grid uniformity" {
+				warned = true
+			}
+		}
+		if !warned {
+			t.Fatalf("%s (%v): fallback must record a grid-uniformity diag warning", what, mode)
 		}
 	}
-	if at.POp != nil {
-		t.Fatal("graded mesh must not emit a Toeplitz operator")
-	}
-	warned := false
-	for _, item := range at.Diag.Items() {
-		if item.Check == "grid uniformity" {
-			warned = true
-		}
-	}
-	if !warned {
-		t.Fatal("graded-mesh fallback must record a grid-uniformity diag warning")
+	forced := DefaultOptions()
+	forced.Operator = OpToeplitz
+	if _, err := Assemble(build(), k, forced); !errors.Is(err, simerr.ErrBadInput) {
+		t.Fatalf("%s: Operator: toeplitz must be ErrBadInput, got %v", what, err)
 	}
 }
 
@@ -82,25 +106,66 @@ func TestGradedMeshWithForcedOperatorErrors(t *testing.T) {
 	}
 }
 
+// TestMisplacedCellsFailGridValidation: cells of uniform size whose integer
+// coordinates do not match where they sit break translation invariance just
+// as a graded mesh does, so they must take the same fallback. Before the
+// origin and repeat checks, all three meshes below passed validation and
+// emitted operators. The cached P was 47 % (shifted cell) and 89 %
+// (relabelled cell) of its largest entry off the direct fill; with a
+// repeated coordinate the dense fill is right, but the operator's grid
+// scatter keeps only one of the two cells, so its product is not.
+func TestMisplacedCellsFailGridValidation(t *testing.T) {
+	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.2, 1)
+	grid := func(edit func(m *mesh.Mesh)) func() *mesh.Mesh {
+		return func() *mesh.Mesh {
+			m := mustMesh(t, geom.RectShape(0, 0, 6e-3, 6e-3), 6, 6)
+			edit(m)
+			return m
+		}
+	}
+	// Shift cell 14 right by half a cell, keeping its (IX, IY).
+	assertDirectFallback(t, "shifted cell", grid(func(m *mesh.Mesh) {
+		c := &m.Cells[14]
+		d := c.Rect.W() / 2
+		c.Rect.X0, c.Rect.X1, c.Center.X = c.Rect.X0+d, c.Rect.X1+d, c.Center.X+d
+	}), k)
+	// Give cell 14 the grid coordinate of cell 15.
+	assertDirectFallback(t, "relabelled cell", grid(func(m *mesh.Mesh) {
+		m.Cells[14].IX, m.Cells[14].IY = m.Cells[15].IX, m.Cells[15].IY
+	}), k)
+	// A second cell on top of cell 14: its origin is consistent, only its
+	// coordinate repeats.
+	assertDirectFallback(t, "repeated coordinate", grid(func(m *mesh.Mesh) {
+		c := m.Cells[14]
+		c.Index = len(m.Cells)
+		m.Cells = append(m.Cells, c)
+	}), k)
+}
+
 func TestOperatorModeString(t *testing.T) {
-	if OpAuto.String() != "auto" || OpDense.String() != "dense" || OpToeplitz.String() != "toeplitz" {
+	if OpAuto.String() != "auto" || OpDense.String() != "dense" || OpToeplitz.String() != "toeplitz" ||
+		OpDirect.String() != "direct" {
 		t.Fatal("OperatorMode labels")
 	}
 }
 
 // TestToeplitzOpsMatchDenseFill asserts the tentpole property: the emitted P
 // operator and per-direction L operators reproduce the dense fill's products
-// to 1e-13 relative, across odd and even grid sizes.
+// to 1e-13 relative, across odd and even grid sizes and on a plus-shaped
+// plane that leaves offsets of its bounding grid unrealised.
 func TestToeplitzOpsMatchDenseFill(t *testing.T) {
 	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.2, 1)
+	meshes := []*mesh.Mesh{mustMesh(t, plusShape(), 6, 6)}
 	for _, dims := range [][2]int{{4, 4}, {5, 3}, {7, 7}, {6, 9}} {
-		m := mustMesh(t, geom.RectShape(0, 0, 8e-3, 8e-3), dims[0], dims[1])
+		meshes = append(meshes, mustMesh(t, geom.RectShape(0, 0, 8e-3, 8e-3), dims[0], dims[1]))
+	}
+	for _, m := range meshes {
 		a, err := Assemble(m, k, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.POp == nil {
-			t.Fatalf("%dx%d: uniform grid must emit POp", dims[0], dims[1])
+			t.Fatalf("%d-cell mesh: uniform grid must emit POp", len(m.Cells))
 		}
 		if a.POp.Size() != len(m.Cells) {
 			t.Fatalf("POp size %d, want %d cells", a.POp.Size(), len(m.Cells))
@@ -212,10 +277,10 @@ func TestKernelEvalsCountsOnlyCompleted(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 6e-3, 6e-3), 6, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, toeplitz := range []bool{true, false} {
+	for _, mode := range []OperatorMode{OpAuto, OpDirect} {
 		a := &Assembly{Mesh: m, Kernel: k, Opts: DefaultOptions(), Diag: nil}
-		a.Opts.Toeplitz = toeplitz
-		if toeplitz {
+		a.Opts.Operator = mode
+		if mode != OpDirect {
 			nx, ny, _, err := uniformGrid(m)
 			if err != nil {
 				t.Fatal(err)
@@ -223,16 +288,16 @@ func TestKernelEvalsCountsOnlyCompleted(t *testing.T) {
 			a.gridNX, a.gridNY = nx, ny
 		}
 		if err := a.assembleP(ctx); !errors.Is(err, simerr.ErrCancelled) {
-			t.Fatalf("toeplitz=%v: want ErrCancelled, got %v", toeplitz, err)
+			t.Fatalf("%v: want ErrCancelled, got %v", mode, err)
 		}
 		if a.KernelEvals != 0 {
-			t.Fatalf("toeplitz=%v: cancelled assembly claims %d kernel evals, want 0", toeplitz, a.KernelEvals)
+			t.Fatalf("%v: cancelled assembly claims %d kernel evals, want 0", mode, a.KernelEvals)
 		}
 		if err := a.assembleL(ctx); !errors.Is(err, simerr.ErrCancelled) {
-			t.Fatalf("toeplitz=%v: assembleL want ErrCancelled, got %v", toeplitz, err)
+			t.Fatalf("%v: assembleL want ErrCancelled, got %v", mode, err)
 		}
 		if a.KernelEvals != 0 {
-			t.Fatalf("toeplitz=%v: cancelled assembleL claims %d kernel evals, want 0", toeplitz, a.KernelEvals)
+			t.Fatalf("%v: cancelled assembleL claims %d kernel evals, want 0", mode, a.KernelEvals)
 		}
 	}
 }

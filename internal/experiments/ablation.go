@@ -80,7 +80,8 @@ type AblationToeplitzResult struct {
 	MaxEntryError            float64
 }
 
-// AblationToeplitz assembles with and without the offset cache.
+// AblationToeplitz assembles from the offset tables and by the direct fill
+// (bem.OpDirect).
 func AblationToeplitz(n int) (*AblationToeplitzResult, error) {
 	if n <= 0 {
 		n = 12
@@ -95,7 +96,7 @@ func AblationToeplitz(n int) (*AblationToeplitzResult, error) {
 	}
 	fast := bem.DefaultOptions()
 	slow := bem.DefaultOptions()
-	slow.Toeplitz = false
+	slow.Operator = bem.OpDirect
 	t0 := time.Now()
 	af, err := bem.Assemble(m, k, fast)
 	if err != nil {
