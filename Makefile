@@ -1,12 +1,23 @@
 GO ?= go
 
-.PHONY: build test bench bench-smoke check vet race lint pdnlint lint-sarif smoke smoke-serve chaos perfbench-check
+.PHONY: build test bench bench-smoke check vet race lint pdnlint lint-sarif smoke smoke-serve chaos perfbench-check examples
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# examples builds every program under examples/ into a temporary directory
+# and runs each one; any non-zero exit fails the target. The build alone
+# would not catch an example that compiles but errors or panics at run time.
+examples:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./examples/... || exit 1; \
+	for ex in "$$dir"/*; do \
+		echo "== $$(basename "$$ex")"; \
+		"$$ex" > /dev/null || { echo "example $$(basename "$$ex") failed"; exit 1; }; \
+	done
 
 # bench runs the paper-figure and dense-kernel benchmarks and records them
 # into the BENCH_<date>.json trajectory (scripts/bench.sh, cmd/benchjson).

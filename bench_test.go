@@ -10,6 +10,7 @@
 package pdnsim
 
 import (
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -23,7 +24,7 @@ import (
 // of the complementary split MCM power planes.
 func BenchmarkFig1SplitPlaneMesh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1SplitPlaneMesh(28, 20)
+		r, err := experiments.Fig1SplitPlaneMesh(context.Background(), 28, 20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,7 +38,7 @@ func BenchmarkFig1SplitPlaneMesh(b *testing.B) {
 // full-wave substitute (FDTD), which the paper reports as +3.0 % / +5.8 %.
 func BenchmarkEx1LPatchResonance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ex1LPatchResonance(14)
+		r, err := experiments.Ex1LPatchResonance(context.Background(), 14)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func BenchmarkFig5Transient(b *testing.B) {
 // equivalent circuit vs the cavity reference over 0.5–15 GHz.
 func BenchmarkFig7SParams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7HPPlaneSParams(16, 37, 120)
+		r, err := experiments.Fig7HPPlaneSParams(context.Background(), 16, 37, 120)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func BenchmarkFig7SParams(b *testing.B) {
 // circuit vs 2-D FDTD.
 func BenchmarkFig8TransientVsFDTD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8TransientVsFDTD(16, 37)
+		r, err := experiments.Fig8TransientVsFDTD(context.Background(), 16, 37)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func BenchmarkSSN2Postlayout(b *testing.B) {
 // BenchmarkAblationTesting — DESIGN.md §5: collocation vs Galerkin.
 func BenchmarkAblationTesting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationTesting(12)
+		r, err := experiments.AblationTesting(context.Background(), 12)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func BenchmarkAblationTesting(b *testing.B) {
 // BenchmarkAblationToeplitz — DESIGN.md §5: kernel cache effectiveness.
 func BenchmarkAblationToeplitz(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationToeplitz(12)
+		r, err := experiments.AblationToeplitz(context.Background(), 12)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func BenchmarkAblationToeplitz(b *testing.B) {
 // BenchmarkAblationImages — DESIGN.md §5: image-series depth.
 func BenchmarkAblationImages(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationImages(10)
+		r, err := experiments.AblationImages(context.Background(), 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func BenchmarkAblationImages(b *testing.B) {
 // BenchmarkAblationIntegrator — DESIGN.md §5: trapezoidal vs backward Euler.
 func BenchmarkAblationIntegrator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationIntegrator(12, 20)
+		r, err := experiments.AblationIntegrator(context.Background(), 12, 20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func BenchmarkAblationIntegrator(b *testing.B) {
 // 10 GHz truncation.
 func BenchmarkFosterMOR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.FosterMOR(16, 37, 10e9)
+		r, err := experiments.FosterMOR(context.Background(), 16, 37, 10e9)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func BenchmarkExtractLargeMesh(b *testing.B) {
 		}
 	}
 	t0 := time.Now()
-	dense, err := spec("dense").Extract()
+	dense, err := spec("dense").ExtractCtx(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func BenchmarkExtractLargeMesh(b *testing.B) {
 	var capDev float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := spec("toeplitz").Extract()
+		res, err := spec("toeplitz").ExtractCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +247,7 @@ func BenchmarkExtractDense(b *testing.B) {
 	}
 	var cells int
 	for i := 0; i < b.N; i++ {
-		res, err := spec.Extract()
+		res, err := spec.ExtractCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,7 +260,7 @@ func BenchmarkExtractDense(b *testing.B) {
 // first plane resonance.
 func BenchmarkAblationMesh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationMesh()
+		r, err := experiments.AblationMesh(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

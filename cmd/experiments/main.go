@@ -11,9 +11,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"pdnsim/internal/experiments"
@@ -30,9 +33,13 @@ func main() {
 	if len(names) == 0 {
 		names = []string{"fig1", "ex1", "fig5", "fig7", "fig8", "ssn1", "ssn2", "ablations"}
 	}
+	// SIGINT/SIGTERM cancel the running experiment, which stops at its next
+	// context check and reports the cancellation.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ok := true
 	for _, n := range names {
-		if !run(n) {
+		if !run(ctx, n) {
 			ok = false
 		}
 	}
@@ -41,27 +48,27 @@ func main() {
 	}
 }
 
-func run(name string) bool {
+func run(ctx context.Context, name string) bool {
 	fmt.Printf("==== %s ====\n", name)
 	t0 := time.Now()
 	var err error
 	switch name {
 	case "fig1":
-		err = fig1()
+		err = fig1(ctx)
 	case "ex1":
-		err = ex1()
+		err = ex1(ctx)
 	case "fig5":
 		err = fig5()
 	case "fig7":
-		err = fig7()
+		err = fig7(ctx)
 	case "fig8":
-		err = fig8()
+		err = fig8(ctx)
 	case "ssn1":
 		err = ssn1()
 	case "ssn2":
 		err = ssn2()
 	case "ablations":
-		err = ablations()
+		err = ablations(ctx)
 	default:
 		err = fmt.Errorf("unknown experiment %q", name)
 	}
@@ -73,12 +80,12 @@ func run(name string) bool {
 	return true
 }
 
-func fig1() error {
+func fig1(ctx context.Context) error {
 	nx, ny := 28, 20
 	if *fast {
 		nx, ny = 16, 12
 	}
-	r, err := experiments.Fig1SplitPlaneMesh(nx, ny)
+	r, err := experiments.Fig1SplitPlaneMesh(ctx, nx, ny)
 	if err != nil {
 		return err
 	}
@@ -87,12 +94,12 @@ func fig1() error {
 	return nil
 }
 
-func ex1() error {
+func ex1(ctx context.Context) error {
 	n := 14
 	if *fast {
 		n = 10
 	}
-	r, err := experiments.Ex1LPatchResonance(n)
+	r, err := experiments.Ex1LPatchResonance(ctx, n)
 	if err != nil {
 		return err
 	}
@@ -120,12 +127,12 @@ func fig5() error {
 	return nil
 }
 
-func fig7() error {
+func fig7(ctx context.Context) error {
 	nx, extra, nf := 16, 37, 120
 	if *fast {
 		nx, extra, nf = 12, 20, 40
 	}
-	r, err := experiments.Fig7HPPlaneSParams(nx, extra, nf)
+	r, err := experiments.Fig7HPPlaneSParams(ctx, nx, extra, nf)
 	if err != nil {
 		return err
 	}
@@ -138,12 +145,12 @@ func fig7() error {
 	return nil
 }
 
-func fig8() error {
+func fig8(ctx context.Context) error {
 	nx, extra := 16, 37
 	if *fast {
 		nx, extra = 12, 20
 	}
-	r, err := experiments.Fig8TransientVsFDTD(nx, extra)
+	r, err := experiments.Fig8TransientVsFDTD(ctx, nx, extra)
 	if err != nil {
 		return err
 	}
@@ -189,34 +196,34 @@ func ssn2() error {
 	return nil
 }
 
-func ablations() error {
+func ablations(ctx context.Context) error {
 	fmt.Println("DESIGN.md §5 ablation studies")
-	if r, err := experiments.AblationTesting(0); err != nil {
+	if r, err := experiments.AblationTesting(ctx, 0); err != nil {
 		return err
 	} else {
 		fmt.Print(r.String())
 	}
-	if r, err := experiments.AblationToeplitz(0); err != nil {
+	if r, err := experiments.AblationToeplitz(ctx, 0); err != nil {
 		return err
 	} else {
 		fmt.Print(r.String())
 	}
-	if r, err := experiments.AblationImages(0); err != nil {
+	if r, err := experiments.AblationImages(ctx, 0); err != nil {
 		return err
 	} else {
 		fmt.Print(r.String())
 	}
-	if r, err := experiments.AblationIntegrator(12, 20); err != nil {
+	if r, err := experiments.AblationIntegrator(ctx, 12, 20); err != nil {
 		return err
 	} else {
 		fmt.Print(r.String())
 	}
-	if r, err := experiments.AblationMesh(); err != nil {
+	if r, err := experiments.AblationMesh(ctx); err != nil {
 		return err
 	} else {
 		fmt.Print(r.String())
 	}
-	if r, err := experiments.FosterMOR(12, 20, 10e9); err != nil {
+	if r, err := experiments.FosterMOR(ctx, 12, 20, 10e9); err != nil {
 		return err
 	} else {
 		fmt.Print(r.String())

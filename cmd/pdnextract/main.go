@@ -73,6 +73,11 @@ func main() {
 	if (*ckptPath != "" || *resume != "") && *tsOut == "" {
 		fmt.Fprintln(os.Stderr, "pdnextract: -checkpoint/-resume apply to the S-parameter sweep; add -touchstone to run one")
 	}
+	if *tsOut != "" {
+		if err := sparam.ValidateRange(*fmin, *fmax, *nf); err != nil {
+			cli.Fatal(os.Stderr, "pdnextract", err, cli.ExitUsage)
+		}
+	}
 	// SIGINT/SIGTERM cancel the context: the sweep flushes a final snapshot
 	// (when -checkpoint is set) and the run exits through the staged
 	// cancellation code instead of dying mid-write.
@@ -153,7 +158,7 @@ func main() {
 		}
 	}
 	if *irdrop != "" {
-		if err := runIRDrop(spec, res, *irdrop); err != nil {
+		if err := runIRDrop(ctx, res, *irdrop); err != nil {
 			fatalSolve(err, *ckptPath)
 		}
 	}
@@ -188,7 +193,7 @@ func fatalSolve(err error, ckptPath string) {
 
 // runIRDrop solves the plane's DC resistive network for the requested load
 // currents and reports the worst drop and current density.
-func runIRDrop(spec *core.BoardSpec, res *core.Result, arg string) error {
+func runIRDrop(ctx context.Context, res *core.Result, arg string) error {
 	portCell := map[string]int{}
 	for _, p := range res.Mesh.Ports {
 		portCell[p.Name] = p.Cell
@@ -219,7 +224,7 @@ func runIRDrop(spec *core.BoardSpec, res *core.Result, arg string) error {
 		}
 		injections[cell] = amps
 	}
-	v, err := res.Assembly.DCPotential(injections, ref)
+	v, err := res.Assembly.DCPotential(ctx, injections, ref)
 	if err != nil {
 		return err
 	}
@@ -233,6 +238,5 @@ func runIRDrop(spec *core.BoardSpec, res *core.Result, arg string) error {
 	}
 	fmt.Printf("  worst drop: %.3f mV, worst current density: %.1f A/m\n",
 		bem.WorstIRDrop(v)*1e3, res.Assembly.WorstCurrentDensity(cur))
-	_ = spec
 	return nil
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -27,6 +28,7 @@ func main() {
 	fAnalytic := pdnsim.C0 / (2 * side * math.Sqrt(epsR))
 	fmt.Printf("30×30 mm plane pair, %.1f mm dielectric εr=%.1f\n", sep*1e3, epsR)
 	fmt.Printf("analytic (1,0) cavity mode: %.3f GHz\n\n", fAnalytic/1e9)
+	ctx := context.Background()
 
 	// 1. BEM equivalent circuit: |Zin| sweep at a corner port.
 	mesh, err := pdnsim.GridMesh(pdnsim.RectShape(0, 0, side, side), 14, 14)
@@ -40,11 +42,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	asm, err := pdnsim.Assemble(mesh, kern, pdnsim.DefaultBEMOptions())
+	asm, err := pdnsim.AssembleCtx(ctx, mesh, kern, pdnsim.DefaultBEMOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	nw, err := pdnsim.ExtractNetwork(asm, pdnsim.ExtractOptions{ExtraNodes: 1 << 20})
+	nw, err := pdnsim.ExtractNetworkCtx(ctx, asm, pdnsim.ExtractOptions{ExtraNodes: 1 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := sim.Run(0.9*sim.MaxStableDt(), 8e-9)
+	run, err := sim.Run(ctx, pdnsim.FDTDRunOptions{Dt: 0.9 * sim.MaxStableDt(), Tstop: 8e-9})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -28,7 +29,7 @@ func main() {
 			{Name: "VRM", X: 5, Y: 5},
 		},
 	}
-	res, err := board.Extract()
+	res, err := board.ExtractCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -80,7 +81,7 @@ func main() {
 		{At: pdnsim.Point{X: 30e-3, Y: 65e-3}, C: 100e-9, ESR: 15e-3, ESL: 0.8e-9},
 		{At: pdnsim.Point{X: 60e-3, Y: 40e-3}, C: 100e-9, ESR: 15e-3, ESL: 0.8e-9},
 	}
-	opt, err := pdnsim.OptimizeDecaps(pdnsim.OptimizeSpec{
+	opt, err := pdnsim.OptimizeDecaps(context.Background(), pdnsim.OptimizeSpec{
 		Board:      board,
 		VRM:        vrm,
 		Observe:    chip.At,

@@ -151,15 +151,11 @@ type Assembly struct {
 	gridNX, gridNY int
 }
 
-// Assemble fills P, L and R for the given mesh and Green's function kernel.
-func Assemble(m *mesh.Mesh, k *greens.Kernel, opts Options) (*Assembly, error) {
-	return AssembleCtx(context.Background(), m, k, opts) //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use AssembleCtx
-}
-
-// AssembleCtx is Assemble with cancellation: the panel-integral loops (the
-// dominant cost on fine meshes) check ctx periodically and abandon the run
-// with a simerr.ErrCancelled-class error when it is done. Internal panics
-// from malformed meshes surface as simerr.ErrBadInput instead of crashing.
+// AssembleCtx fills P, L and R for the given mesh and Green's function
+// kernel. The panel-integral loops (the dominant cost on fine meshes) check
+// ctx periodically and abandon the run with a simerr.ErrCancelled-class
+// error when it is done. Internal panics from malformed meshes surface as
+// simerr.ErrBadInput instead of crashing.
 func AssembleCtx(ctx context.Context, m *mesh.Mesh, k *greens.Kernel, opts Options) (a *Assembly, err error) {
 	defer simerr.RecoverInto(&err, "bem: assemble")
 	if m == nil || k == nil {
@@ -521,8 +517,12 @@ const irDropResidTol = 1e-6
 // load) and one cell held at zero potential (the supply entry), it returns
 // the potential of every cell. This is the resistive-network solve of the
 // assembled conductance Laplacian — the practical IR-drop map a PDN designer
-// reads off the extraction.
-func (a *Assembly) DCPotential(injections map[int]float64, refCell int) ([]float64, error) {
+// reads off the extraction. Meshes past 600 kept cells solve by
+// Jacobi-preconditioned CG, which checks ctx every few iterations; smaller
+// ones factor by Cholesky.
+//
+//pdnlint:ignore ctxflow cancellation is stage-granular by design: the in-body loops are O(cells) bookkeeping around the ctx-checked CG solve
+func (a *Assembly) DCPotential(ctx context.Context, injections map[int]float64, refCell int) ([]float64, error) {
 	g := a.ConductanceLaplacian()
 	if g == nil {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "bem: lossless assembly has no DC resistance network")
@@ -557,8 +557,10 @@ func (a *Assembly) DCPotential(injections map[int]float64, refCell int) ([]float
 	if len(keep) > 600 {
 		// Large mesh: the diagonally dominant grounded Laplacian converges
 		// quickly under preconditioned CG, avoiding the O(n³) factorisation.
-		var err error
-		vk, err = mat.ConjugateGradient(gk, rk, 1e-11, 0)
+		pre, err := mat.NewJacobi(gk)
+		if err == nil {
+			vk, _, err = mat.ConjugateGradient(ctx, mat.DenseOp{M: gk}, pre, rk, 1e-11, 0)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("bem: IR-drop CG solve: %w", err)
 		}

@@ -1,6 +1,8 @@
 package bem
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"pdnsim/internal/greens"
 	"pdnsim/internal/mat"
 	"pdnsim/internal/mesh"
+	"pdnsim/internal/simerr"
 )
 
 func mustMesh(t testing.TB, s geom.Shape, nx, ny int) *mesh.Mesh {
@@ -31,20 +34,20 @@ func mustKernel(t testing.TB, mode greens.KernelMode, h, epsR float64, n int) *g
 func TestAssembleValidation(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 1e-3, 1e-3), 2, 2)
 	k := mustKernel(t, greens.FreeSpace, 0, 1, 1)
-	if _, err := Assemble(nil, k, DefaultOptions()); err == nil {
+	if _, err := AssembleCtx(context.Background(), nil, k, DefaultOptions()); err == nil {
 		t.Fatal("nil mesh must error")
 	}
-	if _, err := Assemble(m, nil, DefaultOptions()); err == nil {
+	if _, err := AssembleCtx(context.Background(), m, nil, DefaultOptions()); err == nil {
 		t.Fatal("nil kernel must error")
 	}
 	bad := DefaultOptions()
 	bad.SheetResistance = -1
-	if _, err := Assemble(m, k, bad); err == nil {
+	if _, err := AssembleCtx(context.Background(), m, k, bad); err == nil {
 		t.Fatal("negative sheet resistance must error")
 	}
 	bad2 := DefaultOptions()
 	bad2.GaussOrder = 9
-	if _, err := Assemble(m, k, bad2); err == nil {
+	if _, err := AssembleCtx(context.Background(), m, k, bad2); err == nil {
 		t.Fatal("unsupported Gauss order must error")
 	}
 }
@@ -58,7 +61,7 @@ func TestTestingSchemeString(t *testing.T) {
 func TestPotentialMatrixProperties(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 10e-3, 10e-3), 6, 6)
 	k := mustKernel(t, greens.OverGround, 0.5e-3, 4.5, 1)
-	a, err := Assemble(m, k, DefaultOptions())
+	a, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestTotalCapacitanceParallelPlate(t *testing.T) {
 	epsR := 4.2
 	m := mustMesh(t, geom.RectShape(0, 0, side, side), 10, 10)
 	k := mustKernel(t, greens.OverGround, h, epsR, 1)
-	a, err := Assemble(m, k, DefaultOptions())
+	a, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestTotalCapacitanceParallelPlate(t *testing.T) {
 func TestMaxwellCapacitanceSigns(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 8e-3, 8e-3), 4, 4)
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
-	a, err := Assemble(m, k, DefaultOptions())
+	a, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestMaxwellCapacitanceSigns(t *testing.T) {
 func TestInductanceMatrixProperties(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 10e-3, 10e-3), 5, 5)
 	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.5, 1)
-	a, err := Assemble(m, k, DefaultOptions())
+	a, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +174,11 @@ func TestGroundPlaneReducesInductance(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 10e-3, 10e-3), 5, 5)
 	kfs := mustKernel(t, greens.FreeSpace, 0, 1, 1)
 	kg := mustKernel(t, greens.OverGround, 0.2e-3, 1, 1)
-	afs, err := Assemble(m, kfs, DefaultOptions())
+	afs, err := AssembleCtx(context.Background(), m, kfs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := Assemble(m, kg, DefaultOptions())
+	ag, err := AssembleCtx(context.Background(), m, kg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +195,7 @@ func TestResistanceAssembly(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SheetResistance = 0.5e-3 // 0.5 mΩ/sq
 	opts.ReturnSheetResistance = 0.5e-3
-	a, err := Assemble(m, k, opts)
+	a, err := AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +224,7 @@ func TestResistanceAssembly(t *testing.T) {
 func TestLosslessConductanceIsNil(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 2e-3, 2e-3), 2, 2)
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
-	a, err := Assemble(m, k, DefaultOptions())
+	a, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +238,7 @@ func TestInverseInductanceLaplacianNullspace(t *testing.T) {
 	// (paper Eq. 26: no self-inductance branch to the reference).
 	m := mustMesh(t, geom.RectShape(0, 0, 6e-3, 6e-3), 4, 4)
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
-	a, err := Assemble(m, k, DefaultOptions())
+	a, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +333,11 @@ func TestToeplitzCachingMatchesDirect(t *testing.T) {
 			optFast.Testing = ts
 			optSlow := optFast
 			optSlow.Operator = OpDirect
-			fast, err := Assemble(m, k, optFast)
+			fast, err := AssembleCtx(context.Background(), m, k, optFast)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := Assemble(m, k, optSlow)
+			slow, err := AssembleCtx(context.Background(), m, k, optSlow)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,11 +375,11 @@ func TestDCPotentialStrip(t *testing.T) {
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
 	opts := DefaultOptions()
 	opts.SheetResistance = 1e-3
-	a, err := Assemble(m, k, opts)
+	a, err := AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.DCPotential(map[int]float64{9: 2.0}, 0)
+	v, err := a.DCPotential(context.Background(), map[int]float64{9: 2.0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,23 +405,23 @@ func TestDCPotentialStrip(t *testing.T) {
 func TestDCPotentialValidation(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 4e-3, 4e-3), 4, 4)
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
-	lossless, err := Assemble(m, k, DefaultOptions())
+	lossless, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lossless.DCPotential(map[int]float64{1: 1}, 0); err == nil {
+	if _, err := lossless.DCPotential(context.Background(), map[int]float64{1: 1}, 0); err == nil {
 		t.Fatal("lossless plane must reject IR-drop solves")
 	}
 	opts := DefaultOptions()
 	opts.SheetResistance = 1e-3
-	a, err := Assemble(m, k, opts)
+	a, err := AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.DCPotential(map[int]float64{99: 1}, 0); err == nil {
+	if _, err := a.DCPotential(context.Background(), map[int]float64{99: 1}, 0); err == nil {
 		t.Fatal("out-of-range injection must error")
 	}
-	if _, err := a.DCPotential(map[int]float64{1: 1}, -1); err == nil {
+	if _, err := a.DCPotential(context.Background(), map[int]float64{1: 1}, -1); err == nil {
 		t.Fatal("out-of-range reference must error")
 	}
 }
@@ -430,11 +433,11 @@ func TestDCCurrentsConservation(t *testing.T) {
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
 	opts := DefaultOptions()
 	opts.SheetResistance = 1e-3
-	a, err := Assemble(m, k, opts)
+	a, err := AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.DCPotential(map[int]float64{9: 2.0}, 0)
+	v, err := a.DCPotential(context.Background(), map[int]float64{9: 2.0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,11 +466,11 @@ func TestDCPotentialLargeMeshCGPath(t *testing.T) {
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
 	opts := DefaultOptions()
 	opts.SheetResistance = 2e-3
-	a, err := Assemble(m, k, opts)
+	a, err := AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.DCPotential(map[int]float64{699: 1.0}, 0)
+	v, err := a.DCPotential(context.Background(), map[int]float64{699: 1.0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,19 +487,19 @@ func TestDCPotentialSuperpositionProperty(t *testing.T) {
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
 	opts := DefaultOptions()
 	opts.SheetResistance = 0.7e-3
-	a, err := Assemble(m, k, opts)
+	a, err := AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vA, err := a.DCPotential(map[int]float64{13: 1.5}, 0)
+	vA, err := a.DCPotential(context.Background(), map[int]float64{13: 1.5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vB, err := a.DCPotential(map[int]float64{40: 0.8}, 0)
+	vB, err := a.DCPotential(context.Background(), map[int]float64{40: 0.8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vAB, err := a.DCPotential(map[int]float64{13: 1.5, 40: 0.8}, 0)
+	vAB, err := a.DCPotential(context.Background(), map[int]float64{13: 1.5, 40: 0.8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,11 +518,11 @@ func TestGalerkinCloseToCollocation(t *testing.T) {
 	oc := DefaultOptions()
 	og := DefaultOptions()
 	og.Testing = Galerkin
-	ac, err := Assemble(m, k, oc)
+	ac, err := AssembleCtx(context.Background(), m, k, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := Assemble(m, k, og)
+	ag, err := AssembleCtx(context.Background(), m, k, og)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,4 +537,76 @@ func TestGalerkinCloseToCollocation(t *testing.T) {
 	if e := math.Abs(cc-cg) / cg; e > 0.05 {
 		t.Fatalf("testing schemes disagree: collocation %g vs galerkin %g (err %.3f)", cc, cg, e)
 	}
+}
+
+func TestDCPotentialCGBranchPlane(t *testing.T) {
+	// A 40×20 plane keeps 799 cells past the grounded reference, beyond the
+	// 600-cell gate, so the solve runs Jacobi-preconditioned CG.
+	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
+	opts := DefaultOptions()
+	opts.SheetResistance = 0.7e-3
+	assemble := func(s geom.Shape) *Assembly {
+		t.Helper()
+		a, err := AssembleCtx(context.Background(), mustMesh(t, s, 40, 20), k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	a := assemble(geom.RectShape(0, 0, 40e-3, 20e-3))
+	loads := map[int]float64{799: 1.5, 430: 0.5}
+	v, err := a.DCPotential(context.Background(), loads, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("matches dense Cholesky", func(t *testing.T) {
+		n := len(a.Mesh.Cells)
+		keep := make([]int, 0, n-1)
+		for i := 1; i < n; i++ {
+			keep = append(keep, i)
+		}
+		rk := make([]float64, len(keep))
+		for i, c := range keep {
+			rk[i] = -loads[c]
+		}
+		ch, err := mat.NewCholesky(a.ConductanceLaplacian().Submatrix(keep, keep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ch.Solve(rk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var diff, scale float64
+		for i, c := range keep {
+			diff = math.Max(diff, math.Abs(v[c]-want[i]))
+			scale = math.Max(scale, math.Abs(want[i]))
+		}
+		if v[0] != 0 || diff > 1e-9*scale {
+			t.Fatalf("CG potentials off the Cholesky solve: max diff %g of %g (reference cell %g)", diff, scale, v[0])
+		}
+	})
+
+	t.Run("slotted plane is singular", func(t *testing.T) {
+		// A full-height slot through column 20 splits the plane into two
+		// islands; the load sits on the one without the reference.
+		slotted := geom.RectShape(0, 0, 40e-3, 20e-3)
+		slotted.Holes = []geom.Polygon{{
+			{X: 20.1e-3, Y: -1e-3}, {X: 20.9e-3, Y: -1e-3}, {X: 20.9e-3, Y: 21e-3}, {X: 20.1e-3, Y: 21e-3},
+		}}
+		s := assemble(slotted)
+		far := len(s.Mesh.Cells) - 1
+		if _, err := s.DCPotential(context.Background(), map[int]float64{far: 1}, 0); !errors.Is(err, simerr.ErrSingular) {
+			t.Fatalf("load across the slot: want ErrSingular, got %v", err)
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := a.DCPotential(ctx, loads, 0); !errors.Is(err, simerr.ErrCancelled) {
+			t.Fatalf("cancelled ctx: want ErrCancelled, got %v", err)
+		}
+	})
 }

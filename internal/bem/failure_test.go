@@ -14,17 +14,17 @@ import (
 func TestAssembleBadInputClass(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 1e-3, 1e-3), 2, 2)
 	k := mustKernel(t, greens.FreeSpace, 0, 1, 1)
-	if _, err := Assemble(nil, k, DefaultOptions()); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := AssembleCtx(context.Background(), nil, k, DefaultOptions()); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("nil mesh must be ErrBadInput, got %v", err)
 	}
 	bad := DefaultOptions()
 	bad.SheetResistance = math.NaN()
-	if _, err := Assemble(m, k, bad); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := AssembleCtx(context.Background(), m, k, bad); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("NaN sheet resistance must be ErrBadInput, got %v", err)
 	}
 	bad = DefaultOptions()
 	bad.SheetResistance = -1
-	if _, err := Assemble(m, k, bad); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := AssembleCtx(context.Background(), m, k, bad); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("negative sheet resistance must be ErrBadInput, got %v", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestAssembleMidRunCancellation(t *testing.T) {
 func TestAssembleCtxMatchesAssemble(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 10e-3, 10e-3), 6, 6)
 	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.5, 10)
-	a1, err := Assemble(m, k, DefaultOptions())
+	a1, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,23 +86,23 @@ func TestAssembleCtxMatchesAssemble(t *testing.T) {
 func TestDCPotentialBadInputClass(t *testing.T) {
 	m := mustMesh(t, geom.RectShape(0, 0, 2e-3, 2e-3), 3, 3)
 	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.5, 10)
-	lossless, err := Assemble(m, k, DefaultOptions())
+	lossless, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lossless.DCPotential(map[int]float64{0: 1e-3}, 0); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := lossless.DCPotential(context.Background(), map[int]float64{0: 1e-3}, 0); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("lossless assembly has no DC network; want ErrBadInput, got %v", err)
 	}
 	opts := DefaultOptions()
 	opts.SheetResistance = 6e-3
-	lossy, err := Assemble(m, k, opts)
+	lossy, err := AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lossy.DCPotential(map[int]float64{0: 1e-3}, -1); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := lossy.DCPotential(context.Background(), map[int]float64{0: 1e-3}, -1); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("out-of-range reference cell must be ErrBadInput, got %v", err)
 	}
-	if _, err := lossy.DCPotential(map[int]float64{10_000: 1e-3}, 0); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := lossy.DCPotential(context.Background(), map[int]float64{10_000: 1e-3}, 0); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("out-of-range injection cell must be ErrBadInput, got %v", err)
 	}
 }

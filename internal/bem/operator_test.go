@@ -52,14 +52,14 @@ func assertDirectFallback(t *testing.T, what string, build func() *mesh.Mesh, k 
 	t.Helper()
 	direct := DefaultOptions()
 	direct.Operator = OpDirect
-	ad, err := Assemble(build(), k, direct)
+	ad, err := AssembleCtx(context.Background(), build(), k, direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []OperatorMode{OpAuto, OpDense} {
 		opts := DefaultOptions()
 		opts.Operator = mode
-		at, err := Assemble(build(), k, opts)
+		at, err := AssembleCtx(context.Background(), build(), k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func assertDirectFallback(t *testing.T, what string, build func() *mesh.Mesh, k 
 	}
 	forced := DefaultOptions()
 	forced.Operator = OpToeplitz
-	if _, err := Assemble(build(), k, forced); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := AssembleCtx(context.Background(), build(), k, forced); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("%s: Operator: toeplitz must be ErrBadInput, got %v", what, err)
 	}
 }
@@ -101,7 +101,7 @@ func TestGradedMeshWithForcedOperatorErrors(t *testing.T) {
 	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.2, 1)
 	opts := DefaultOptions()
 	opts.Operator = OpToeplitz
-	if _, err := Assemble(gradedMesh(), k, opts); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := AssembleCtx(context.Background(), gradedMesh(), k, opts); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("Operator: toeplitz on a graded mesh must be ErrBadInput, got %v", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestToeplitzOpsMatchDenseFill(t *testing.T) {
 		meshes = append(meshes, mustMesh(t, geom.RectShape(0, 0, 8e-3, 8e-3), dims[0], dims[1]))
 	}
 	for _, m := range meshes {
-		a, err := Assemble(m, k, DefaultOptions())
+		a, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestAssemblyDeterministicSerialVsParallel(t *testing.T) {
 	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.2, 1)
 	build := func() *Assembly {
 		m := mustMesh(t, geom.RectShape(0, 0, 6e-3, 6e-3), 6, 6)
-		a, err := Assemble(m, k, DefaultOptions())
+		a, err := AssembleCtx(context.Background(), m, k, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

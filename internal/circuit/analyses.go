@@ -22,7 +22,7 @@ import (
 // histories); nonlinear devices by Newton-Raphson, falling back first to
 // source stepping and then to Gmin stepping when plain Newton fails.
 func (c *Circuit) OP() ([]float64, error) {
-	return c.OPCtx(context.Background()) //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use OPCtx
+	return c.OPCtx(context.Background()) //pdnlint:ignore ctxflow OP keeps its ctx-free form for the perfbench ssn-cosim workload, which calls it and may change only in a benchmark change; cancellable callers use OPCtx
 }
 
 // OPCtx is OP with cancellation: the relaxation/continuation loops check ctx

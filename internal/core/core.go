@@ -228,14 +228,10 @@ func (r *Result) Diagnostics() *diag.Diagnostics {
 	return d
 }
 
-// Extract runs the full pipeline: mesh, BEM assembly, port reduction.
-func (b *BoardSpec) Extract() (*Result, error) {
-	return b.ExtractCtx(context.Background()) //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use ExtractCtx
-}
-
-// ExtractCtx is Extract with cancellation threaded through the assembly and
-// reduction stages, and panic recovery at the boundary: malformed geometry
-// that panics inside geom/mesh surfaces as a simerr.ErrBadInput-class error.
+// ExtractCtx runs the full pipeline: mesh, BEM assembly, port reduction.
+// Cancellation is threaded through the assembly and reduction stages, and
+// panics are recovered at the boundary: malformed geometry that panics
+// inside geom/mesh surfaces as a simerr.ErrBadInput-class error.
 //
 //pdnlint:ignore ctxflow cancellation is stage-granular by design: the in-body loop is O(ports) port placement between the ctx-checked assembly and reduction stages
 func (b *BoardSpec) ExtractCtx(ctx context.Context) (res *Result, err error) {

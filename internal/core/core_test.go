@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -118,7 +119,7 @@ func TestExtractPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Extract()
+	res, err := b.ExtractCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestExtractGalerkinAndMicrostrip(t *testing.T) {
 	b.Testing = "galerkin"
 	b.Kernel = "microstrip"
 	b.NImages = 16
-	res, err := b.Extract()
+	res, err := b.ExtractCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestExtractOperatorModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Operator = mode
-		res, err := b.Extract()
+		res, err := b.ExtractCtx(context.Background())
 		if err != nil {
 			t.Fatalf("operator %q: %v", mode, err)
 		}
@@ -200,7 +201,7 @@ func TestExtractDefaultsMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.MeshNx, b.MeshNy = 0, 0
-	res, err := b.Extract()
+	res, err := b.ExtractCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestExtractPortCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Ports = append(b.Ports, PortSpec{Name: "P3", X: 1.2, Y: 1.2})
-	if _, err := b.Extract(); err == nil {
+	if _, err := b.ExtractCtx(context.Background()); err == nil {
 		t.Fatal("colliding ports must error")
 	}
 }

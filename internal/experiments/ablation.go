@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -28,7 +29,7 @@ type AblationTestingResult struct {
 
 // AblationTesting assembles the same plane with collocation and Galerkin
 // testing.
-func AblationTesting(n int) (*AblationTestingResult, error) {
+func AblationTesting(ctx context.Context, n int) (*AblationTestingResult, error) {
 	if n <= 0 {
 		n = 12
 	}
@@ -45,7 +46,7 @@ func AblationTesting(n int) (*AblationTestingResult, error) {
 		opts := bem.DefaultOptions()
 		opts.Testing = scheme
 		t0 := time.Now()
-		asm, err := bem.Assemble(m, k, opts)
+		asm, err := bem.AssembleCtx(ctx, m, k, opts)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -82,7 +83,7 @@ type AblationToeplitzResult struct {
 
 // AblationToeplitz assembles from the offset tables and by the direct fill
 // (bem.OpDirect).
-func AblationToeplitz(n int) (*AblationToeplitzResult, error) {
+func AblationToeplitz(ctx context.Context, n int) (*AblationToeplitzResult, error) {
 	if n <= 0 {
 		n = 12
 	}
@@ -94,21 +95,19 @@ func AblationToeplitz(n int) (*AblationToeplitzResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fast := bem.DefaultOptions()
-	slow := bem.DefaultOptions()
-	slow.Operator = bem.OpDirect
-	t0 := time.Now()
-	af, err := bem.Assemble(m, k, fast)
-	if err != nil {
-		return nil, err
+	// One timed assembly per fill: offset tables (the default), then direct.
+	var asm [2]*bem.Assembly
+	var took [2]time.Duration
+	for i, mode := range []bem.OperatorMode{bem.OpAuto, bem.OpDirect} {
+		opts := bem.DefaultOptions()
+		opts.Operator = mode
+		t0 := time.Now()
+		if asm[i], err = bem.AssembleCtx(ctx, m, k, opts); err != nil {
+			return nil, err
+		}
+		took[i] = time.Since(t0)
 	}
-	tf := time.Since(t0)
-	t0 = time.Now()
-	as, err := bem.Assemble(m, k, slow)
-	if err != nil {
-		return nil, err
-	}
-	ts := time.Since(t0)
+	af, as := asm[0], asm[1]
 	var maxErr float64
 	scale := as.P.MaxAbs()
 	for i := range af.P.Data {
@@ -116,7 +115,7 @@ func AblationToeplitz(n int) (*AblationToeplitzResult, error) {
 	}
 	return &AblationToeplitzResult{
 		CachedEvals: af.KernelEvals, DirectEvals: as.KernelEvals,
-		CachedT: tf, DirectT: ts, MaxEntryError: maxErr,
+		CachedT: took[0], DirectT: took[1], MaxEntryError: maxErr,
 	}, nil
 }
 
@@ -137,7 +136,7 @@ type AblationImagesResult struct {
 }
 
 // AblationImages sweeps the image truncation.
-func AblationImages(n int) (*AblationImagesResult, error) {
+func AblationImages(ctx context.Context, n int) (*AblationImagesResult, error) {
 	if n <= 0 {
 		n = 10
 	}
@@ -152,7 +151,7 @@ func AblationImages(n int) (*AblationImagesResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		asm, err := bem.Assemble(m, k, bem.DefaultOptions())
+		asm, err := bem.AssembleCtx(ctx, m, k, bem.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -194,12 +193,15 @@ type AblationIntegratorResult struct {
 // both integrators at a deliberately coarse step (25 ps, ~12 points per
 // resonance cycle) where the integration-order difference is visible, and
 // compares each against a fine-step trapezoidal reference.
-func AblationIntegrator(nx, extra int) (*AblationIntegratorResult, error) {
-	nw, err := hpNetwork(nx, extra)
+func AblationIntegrator(ctx context.Context, nx, extra int) (*AblationIntegratorResult, error) {
+	nw, err := hpNetwork(ctx, nx, extra)
 	if err != nil {
 		return nil, err
 	}
 	run := func(dt float64, method circuit.Method) ([]float64, []float64, error) {
+		if err := simerr.CheckCtx(ctx, "experiments: integrator ablation"); err != nil {
+			return nil, nil, err
+		}
 		pulse := circuit.Pulse{V1: 0, V2: 5, Rise: 0.2e-9, Fall: 0.2e-9, Width: 1e-9}
 		c := circuit.New()
 		ports, err := nw.Attach(c, "plane")
@@ -262,8 +264,8 @@ type FosterMORResult struct {
 
 // FosterMOR builds the HP plane network, synthesises full and truncated
 // Foster chains at port 1, and scores the truncation against the network.
-func FosterMOR(nx, extra int, fmax float64) (*FosterMORResult, error) {
-	nw, err := hpNetwork(nx, extra)
+func FosterMOR(ctx context.Context, nx, extra int, fmax float64) (*FosterMORResult, error) {
+	nw, err := hpNetwork(ctx, nx, extra)
 	if err != nil {
 		return nil, err
 	}
@@ -281,6 +283,9 @@ func FosterMOR(nx, extra int, fmax float64) (*FosterMORResult, error) {
 	var mags []float64
 	var absErr []float64
 	for f := 0.2e9; f <= fmax/2; f += 0.2e9 {
+		if err := simerr.CheckCtx(ctx, "experiments: Foster MOR"); err != nil {
+			return nil, err
+		}
 		omega := 2 * math.Pi * f
 		zf := full.Eval(omega)
 		zt := trunc.Eval(omega)
@@ -313,7 +318,7 @@ type AblationMeshResult struct {
 
 // AblationMesh sweeps the BEM grid and locates the first cavity resonance of
 // a 20 mm square plane.
-func AblationMesh() (*AblationMeshResult, error) {
+func AblationMesh(ctx context.Context) (*AblationMeshResult, error) {
 	side := 20e-3
 	res := &AblationMeshResult{
 		Mesh:   []int{6, 8, 12, 16},
@@ -331,11 +336,11 @@ func AblationMesh() (*AblationMeshResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		asm, err := bem.Assemble(m, k, bem.DefaultOptions())
+		asm, err := bem.AssembleCtx(ctx, m, k, bem.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
-		nw, err := extract.Extract(asm, extract.Options{ExtraNodes: 1 << 20})
+		nw, err := extract.ExtractCtx(ctx, asm, extract.Options{ExtraNodes: 1 << 20})
 		if err != nil {
 			return nil, err
 		}

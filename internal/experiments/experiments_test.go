@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"pdnsim/internal/simerr"
 )
 
 func TestTable(t *testing.T) {
@@ -42,7 +46,7 @@ func TestMedian(t *testing.T) {
 }
 
 func TestFig1SplitPlaneMesh(t *testing.T) {
-	r, err := Fig1SplitPlaneMesh(20, 14)
+	r, err := Fig1SplitPlaneMesh(context.Background(), 20, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func TestFig1SplitPlaneMesh(t *testing.T) {
 }
 
 func TestEx1LPatchResonance(t *testing.T) {
-	r, err := Ex1LPatchResonance(12)
+	r, err := Ex1LPatchResonance(context.Background(), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +138,7 @@ func TestFig5CoupledMicrostrip(t *testing.T) {
 }
 
 func TestFig7HPPlaneSParams(t *testing.T) {
-	r, err := Fig7HPPlaneSParams(12, 20, 40)
+	r, err := Fig7HPPlaneSParams(context.Background(), 12, 20, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestFig7HPPlaneSParams(t *testing.T) {
 }
 
 func TestFig8TransientVsFDTD(t *testing.T) {
-	r, err := Fig8TransientVsFDTD(12, 20)
+	r, err := Fig8TransientVsFDTD(context.Background(), 12, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +229,7 @@ func TestSSN2PostlayoutSmall(t *testing.T) {
 }
 
 func TestAblationTesting(t *testing.T) {
-	r, err := AblationTesting(8)
+	r, err := AblationTesting(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,7 @@ func TestAblationTesting(t *testing.T) {
 }
 
 func TestAblationToeplitz(t *testing.T) {
-	r, err := AblationToeplitz(8)
+	r, err := AblationToeplitz(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +258,7 @@ func TestAblationToeplitz(t *testing.T) {
 }
 
 func TestAblationImages(t *testing.T) {
-	r, err := AblationImages(6)
+	r, err := AblationImages(context.Background(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +278,7 @@ func TestAblationImages(t *testing.T) {
 }
 
 func TestAblationIntegrator(t *testing.T) {
-	r, err := AblationIntegrator(10, 16)
+	r, err := AblationIntegrator(context.Background(), 10, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +296,7 @@ func TestAblationIntegrator(t *testing.T) {
 }
 
 func TestFosterMOR(t *testing.T) {
-	r, err := FosterMOR(10, 16, 10e9)
+	r, err := FosterMOR(context.Background(), 10, 16, 10e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +312,7 @@ func TestFosterMOR(t *testing.T) {
 }
 
 func TestAblationMesh(t *testing.T) {
-	r, err := AblationMesh()
+	r, err := AblationMesh(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +333,26 @@ func TestAblationMesh(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "cavity mode") {
 		t.Fatal("rendering")
+	}
+}
+
+func TestExperimentsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func() error{
+		"AblationToeplitz": func() error { _, err := AblationToeplitz(ctx, 8); return err },
+		"AblationTesting":  func() error { _, err := AblationTesting(ctx, 8); return err },
+		"AblationImages":   func() error { _, err := AblationImages(ctx, 6); return err },
+		"AblationMesh":     func() error { _, err := AblationMesh(ctx); return err },
+		"Fig1":             func() error { _, err := Fig1SplitPlaneMesh(ctx, 20, 14); return err },
+		"Ex1":              func() error { _, err := Ex1LPatchResonance(ctx, 10); return err },
+		"Fig7":             func() error { _, err := Fig7HPPlaneSParams(ctx, 12, 20, 40); return err },
+		"Fig8":             func() error { _, err := Fig8TransientVsFDTD(ctx, 12, 20); return err },
+		"FosterMOR":        func() error { _, err := FosterMOR(ctx, 10, 16, 10e9); return err },
+		"Integrator":       func() error { _, err := AblationIntegrator(ctx, 10, 16); return err },
+	} {
+		if err := run(); !errors.Is(err, simerr.ErrCancelled) {
+			t.Errorf("%s: cancelled ctx: want ErrCancelled, got %v", name, err)
+		}
 	}
 }

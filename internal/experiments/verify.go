@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -12,6 +13,7 @@ import (
 	"pdnsim/internal/fdtd"
 	"pdnsim/internal/geom"
 	"pdnsim/internal/greens"
+	"pdnsim/internal/mat"
 	"pdnsim/internal/mesh"
 	"pdnsim/internal/sparam"
 	"pdnsim/internal/tline"
@@ -34,7 +36,7 @@ type Fig1Result struct {
 
 // Fig1SplitPlaneMesh meshes and extracts both nets of a 60×50 mm split MCM
 // plane (split at x = 35 mm with a 1 mm gap), each with its own supply pins.
-func Fig1SplitPlaneMesh(nx, ny int) (*Fig1Result, error) {
+func Fig1SplitPlaneMesh(ctx context.Context, nx, ny int) (*Fig1Result, error) {
 	if nx <= 0 {
 		nx = 28
 	}
@@ -57,11 +59,11 @@ func Fig1SplitPlaneMesh(nx, ny int) (*Fig1Result, error) {
 				return mesh.Stats{}, 0, 0, err
 			}
 		}
-		asm, err := bem.Assemble(m, kern, bem.DefaultOptions())
+		asm, err := bem.AssembleCtx(ctx, m, kern, bem.DefaultOptions())
 		if err != nil {
 			return mesh.Stats{}, 0, 0, err
 		}
-		nw, err := extract.Extract(asm, extract.Options{ExtraNodes: 12})
+		nw, err := extract.ExtractCtx(ctx, asm, extract.Options{ExtraNodes: 12})
 		if err != nil {
 			return mesh.Stats{}, 0, 0, err
 		}
@@ -120,7 +122,7 @@ const ringdownImpulseWidth = 0.02e-9
 
 // Ex1LPatchResonance extracts a 60×60 mm L-patch (30×30 mm notch) on a
 // 1.57 mm εr 2.33 substrate and locates its first two resonances.
-func Ex1LPatchResonance(n int) (*Ex1Result, error) {
+func Ex1LPatchResonance(ctx context.Context, n int) (*Ex1Result, error) {
 	if n <= 0 {
 		n = 14
 	}
@@ -137,11 +139,11 @@ func Ex1LPatchResonance(n int) (*Ex1Result, error) {
 	if _, err := m.AddPort("A", feed); err != nil {
 		return nil, err
 	}
-	asm, err := bem.Assemble(m, kern, bem.DefaultOptions())
+	asm, err := bem.AssembleCtx(ctx, m, kern, bem.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-	nw, err := extract.Extract(asm, extract.Options{ExtraNodes: 1 << 20})
+	nw, err := extract.ExtractCtx(ctx, asm, extract.Options{ExtraNodes: 1 << 20})
 	if err != nil {
 		return nil, err
 	}
@@ -150,6 +152,9 @@ func Ex1LPatchResonance(n int) (*Ex1Result, error) {
 	}
 	var freqs, mags []float64
 	for f := 0.3e9; f <= 4.5e9; f += 0.02e9 {
+		if err := simerr.CheckCtx(ctx, "experiments: L-patch resonance"); err != nil {
+			return nil, err
+		}
 		z, err := nw.Zin(0, 2*math.Pi*f)
 		if err != nil {
 			return nil, err
@@ -186,7 +191,7 @@ func Ex1LPatchResonance(n int) (*Ex1Result, error) {
 		return nil, err
 	}
 	dt := 0.9 * sim.MaxStableDt()
-	out, err := sim.Run(dt, 20e-9)
+	out, err := sim.Run(ctx, fdtd.RunOptions{Dt: dt, Tstop: 20e-9})
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +430,7 @@ func hpPorts() []struct {
 }
 
 // hpNetwork extracts the 42-node equivalent circuit of the HP test plane.
-func hpNetwork(nx int, extra int) (*extract.Network, error) {
+func hpNetwork(ctx context.Context, nx int, extra int) (*extract.Network, error) {
 	if nx <= 0 {
 		nx = 16
 	}
@@ -448,11 +453,11 @@ func hpNetwork(nx int, extra int) (*extract.Network, error) {
 	opts := bem.DefaultOptions()
 	opts.SheetResistance = hpSheet
 	opts.ReturnSheetResistance = hpSheet
-	asm, err := bem.Assemble(m, kern, opts)
+	asm, err := bem.AssembleCtx(ctx, m, kern, opts)
 	if err != nil {
 		return nil, err
 	}
-	return extract.Extract(asm, extract.Options{ExtraNodes: extra})
+	return extract.ExtractCtx(ctx, asm, extract.Options{ExtraNodes: extra})
 }
 
 // Fig7Result compares |S21| of the equivalent circuit with the analytic
@@ -471,8 +476,8 @@ type Fig7Result struct {
 }
 
 // Fig7HPPlaneSParams regenerates Fig. 7.
-func Fig7HPPlaneSParams(nx, extra, nfreq int) (*Fig7Result, error) {
-	nw, err := hpNetwork(nx, extra)
+func Fig7HPPlaneSParams(ctx context.Context, nx, extra, nfreq int) (*Fig7Result, error) {
+	nw, err := hpNetwork(ctx, nx, extra)
 	if err != nil {
 		return nil, err
 	}
@@ -490,11 +495,13 @@ func Fig7HPPlaneSParams(nx, extra, nfreq int) (*Fig7Result, error) {
 		nfreq = 120
 	}
 	freqs := sparam.LinSpace(0.5e9, 15e9, nfreq)
-	swEq, err := sparam.SweepZ(freqs, 50, nw.PortZ)
+	swEq, err := sparam.SweepZCtx(ctx, freqs, 50, nw.PortZCtx)
 	if err != nil {
 		return nil, err
 	}
-	swCav, err := sparam.SweepZ(freqs, 50, cav.Z)
+	swCav, err := sparam.SweepZCtx(ctx, freqs, 50, func(_ context.Context, omega float64) (*mat.CMatrix, error) {
+		return cav.Z(omega)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -504,6 +511,9 @@ func Fig7HPPlaneSParams(nx, extra, nfreq int) (*Fig7Result, error) {
 	var ssLo, ssHi float64
 	var absLo, absHi []float64
 	for i, f := range freqs {
+		if err := simerr.CheckCtx(ctx, "experiments: Fig. 7"); err != nil {
+			return nil, err
+		}
 		res.FreqGHz = append(res.FreqGHz, f/1e9)
 		d := dbEq[i] - dbCav[i]
 		if f < 10e9 {
@@ -527,7 +537,7 @@ func Fig7HPPlaneSParams(nx, extra, nfreq int) (*Fig7Result, error) {
 	// Second independent reference: S21 from an FDTD pulse run (matched
 	// 50 Ω ports, single-bin DFTs of the port waveform against the incident
 	// wave Vs/2).
-	fdtdDB, err := hpFDTDS21(freqs)
+	fdtdDB, err := hpFDTDS21(ctx, freqs)
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +554,7 @@ func Fig7HPPlaneSParams(nx, extra, nfreq int) (*Fig7Result, error) {
 
 // hpFDTDS21 runs the HP plane in FDTD with a broadband pulse and extracts
 // |S21| in dB at the requested frequencies.
-func hpFDTDS21(freqs []float64) ([]float64, error) {
+func hpFDTDS21(ctx context.Context, freqs []float64) ([]float64, error) {
 	pulse := circuit.Pulse{V1: 0, V2: 1, Rise: 0.02e-9, Fall: 0.02e-9, Width: 0.03e-9}
 	sim, err := fdtd.New(geom.RectShape(0, 0, hpW, hpH), 64, 64, hpSep, hpEpsR, 2*hpSheet)
 	if err != nil {
@@ -565,7 +575,7 @@ func hpFDTDS21(freqs []float64) ([]float64, error) {
 		}
 	}
 	dt := 0.9 * sim.MaxStableDt()
-	run, err := sim.Run(dt, 6e-9)
+	run, err := sim.Run(ctx, fdtd.RunOptions{Dt: dt, Tstop: 6e-9})
 	if err != nil {
 		return nil, err
 	}
@@ -632,12 +642,12 @@ type Fig8Result struct {
 // Fig8TransientVsFDTD applies the paper's 5 V, 0.2 ns rise/fall, 1 ns pulse
 // at port 1 with all five ports terminated in 50 Ω, and compares the port-2
 // transient between the extracted equivalent circuit and the FDTD solver.
-func Fig8TransientVsFDTD(nx, extra int) (*Fig8Result, error) {
+func Fig8TransientVsFDTD(ctx context.Context, nx, extra int) (*Fig8Result, error) {
 	pulse := circuit.Pulse{V1: 0, V2: 5, Rise: 0.2e-9, Fall: 0.2e-9, Width: 1e-9}
 	const tstop = 3e-9
 
 	// Equivalent-circuit transient.
-	nw, err := hpNetwork(nx, extra)
+	nw, err := hpNetwork(ctx, nx, extra)
 	if err != nil {
 		return nil, err
 	}
@@ -672,6 +682,10 @@ func Fig8TransientVsFDTD(nx, extra int) (*Fig8Result, error) {
 	}
 	var p2 *fdtd.Port
 	for i, p := range hpPorts() {
+		// Each port placement scans the whole 60×60 grid.
+		if err := simerr.CheckCtx(ctx, "experiments: Fig. 8"); err != nil {
+			return nil, err
+		}
 		var srcFn func(float64) float64
 		if i == 0 {
 			srcFn = pulse.At
@@ -685,7 +699,7 @@ func Fig8TransientVsFDTD(nx, extra int) (*Fig8Result, error) {
 		}
 	}
 	fdt := 0.9 * sim.MaxStableDt()
-	fres, err := sim.Run(fdt, tstop)
+	fres, err := sim.Run(ctx, fdtd.RunOptions{Dt: fdt, Tstop: tstop})
 	if err != nil {
 		return nil, err
 	}

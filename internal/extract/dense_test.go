@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -97,7 +98,7 @@ func assembleShape(t *testing.T, sh geom.Shape, nx, ny int, ports []geom.Point) 
 	opts := bem.DefaultOptions()
 	opts.Operator = bem.OpDense
 	opts.SheetResistance = 0.5e-3
-	a, err := bem.Assemble(m, k, opts)
+	a, err := bem.AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestDenseReduceMatchesLegacyFormulation(t *testing.T) {
 		for _, reg := range []float64{0, 1e-7} {
 			t.Run(fmt.Sprintf("%s/reg=%g", bd.name, reg), func(t *testing.T) {
 				opts := Options{ExtraNodes: 5, Regularize: reg}
-				nw, err := Extract(a, opts)
+				nw, err := ExtractCtx(context.Background(), a, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

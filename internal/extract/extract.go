@@ -52,12 +52,12 @@ type Network struct {
 
 	// LossTan adds dielectric loss to frequency-domain evaluations: every
 	// capacitive coupling acquires a parallel conductance ω·tanδ·C. Zero
-	// disables it. Like the skin correction, it affects Y/Zin/PortZ only;
+	// disables it. Like the skin correction, it affects Y/Zin/PortZCtx only;
 	// time-domain realisations stay lossless-dielectric.
 	LossTan float64
 
 	// SkinCrossoverHz enables the frequency-dependent surface-resistance
-	// correction in frequency-domain evaluations (Y, Zin, PortZ): above
+	// correction in frequency-domain evaluations (Y, Zin, PortZCtx): above
 	// this frequency the branch resistances scale as √(f/f_c), the skin
 	// regime of a conductor whose thickness equals one skin depth at f_c.
 	// Zero disables the correction (the paper's first-order DC resistance,
@@ -127,16 +127,12 @@ type Options struct {
 	Regularize float64
 }
 
-// Extract reduces an assembled plane to an equivalent circuit on the mesh
-// ports plus opts.ExtraNodes interior nodes.
-func Extract(a *bem.Assembly, opts Options) (*Network, error) {
-	return ExtractCtx(context.Background(), a, opts) //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use ExtractCtx
-}
-
-// ExtractCtx is Extract with cancellation: each reduction stage (inductance,
-// capacitance, resistance — every one an O(n³) factorisation) checks ctx at
-// its boundary, so a timed-out extraction returns a simerr.ErrCancelled-class
-// error within one stage. Internal panics surface as simerr.ErrBadInput.
+// ExtractCtx reduces an assembled plane to an equivalent circuit on the
+// mesh ports plus opts.ExtraNodes interior nodes. Each reduction stage
+// (inductance, capacitance, resistance — every one an O(n³) factorisation)
+// checks ctx at its boundary, so a timed-out extraction returns a
+// simerr.ErrCancelled-class error within one stage. Internal panics surface
+// as simerr.ErrBadInput.
 //
 //pdnlint:ignore ctxflow cancellation is stage-granular by design: the in-body loops are O(ports) bookkeeping between ctx-checked O(n³) factorisation stages
 func ExtractCtx(ctx context.Context, a *bem.Assembly, opts Options) (nw *Network, err error) {
@@ -497,17 +493,12 @@ func (n *Network) Zin(port int, omega float64) (complex128, error) {
 	return v[port], nil
 }
 
-// PortZ returns the NumPorts×NumPorts open-circuit impedance matrix at
-// angular frequency omega (interior nodes eliminated by the solve).
-func (n *Network) PortZ(omega float64) (*mat.CMatrix, error) {
-	return n.PortZCtx(context.Background(), omega) //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use PortZCtx
-}
-
-// PortZCtx is PortZ with cancellation: the context is checked before the
-// factorisation and between port-column solves, so a many-port evaluation
-// inside a sweep stops promptly (simerr.ErrCancelled-class error) instead of
-// finishing the whole matrix after its deadline. It is the natural
-// sparam.ZFunc for supervised sweeps.
+// PortZCtx returns the NumPorts×NumPorts open-circuit impedance matrix at
+// angular frequency omega (interior nodes eliminated by the solve). The
+// context is checked before the factorisation and between port-column
+// solves, so a many-port evaluation inside a sweep stops promptly
+// (simerr.ErrCancelled-class error) instead of finishing the whole matrix
+// after its deadline. It is the natural sparam.ZFunc for supervised sweeps.
 func (n *Network) PortZCtx(ctx context.Context, omega float64) (*mat.CMatrix, error) {
 	if err := simerr.CheckCtx(ctx, "extract: port impedance"); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -30,7 +31,7 @@ func buildPlane(t testing.TB, side, h, epsR float64, n int, ports []geom.Point, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := bem.Assemble(m, k, bem.DefaultOptions())
+	a, err := bem.AssembleCtx(context.Background(), m, k, bem.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +39,16 @@ func buildPlane(t testing.TB, side, h, epsR float64, n int, ports []geom.Point, 
 }
 
 func TestExtractValidation(t *testing.T) {
-	if _, err := Extract(nil, Options{}); err == nil {
+	if _, err := ExtractCtx(context.Background(), nil, Options{}); err == nil {
 		t.Fatal("nil assembly must error")
 	}
 	m, _ := mesh.Grid(geom.RectShape(0, 0, 1e-2, 1e-2), 3, 3)
 	k, _ := greens.NewKernel(greens.OverGround, 1e-3, 4, 1)
-	a, err := bem.Assemble(m, k, bem.DefaultOptions())
+	a, err := bem.AssembleCtx(context.Background(), m, k, bem.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Extract(a, Options{}); err == nil {
+	if _, err := ExtractCtx(context.Background(), a, Options{}); err == nil {
 		t.Fatal("portless mesh must error")
 	}
 }
@@ -76,11 +77,11 @@ func TestExtractDisconnectedMesh(t *testing.T) {
 	k, _ := greens.NewKernel(greens.OverGround, 0.3e-3, 4.5, 1)
 	opts := bem.DefaultOptions()
 	opts.SheetResistance = 1e-3
-	a, err := bem.Assemble(m, k, opts)
+	a, err := bem.AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := Extract(a, Options{ExtraNodes: 0})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 0})
 	if err != nil {
 		t.Fatalf("field extraction of coupled islands should succeed: %v", err)
 	}
@@ -89,7 +90,7 @@ func TestExtractDisconnectedMesh(t *testing.T) {
 	}
 	// Conductive IR-drop across the slot is impossible.
 	far := m.NearestCell(geom.Point{X: 19e-3, Y: 9e-3})
-	if _, err := a.DCPotential(map[int]float64{far: 1}, m.Ports[0].Cell); err == nil {
+	if _, err := a.DCPotential(context.Background(), map[int]float64{far: 1}, m.Ports[0].Cell); err == nil {
 		t.Fatal("DC solve across the slot must fail")
 	}
 }
@@ -97,7 +98,7 @@ func TestExtractDisconnectedMesh(t *testing.T) {
 func TestExtractNodeSelection(t *testing.T) {
 	a := buildPlane(t, 10e-3, 0.3e-3, 4.5, 6,
 		[]geom.Point{{X: 0, Y: 0}, {X: 10e-3, Y: 10e-3}}, []string{"P1", "P2"})
-	nw, err := Extract(a, Options{ExtraNodes: 10})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestExtractNodeSelection(t *testing.T) {
 		t.Fatalf("nodes=%d ports=%d", nw.NumNodes(), nw.NumPorts)
 	}
 	// Requesting more extra nodes than cells clamps to all cells.
-	nw2, err := Extract(a, Options{ExtraNodes: 1000})
+	nw2, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestTotalCapacitancePreservedByReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, extra := range []int{0, 5, 20} {
-		nw, err := Extract(a, Options{ExtraNodes: extra})
+		nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: extra})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestBranchProperties(t *testing.T) {
 	a := buildPlane(t, 15e-3, 0.4e-3, 4.2, 6,
 		[]geom.Point{{X: 0, Y: 0}, {X: 15e-3, Y: 0}, {X: 0, Y: 15e-3}},
 		[]string{"A", "B", "C"})
-	nw, err := Extract(a, Options{ExtraNodes: 6})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +193,11 @@ func TestLossyBranchesHaveResistance(t *testing.T) {
 	opts := bem.DefaultOptions()
 	opts.SheetResistance = 6e-3 // the paper's tungsten planes
 	opts.ReturnSheetResistance = 6e-3
-	a, err := bem.Assemble(m, k, opts)
+	a, err := bem.AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := Extract(a, Options{})
+	nw, err := ExtractCtx(context.Background(), a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestLossyBranchesHaveResistance(t *testing.T) {
 func TestYMatrixSymmetry(t *testing.T) {
 	a := buildPlane(t, 12e-3, 0.3e-3, 4.5, 5,
 		[]geom.Point{{X: 0, Y: 0}, {X: 12e-3, Y: 12e-3}}, []string{"P1", "P2"})
-	nw, err := Extract(a, Options{ExtraNodes: 4})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +240,11 @@ func TestPortZReciprocity(t *testing.T) {
 	a := buildPlane(t, 12e-3, 0.3e-3, 4.5, 6,
 		[]geom.Point{{X: 0, Y: 0}, {X: 12e-3, Y: 0}, {X: 6e-3, Y: 12e-3}},
 		[]string{"P1", "P2", "P3"})
-	nw, err := Extract(a, Options{ExtraNodes: 8})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := nw.PortZ(2 * math.Pi * 2e9)
+	z, err := nw.PortZCtx(context.Background(), 2*math.Pi*2e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestPortZReciprocity(t *testing.T) {
 func TestLowFrequencyZinIsCapacitive(t *testing.T) {
 	a := buildPlane(t, 20e-3, 0.5e-3, 4.5, 8,
 		[]geom.Point{{X: 10e-3, Y: 10e-3}}, []string{"P1"})
-	nw, err := Extract(a, Options{ExtraNodes: 20})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestCavityResonanceSquarePlane(t *testing.T) {
 	epsR := 4.5
 	a := buildPlane(t, side, h, epsR, 12,
 		[]geom.Point{{X: 0, Y: 0}}, []string{"P1"})
-	nw, err := Extract(a, Options{ExtraNodes: 1 << 20}) // keep every cell
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 1 << 20}) // keep every cell
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,11 +322,11 @@ func TestNodeSubsamplingConsistency(t *testing.T) {
 	side := 20e-3
 	a := buildPlane(t, side, 0.5e-3, 4.5, 10,
 		[]geom.Point{{X: 0, Y: 0}}, []string{"P1"})
-	full, err := Extract(a, Options{ExtraNodes: 1 << 20})
+	full, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := Extract(a, Options{ExtraNodes: 24})
+	sub, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +368,11 @@ func TestSkinEffectDampsResonance(t *testing.T) {
 	opts := bem.DefaultOptions()
 	opts.SheetResistance = 0.6e-3
 	opts.ReturnSheetResistance = 0.6e-3
-	a, err := bem.Assemble(m, k, opts)
+	a, err := bem.AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := Extract(a, Options{ExtraNodes: 1 << 20})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestSkinEffectDampsResonance(t *testing.T) {
 func TestDielectricLossDampsResonance(t *testing.T) {
 	a := buildPlane(t, 20e-3, 0.5e-3, 4.5, 10,
 		[]geom.Point{{X: 0, Y: 0}}, []string{"P"})
-	nw, err := Extract(a, Options{ExtraNodes: 1 << 20})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +470,7 @@ func TestDielectricLossDampsResonance(t *testing.T) {
 func TestNetlistOutput(t *testing.T) {
 	a := buildPlane(t, 10e-3, 0.3e-3, 4.5, 4,
 		[]geom.Point{{X: 0, Y: 0}, {X: 10e-3, Y: 10e-3}}, []string{"VCC1", "VCC2"})
-	nw, err := Extract(a, Options{})
+	nw, err := ExtractCtx(context.Background(), a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +491,7 @@ func TestResonantFrequenciesMatchZinPeaks(t *testing.T) {
 	side := 20e-3
 	a := buildPlane(t, side, 0.5e-3, 4.5, 10,
 		[]geom.Point{{X: 0, Y: 0}}, []string{"P"})
-	nw, err := Extract(a, Options{ExtraNodes: 1 << 20})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,11 +571,11 @@ func TestAttachRealisationMatchesMatrixForm(t *testing.T) {
 	opts := bem.DefaultOptions()
 	opts.SheetResistance = 0.6e-3
 	opts.ReturnSheetResistance = 0.6e-3
-	a, err := bem.Assemble(m, k, opts)
+	a, err := bem.AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := Extract(a, Options{ExtraNodes: 8})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

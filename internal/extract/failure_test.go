@@ -10,11 +10,11 @@ import (
 )
 
 func TestExtractBadInputClass(t *testing.T) {
-	if _, err := Extract(nil, Options{}); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := ExtractCtx(context.Background(), nil, Options{}); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("nil assembly must be ErrBadInput, got %v", err)
 	}
 	a := buildPlane(t, 1e-2, 1e-3, 4, 3, nil, nil)
-	if _, err := Extract(a, Options{}); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := ExtractCtx(context.Background(), a, Options{}); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("port-less mesh must be ErrBadInput, got %v", err)
 	}
 }
@@ -33,7 +33,7 @@ func TestExtractCancelledBeforeStart(t *testing.T) {
 func TestExtractCtxMatchesExtract(t *testing.T) {
 	a := buildPlane(t, 1e-2, 1e-3, 4, 6,
 		[]geom.Point{{X: 1e-3, Y: 1e-3}}, []string{"P1"})
-	n1, err := Extract(a, Options{ExtraNodes: 4})
+	n1, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestExtractCtxMatchesExtract(t *testing.T) {
 func TestFosterModelBadPortClass(t *testing.T) {
 	a := buildPlane(t, 1e-2, 1e-3, 4, 6,
 		[]geom.Point{{X: 1e-3, Y: 1e-3}}, []string{"P1"})
-	nw, err := Extract(a, Options{})
+	nw, err := ExtractCtx(context.Background(), a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -13,7 +14,7 @@ func fosterNetwork(t *testing.T) *Network {
 	t.Helper()
 	a := buildPlane(t, 20e-3, 0.5e-3, 4.5, 8,
 		[]geom.Point{{X: 1e-3, Y: 1e-3}}, []string{"P"})
-	nw, err := Extract(a, Options{ExtraNodes: 12})
+	nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

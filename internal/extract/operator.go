@@ -382,7 +382,7 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, keep, internal []int) 
 		for i := 0; i < nCells; i++ {
 			wcol[i] = w.At(i, j)
 		}
-		zj, _, err := mat.ConjugateGradientOp(ctx, a.POp, a.POp, wcol, operatorCapCGTol, 0)
+		zj, _, err := mat.ConjugateGradient(ctx, a.POp, a.POp, wcol, operatorCapCGTol, 0)
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
@@ -523,7 +523,7 @@ func estimateGammaScale(ctx context.Context, a *bem.Assembly, lop *linkInductanc
 		for i, l := range a.Mesh.Links {
 			w[i] = z[l.From] - z[l.To]
 		}
-		u, _, err := mat.ConjugateGradientOp(ctx, lop, nil, w, gammaScaleCGTol, 0)
+		u, _, err := mat.ConjugateGradient(ctx, lop, nil, w, gammaScaleCGTol, 0)
 		if err != nil {
 			return 0, err
 		}

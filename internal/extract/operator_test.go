@@ -35,7 +35,7 @@ func buildPlaneOp(t testing.TB, n int, mode bem.OperatorMode) *bem.Assembly {
 	opts := bem.DefaultOptions()
 	opts.Operator = mode
 	opts.SheetResistance = 0.5e-3
-	a, err := bem.Assemble(m, k, opts)
+	a, err := bem.AssembleCtx(context.Background(), m, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestOperatorPathMatchesDensePath(t *testing.T) {
 	ao := buildPlaneOp(t, 12, bem.OpToeplitz)
 	ad := buildPlaneOp(t, 12, bem.OpDense)
 	opts := Options{ExtraNodes: 5}
-	no, err := Extract(ao, opts)
+	no, err := ExtractCtx(context.Background(), ao, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, err := Extract(ad, opts)
+	nd, err := ExtractCtx(context.Background(), ad, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestOperatorPathMatchesDensePath(t *testing.T) {
 // TestOperatorPathImpedanceAgreement checks the contract where it matters:
 // port impedances of the two extractions agree through resonance.
 func TestOperatorPathImpedanceAgreement(t *testing.T) {
-	no, err := Extract(buildPlaneOp(t, 10, bem.OpToeplitz), Options{ExtraNodes: 4})
+	no, err := ExtractCtx(context.Background(), buildPlaneOp(t, 10, bem.OpToeplitz), Options{ExtraNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, err := Extract(buildPlaneOp(t, 10, bem.OpDense), Options{ExtraNodes: 4})
+	nd, err := ExtractCtx(context.Background(), buildPlaneOp(t, 10, bem.OpDense), Options{ExtraNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestOperatorPathCancellation(t *testing.T) {
 // absence of an operator-path fallback warning).
 func TestOperatorPathRegularizePinsDense(t *testing.T) {
 	a := buildPlaneOp(t, 8, bem.OpToeplitz)
-	n, err := Extract(a, Options{Regularize: 1e-9})
+	n, err := ExtractCtx(context.Background(), a, Options{Regularize: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -54,7 +55,7 @@ func TestExtractedOperatorsSymmetricPSDRandomized(t *testing.T) {
 				{X: 0.75 * side, Y: 0.70 * side},
 			}
 			a := buildPlane(t, side, h, epsR, n, ports, []string{"P1", "P2"})
-			nw, err := Extract(a, Options{ExtraNodes: rng.Intn(5)})
+			nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: rng.Intn(5)})
 			if err != nil {
 				t.Fatalf("side=%g h=%g epsR=%g n=%d: %v", side, h, epsR, n, err)
 			}
@@ -87,12 +88,12 @@ func TestSweptSParametersReciprocalPassiveRandomized(t *testing.T) {
 				{X: 0.2 * side, Y: 0.3 * side},
 				{X: 0.8 * side, Y: 0.75 * side},
 			}, []string{"P1", "P2"})
-			nw, err := Extract(a, Options{ExtraNodes: 2})
+			nw, err := ExtractCtx(context.Background(), a, Options{ExtraNodes: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			freqs := sparam.LinSpace(0.05e9, 8e9, 25)
-			sw, err := sparam.SweepZ(freqs, 50, nw.PortZ)
+			sw, err := sparam.SweepZCtx(context.Background(), freqs, 50, nw.PortZCtx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +136,7 @@ func TestExtractNearSingularAssemblyEscalates(t *testing.T) {
 	}, []string{"P1", "P2"})
 	injectNearDuplicateRow(a.P, 0, 1, 1e-13)
 
-	_, err := Extract(a, Options{})
+	_, err := ExtractCtx(context.Background(), a, Options{})
 	if err == nil {
 		t.Fatal("near-singular assembly must not extract cleanly")
 	}

@@ -10,7 +10,7 @@
 // The model is a named fault-point registry: every durable filesystem
 // operation that routes through the internal/checkpoint FS seam is
 // classified into a point name of the form "<class>.<op>" — the class from
-// the path (journal, checkpoint, manifest, cache…), the op from the
+// the path (journal, checkpoint, cache…), the op from the
 // operation (write, sync, rename, dirsync…). A Schedule is a parsed list of
 // rules, each binding a point pattern to a fault mode with optional
 // triggers: fire only after the first N matching operations (after=N), at
@@ -148,7 +148,6 @@ var Aliases = map[string]string{
 	"journal.rewrite":       "journal.rewrite.sync", // Rewrite stages jobs.journal.tmp; classified separately from appends
 	"checkpoint.save":       "checkpoint.write",
 	"checkpoint.save.fsync": "checkpoint.sync",
-	"manifest.write":        "manifest.write",
 	"cache.put":             "cache.write",
 }
 

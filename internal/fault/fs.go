@@ -23,11 +23,13 @@ type faultFS struct {
 	in    *Injector
 }
 
-// classify maps a path to its fault class — the same durable-path markers
-// the pdnlint durable analyzer keys on, so the fault vocabulary and the
-// static contract stay aligned. Staged ".tmp" files inherit their target's
-// class, except the journal's rewrite staging, which gets its own class so
-// schedules can fault appends and compactions independently.
+// classify maps a path to its fault class, keyed on the durable-path markers
+// the pdnlint durable analyzer uses, so the fault vocabulary and the static
+// contract stay aligned. The analyzer also flags "manifest" paths, but no
+// durable file carries that name any more, so it has no fault class here.
+// Staged ".tmp" files inherit their target's class, except the journal's
+// rewrite staging, which gets its own class so schedules can fault appends
+// and compactions independently.
 func classify(path string) string {
 	base := filepath.Base(path)
 	name := strings.TrimSuffix(base, ".tmp")
@@ -37,8 +39,6 @@ func classify(path string) string {
 			return "journal.rewrite"
 		}
 		return "journal"
-	case strings.Contains(name, "manifest"):
-		return "manifest"
 	case strings.HasSuffix(name, ".opc"):
 		return "cache"
 	case strings.Contains(name, "ckpt"), strings.Contains(name, "checkpoint"),

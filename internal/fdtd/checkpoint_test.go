@@ -52,7 +52,7 @@ func TestFDTDKillAndResumeMatchesGolden(t *testing.T) {
 	sg, drvG, obsG := ckptSim(t, step)
 	dt := 0.9 * sg.MaxStableDt()
 	tstop := 1000 * dt
-	golden, err := sg.RunCtx(context.Background(), dt, tstop)
+	golden, err := sg.Run(context.Background(), RunOptions{Dt: dt, Tstop: tstop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,14 @@ func TestFDTDKillAndResumeMatchesGolden(t *testing.T) {
 		return step(tt)
 	})
 	ck := filepath.Join(t.TempDir(), "fdtd.ckpt")
-	_, err = si.RunWithOptions(ctx, RunOptions{Dt: dt, Tstop: tstop,
+	_, err = si.Run(ctx, RunOptions{Dt: dt, Tstop: tstop,
 		Checkpoint: checkpoint.Policy{Path: ck, Every: 128}})
 	if !errors.Is(err, simerr.ErrCancelled) {
 		t.Fatalf("interrupted run must surface ErrCancelled, got %v", err)
 	}
 
 	sr, drvR, obsR := ckptSim(t, step)
-	resumed, err := sr.RunWithOptions(context.Background(), RunOptions{Dt: dt, Tstop: tstop, ResumeFrom: ck})
+	resumed, err := sr.Run(context.Background(), RunOptions{Dt: dt, Tstop: tstop, ResumeFrom: ck})
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -92,14 +92,14 @@ func TestFDTDResumeRejectsMismatch(t *testing.T) {
 	dt := 0.9 * s1.MaxStableDt()
 	tstop := 300 * dt
 	ck := filepath.Join(t.TempDir(), "fdtd.ckpt")
-	if _, err := s1.RunWithOptions(context.Background(), RunOptions{Dt: dt, Tstop: tstop,
+	if _, err := s1.Run(context.Background(), RunOptions{Dt: dt, Tstop: tstop,
 		Checkpoint: checkpoint.Policy{Path: ck, Every: 100}}); err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("different dt", func(t *testing.T) {
 		s2, _, _ := ckptSim(t, step)
-		_, err := s2.RunWithOptions(context.Background(),
+		_, err := s2.Run(context.Background(),
 			RunOptions{Dt: 0.5 * dt, Tstop: tstop, ResumeFrom: ck})
 		if !errors.Is(err, simerr.ErrBadInput) {
 			t.Fatalf("dt mismatch must be ErrBadInput, got %v", err)
@@ -115,7 +115,7 @@ func TestFDTDResumeRejectsMismatch(t *testing.T) {
 		if _, err := s2.AddPort("drv", geom.Point{X: 10e-3, Y: 10e-3}, 10, step); err != nil {
 			t.Fatal(err)
 		}
-		_, err = s2.RunWithOptions(context.Background(), RunOptions{Dt: dt, Tstop: tstop, ResumeFrom: ck})
+		_, err = s2.Run(context.Background(), RunOptions{Dt: dt, Tstop: tstop, ResumeFrom: ck})
 		if !errors.Is(err, simerr.ErrBadInput) {
 			t.Fatalf("grid mismatch must be ErrBadInput, got %v", err)
 		}
@@ -125,7 +125,7 @@ func TestFDTDResumeRejectsMismatch(t *testing.T) {
 		if _, err := s2.AddPort("extra", geom.Point{X: 25e-3, Y: 20e-3}, 75, nil); err != nil {
 			t.Fatal(err)
 		}
-		_, err := s2.RunWithOptions(context.Background(), RunOptions{Dt: dt, Tstop: tstop, ResumeFrom: ck})
+		_, err := s2.Run(context.Background(), RunOptions{Dt: dt, Tstop: tstop, ResumeFrom: ck})
 		if !errors.Is(err, simerr.ErrBadInput) {
 			t.Fatalf("port mismatch must be ErrBadInput, got %v", err)
 		}
@@ -136,7 +136,7 @@ func TestFDTDResumeRejectsMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		s2, _, _ := ckptSim(t, step)
-		_, err := s2.RunWithOptions(context.Background(), RunOptions{Dt: dt, Tstop: tstop, ResumeFrom: wrong})
+		_, err := s2.Run(context.Background(), RunOptions{Dt: dt, Tstop: tstop, ResumeFrom: wrong})
 		if !errors.Is(err, simerr.ErrBadInput) {
 			t.Fatalf("wrong-kind snapshot must be ErrBadInput, got %v", err)
 		}

@@ -31,7 +31,7 @@ func TestNewBadInputClass(t *testing.T) {
 	if _, err := s.AddPort("P", geom.Point{}, math.NaN(), nil); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("NaN port resistance must be ErrBadInput, got %v", err)
 	}
-	if _, err := s.Run(math.NaN(), 1e-9); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := s.Run(context.Background(), RunOptions{Dt: math.NaN(), Tstop: 1e-9}); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("NaN dt must be ErrBadInput, got %v", err)
 	}
 }
@@ -45,7 +45,7 @@ func TestRunCancellation(t *testing.T) {
 	cancel()
 	dt := 0.9 * s.MaxStableDt()
 	// The expired context is noticed at the first stride check.
-	_, err = s.RunCtx(ctx, dt, 1000*float64(ctxCheckStride)*dt)
+	_, err = s.Run(ctx, RunOptions{Dt: dt, Tstop: 1000 * float64(ctxCheckStride) * dt})
 	if !errors.Is(err, simerr.ErrCancelled) {
 		t.Fatalf("expired context must surface ErrCancelled, got %v", err)
 	}
@@ -67,7 +67,7 @@ func TestRunNaNSourceSurfacesErrNaN(t *testing.T) {
 		t.Fatal(err)
 	}
 	dt := 0.9 * s.MaxStableDt()
-	_, err = s.Run(dt, 2000*dt)
+	_, err = s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 2000 * dt})
 	if !errors.Is(err, simerr.ErrNaN) {
 		t.Fatalf("NaN source must surface ErrNaN, got %v", err)
 	}

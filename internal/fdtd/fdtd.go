@@ -163,18 +163,12 @@ type Result struct {
 	Diag *diag.Diagnostics
 }
 
-// Run leapfrogs the grid for tstop seconds with step dt, recording every
-// port's inter-plane voltage. dt must respect the Courant limit.
-func (s *Sim) Run(dt, tstop float64) (*Result, error) {
-	return s.RunCtx(context.Background(), dt, tstop) //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use RunCtx
-}
-
-// ctxCheckStride is how many leapfrog steps RunCtx advances between
+// ctxCheckStride is how many leapfrog steps Run advances between
 // cancellation checks — cheap enough to keep cancellation latency in the
 // microseconds without touching the per-step cost.
 const ctxCheckStride = 64
 
-// CFLWarnRatio is the dt/dtmax ratio past which RunCtx records a Warning:
+// CFLWarnRatio is the dt/dtmax ratio past which Run records a Warning:
 // the leapfrog scheme is formally stable right up to the Courant limit, but
 // with no margin the dispersion error of the highest grid modes is extreme
 // and roundoff can tip a marginally-resolved grid over. Exported so
@@ -186,18 +180,6 @@ const CFLWarnRatio = 0.99
 // energy injected through the ports; past WatchdogFactor times that bound
 // the run is numerically unstable and aborts with ErrIllConditioned.
 const WatchdogFactor = 100.0
-
-// RunCtx is Run with cancellation (checked every ctxCheckStride steps), a
-// divergence guard — a non-finite port voltage aborts the run with a
-// simerr.ErrNaN-class error naming the port and time instead of filling the
-// record with NaNs — and two stability guards: an explicit CFL margin check
-// (dt past the Courant limit is an ErrIllConditioned-class error carrying the
-// ratio; dt within CFLWarnRatio of it records a Warning), and an energy
-// watchdog that compares the stored field energy against the passivity bound
-// E(0) + E_injected every ctxCheckStride steps.
-func (s *Sim) RunCtx(ctx context.Context, dt, tstop float64) (*Result, error) {
-	return s.RunWithOptions(ctx, RunOptions{Dt: dt, Tstop: tstop})
-}
 
 // RunOptions configure a survivable FDTD run.
 type RunOptions struct {
@@ -221,9 +203,18 @@ type RunOptions struct {
 	ResumeFrom string
 }
 
-// RunWithOptions is RunCtx plus run survivability: periodic checkpoints, a
-// cancellation flush, and resume (see RunOptions).
-func (s *Sim) RunWithOptions(ctx context.Context, opts RunOptions) (*Result, error) {
+// Run leapfrogs the grid for opts.Tstop seconds with step opts.Dt,
+// recording every port's inter-plane voltage. It checks ctx every
+// ctxCheckStride steps and has a divergence guard — a non-finite port
+// voltage aborts the run with a simerr.ErrNaN-class error naming the port
+// and time instead of filling the record with NaNs — and two stability
+// guards: an explicit CFL margin check (dt past the Courant limit is an
+// ErrIllConditioned-class error carrying the ratio; dt within CFLWarnRatio of
+// it records a Warning), and an energy watchdog that compares the stored
+// field energy against the passivity bound E(0) + E_injected every
+// ctxCheckStride steps. opts also carries run survivability: periodic
+// checkpoints, a cancellation flush, and resume (see RunOptions).
+func (s *Sim) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	dt, tstop := opts.Dt, opts.Tstop
 	if !(dt > 0) || !(tstop > dt) || math.IsInf(dt, 0) || math.IsInf(tstop, 0) {
 		return nil, simerr.BadInput("fdtd: run", "invalid window dt=%g tstop=%g", dt, tstop)

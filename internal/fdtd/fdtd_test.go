@@ -1,6 +1,7 @@
 package fdtd
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,10 +27,10 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(0, 1e-9); err == nil {
+	if _, err := s.Run(context.Background(), RunOptions{Dt: 0, Tstop: 1e-9}); err == nil {
 		t.Fatal("zero dt must error")
 	}
-	if _, err := s.Run(10*s.MaxStableDt(), 1e-9); err == nil {
+	if _, err := s.Run(context.Background(), RunOptions{Dt: 10 * s.MaxStableDt(), Tstop: 1e-9}); err == nil {
 		t.Fatal("Courant violation must error")
 	}
 	if _, err := s.AddPort("P", geom.Point{}, -5, nil); err == nil {
@@ -61,7 +62,7 @@ func TestDCDividerSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	dt := 0.9 * s.MaxStableDt()
-	if _, err := s.Run(dt, 30e-9); err != nil {
+	if _, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 30e-9}); err != nil {
 		t.Fatal(err)
 	}
 	want := 2 * 75.0 / 100.0
@@ -91,7 +92,7 @@ func TestTimeOfFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	dt := 0.9 * s.MaxStableDt()
-	res, err := s.Run(dt, 1.2e-9)
+	res, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 1.2e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +132,14 @@ func TestEnergyConservationLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	dt := 0.9 * s.MaxStableDt()
-	if _, err := s.Run(dt, 0.2e-9); err != nil {
+	if _, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 0.2e-9}); err != nil {
 		t.Fatal(err)
 	}
 	e0 := s.TotalEnergy()
 	if e0 <= 0 {
 		t.Fatal("no energy injected")
 	}
-	if _, err := s.Run(dt, 2e-9); err != nil {
+	if _, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 2e-9}); err != nil {
 		t.Fatal(err)
 	}
 	// V and I live at staggered half-steps, so the instantaneous energy sum
@@ -167,7 +168,7 @@ func TestLossDissipates(t *testing.T) {
 			t.Fatal(err)
 		}
 		dt := 0.9 * s.MaxStableDt()
-		if _, err := s.Run(dt, 3e-9); err != nil {
+		if _, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 3e-9}); err != nil {
 			t.Fatal(err)
 		}
 		return s.TotalEnergy()
@@ -197,7 +198,7 @@ func TestCavityModeFrequency(t *testing.T) {
 		t.Fatal(err)
 	}
 	dt := 0.9 * s.MaxStableDt()
-	res, err := s.Run(dt, 4e-9)
+	res, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 4e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fdtd
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -39,7 +40,7 @@ func TestRunSerialParallelBitwise(t *testing.T) {
 		defer runtime.GOMAXPROCS(old)
 		s := build()
 		dt := 0.5 * s.MaxStableDt()
-		if _, err := s.Run(dt, 40*dt); err != nil {
+		if _, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 40 * dt}); err != nil {
 			t.Fatal(err)
 		}
 		return s

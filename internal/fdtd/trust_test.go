@@ -1,6 +1,7 @@
 package fdtd
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -27,7 +28,7 @@ func trustSim(t *testing.T, rsq float64) *Sim {
 func TestRunCFLViolationEscalates(t *testing.T) {
 	s := trustSim(t, 0)
 	dt := 2 * s.MaxStableDt()
-	res, err := s.Run(dt, 100*dt)
+	res, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 100 * dt})
 	if !errors.Is(err, simerr.ErrIllConditioned) {
 		t.Fatalf("dt past the Courant limit must escalate to ErrIllConditioned, got %v", err)
 	}
@@ -51,7 +52,7 @@ func TestRunCFLViolationEscalates(t *testing.T) {
 func TestRunCFLWarnBand(t *testing.T) {
 	s := trustSim(t, 0)
 	dt := 0.995 * s.MaxStableDt()
-	res, err := s.Run(dt, 10*dt)
+	res, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 10 * dt})
 	if err != nil {
 		t.Fatalf("dt inside the warn band must still run: %v", err)
 	}
@@ -68,7 +69,7 @@ func TestRunCFLWarnBand(t *testing.T) {
 func TestRunHealthyMarginRecordsInfo(t *testing.T) {
 	s := trustSim(t, 0.01)
 	dt := 0.5 * s.MaxStableDt()
-	res, err := s.Run(dt, 200*dt)
+	res, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 200 * dt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestEnergyWatchdogCatchesInstability(t *testing.T) {
 	s.Rsq = -0.8 * s.Lsq / dt
 	// Seed a localized excitation so there is a field gradient to amplify.
 	s.v[s.at(4, 4)] = 1
-	res, err := s.Run(dt, 500*dt)
+	res, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 500 * dt})
 	if !errors.Is(err, simerr.ErrIllConditioned) {
 		t.Fatalf("energy runaway must escalate to ErrIllConditioned, got %v", err)
 	}
@@ -121,7 +122,7 @@ func TestEnergyWatchdogToleratesDrivenRun(t *testing.T) {
 	dt := 0.5 * s.MaxStableDt()
 	// Start from zero energy: e0 = 0, so the bound is carried entirely by
 	// the injection estimate. Run long enough for several watchdog checks.
-	if _, err := s.Run(dt, 1000*dt); err != nil {
+	if _, err := s.Run(context.Background(), RunOptions{Dt: dt, Tstop: 1000 * dt}); err != nil {
 		t.Fatalf("passive driven run tripped the watchdog: %v", err)
 	}
 }

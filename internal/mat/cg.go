@@ -36,85 +36,65 @@ type Preconditioner interface {
 	PrecondTo(dst, r []float64)
 }
 
-// denseOp adapts a dense square matrix to the LinearOperator interface.
-type denseOp struct{ m *Matrix }
+// DenseOp adapts a dense square matrix to the LinearOperator interface. Each
+// output entry is one row dot product.
+type DenseOp struct{ M *Matrix }
 
-func (d denseOp) Size() int { return d.m.Rows }
+// Size returns the matrix dimension.
+func (d DenseOp) Size() int { return d.M.Rows }
 
-func (d denseOp) MulVecTo(dst, x []float64) {
-	n := d.m.Rows
+// MulVecTo computes dst = M·x.
+func (d DenseOp) MulVecTo(dst, x []float64) {
+	n := d.M.Rows
 	for i := 0; i < n; i++ {
-		dst[i] = dot(d.m.Data[i*n:(i+1)*n], x)
+		dst[i] = dot(d.M.Data[i*n:(i+1)*n], x)
 	}
 }
 
-// jacobiPre is the diagonal (Jacobi) preconditioner.
-type jacobiPre struct{ dinv []float64 }
+// Jacobi is the diagonal preconditioner of a dense matrix.
+type Jacobi struct{ dinv []float64 }
 
-func (j jacobiPre) PrecondTo(dst, r []float64) {
+// NewJacobi builds the Jacobi preconditioner of a. It rejects a non-square
+// matrix and a non-positive diagonal entry (simerr.ErrBadInput), neither of
+// which an SPD system can have.
+func NewJacobi(a *Matrix) (Jacobi, error) {
+	n := a.Rows
+	if a.Cols != n {
+		return Jacobi{}, simerr.Tagf(simerr.ErrBadInput, "mat: CG requires a square matrix")
+	}
+	dinv := make([]float64, n)
+	for i := 0; i < n; i++ {
+		d := a.At(i, i)
+		if d <= 0 {
+			return Jacobi{}, simerr.Tagf(simerr.ErrBadInput, "mat: CG needs positive diagonal, got %g at %d", d, i)
+		}
+		dinv[i] = 1 / d
+	}
+	return Jacobi{dinv}, nil
+}
+
+// PrecondTo computes dst = diag(M)⁻¹·r.
+func (j Jacobi) PrecondTo(dst, r []float64) {
 	for i := range r {
 		dst[i] = j.dinv[i] * r[i]
 	}
 }
 
-// ConjugateGradient solves A·x = b for a symmetric positive-definite A with
-// the Jacobi-preconditioned conjugate gradient method. It is the large-mesh
-// alternative to the dense Cholesky factorisation: each iteration is O(n²)
-// on the dense storage but the iteration count grows with √κ rather than
-// paying the fixed O(n³) factorisation, which wins for the
-// diagonally-dominant Laplacians the plane solvers produce.
-//
-// tol is the relative residual target (DefaultCGTol when <= 0); maxIter
-// defaults to 10·n. Returns an error if A is not usable or convergence
-// fails.
-//
-// ConjugateGradient is the documented non-Ctx compatibility shim kept for
-// callers outside the cancellable solve chain; cancellable callers use
-// ConjugateGradientCtx.
-func ConjugateGradient(a *Matrix, b []float64, tol float64, maxIter int) ([]float64, error) {
-	return ConjugateGradientCtx(context.Background(), a, b, tol, maxIter) //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use ConjugateGradientCtx
-}
-
-// ConjugateGradientCtx is ConjugateGradient with cancellation: the
-// iteration loop checks ctx periodically (every cgCtxCheckEvery iterations)
-// and abandons the solve with a simerr.ErrCancelled-class error once the
-// context is done, so a large-mesh solve inside a timed-out extraction
-// stops within a few matvecs instead of running to convergence.
-//
-//pdnlint:ignore ctxflow the only loop in this body is the O(n) Jacobi setup; the unbounded iteration loop lives in ConjugateGradientOp, which checks ctx every cgCtxCheckEvery iterations
-func ConjugateGradientCtx(ctx context.Context, a *Matrix, b []float64, tol float64, maxIter int) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: CG requires a square matrix")
-	}
-	if len(b) != n {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: CG rhs length mismatch")
-	}
-	// Jacobi preconditioner.
-	dinv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d := a.At(i, i)
-		if d <= 0 {
-			return nil, simerr.Tagf(simerr.ErrBadInput, "mat: CG needs positive diagonal, got %g at %d", d, i)
-		}
-		dinv[i] = 1 / d
-	}
-	x, _, err := ConjugateGradientOp(ctx, denseOp{a}, jacobiPre{dinv}, b, tol, maxIter)
-	return x, err
-}
-
-// ConjugateGradientOp solves A·x = b for a symmetric positive-definite
+// ConjugateGradient solves A·x = b for a symmetric positive-definite
 // operator with preconditioned CG, without ever materialising A: each
-// iteration costs one operator apply plus one preconditioner apply. This is
-// the solver behind the FFT-accelerated Toeplitz path (an O(n log n) apply
-// makes the whole solve superlinear instead of cubic). pre may be nil
+// iteration costs one operator apply plus one preconditioner apply. With an
+// O(n log n) Toeplitz apply the whole solve is superlinear instead of cubic;
+// with DenseOp and NewJacobi it is the large-mesh alternative to a dense
+// Cholesky factorisation, since the iteration count grows with √κ rather
+// than paying the fixed O(n³) factorisation. pre may be nil
 // (unpreconditioned CG). Returns the solution and the number of iterations
 // performed.
 //
 // tol is the relative residual target ‖b − A·x‖/‖b‖ (DefaultCGTol when
 // <= 0); maxIter defaults to 10·n. The context is checked every
-// cgCtxCheckEvery iterations.
-func ConjugateGradientOp(ctx context.Context, op LinearOperator, pre Preconditioner, b []float64, tol float64, maxIter int) ([]float64, int, error) {
+// cgCtxCheckEvery iterations, so a solve inside a timed-out extraction
+// stops within a few matvecs with a simerr.ErrCancelled-class error.
+func ConjugateGradient(ctx context.Context, op LinearOperator, pre Preconditioner, b []float64, tol float64, maxIter int) ([]float64, int, error) {
 	n := op.Size()
 	if len(b) != n {
 		return nil, 0, simerr.Tagf(simerr.ErrBadInput, "mat: CG rhs has %d entries, operator size %d", len(b), n)

@@ -1,11 +1,22 @@
 package mat
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// denseCG is the dense Jacobi-preconditioned solve the IR-drop map uses.
+func denseCG(ctx context.Context, a *Matrix, b []float64, tol float64, maxIter int) ([]float64, error) {
+	pre, err := NewJacobi(a)
+	if err != nil {
+		return nil, err
+	}
+	x, _, err := ConjugateGradient(ctx, DenseOp{a}, pre, b, tol, maxIter)
+	return x, err
+}
 
 func TestCGMatchesCholeskyProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -16,7 +27,7 @@ func TestCGMatchesCholeskyProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xc, err := ConjugateGradient(a, b, 1e-12, 0)
+		xc, err := denseCG(context.Background(), a, b, 1e-12, 0)
 		if err != nil {
 			return false
 		}
@@ -56,7 +67,7 @@ func TestCGLaplacianChain(t *testing.T) {
 	// Inject 1 A at the far end of the grounded chain.
 	b := make([]float64, n)
 	b[n-1] = 1
-	x, err := ConjugateGradient(a, b, 1e-12, 0)
+	x, err := denseCG(context.Background(), a, b, 1e-12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +94,25 @@ func TestParallelFor(t *testing.T) {
 }
 
 func TestCGValidation(t *testing.T) {
-	if _, err := ConjugateGradient(New(2, 3), []float64{1, 2}, 0, 0); err == nil {
+	if _, err := denseCG(context.Background(), New(2, 3), []float64{1, 2}, 0, 0); err == nil {
 		t.Fatal("non-square must error")
 	}
-	if _, err := ConjugateGradient(Eye(2), []float64{1}, 0, 0); err == nil {
+	if _, err := denseCG(context.Background(), Eye(2), []float64{1}, 0, 0); err == nil {
 		t.Fatal("rhs mismatch must error")
 	}
 	bad := FromRows([][]float64{{0, 0}, {0, 1}})
-	if _, err := ConjugateGradient(bad, []float64{1, 1}, 0, 0); err == nil {
+	if _, err := denseCG(context.Background(), bad, []float64{1, 1}, 0, 0); err == nil {
 		t.Fatal("zero diagonal must error")
 	}
 	// [1,-1] is the eigenvector of the negative eigenvalue, forcing the
 	// p·A·p breakdown check to fire. (With b = [1,1] — the positive
 	// eigendirection — CG would legitimately converge.)
 	indef := FromRows([][]float64{{1, 2}, {2, 1}})
-	if _, err := ConjugateGradient(indef, []float64{1, -1}, 0, 0); err == nil {
+	if _, err := denseCG(context.Background(), indef, []float64{1, -1}, 0, 0); err == nil {
 		t.Fatal("indefinite matrix must error")
 	}
 	// Zero RHS short-circuits to zero.
-	x, err := ConjugateGradient(Eye(3), []float64{0, 0, 0}, 0, 0)
+	x, err := denseCG(context.Background(), Eye(3), []float64{0, 0, 0}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,11 @@ func TestConjugateGradientCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ConjugateGradientCtx(ctx, a, b, 1e-12, 0); !errors.Is(err, simerr.ErrCancelled) {
+	if _, err := denseCG(ctx, a, b, 1e-12, 0); !errors.Is(err, simerr.ErrCancelled) {
 		t.Fatalf("want ErrCancelled from a pre-cancelled context, got %v", err)
 	}
-	// The shim still solves without a context.
-	if _, err := ConjugateGradient(a, b, 1e-10, 0); err != nil {
-		t.Fatalf("shim solve failed: %v", err)
+	if _, err := denseCG(context.Background(), a, b, 1e-10, 0); err != nil {
+		t.Fatalf("live-context solve failed: %v", err)
 	}
 }
 
@@ -43,7 +42,7 @@ func TestConjugateGradientOpToeplitzMatchesDense(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, iters, err := ConjugateGradientOp(context.Background(), op, op, b, 1e-12, 0)
+	x, iters, err := ConjugateGradient(context.Background(), op, op, b, 1e-12, 0)
 	if err != nil {
 		t.Fatalf("operator CG failed after %d iters: %v", iters, err)
 	}
@@ -63,7 +62,7 @@ func TestConjugateGradientOpToeplitzMatchesDense(t *testing.T) {
 	if op.HasPreconditioner() {
 		// The circulant preconditioner must not change the answer, only the
 		// iteration count.
-		xu, itu, err := ConjugateGradientOp(context.Background(), op, nil, b, 1e-12, 0)
+		xu, itu, err := ConjugateGradient(context.Background(), op, nil, b, 1e-12, 0)
 		if err != nil {
 			t.Fatalf("unpreconditioned CG failed: %v", err)
 		}
@@ -79,11 +78,11 @@ func TestConjugateGradientOpToeplitzMatchesDense(t *testing.T) {
 }
 
 func TestConjugateGradientOpRejectsBadRHS(t *testing.T) {
-	op := denseOp{Eye(3)}
-	if _, _, err := ConjugateGradientOp(context.Background(), op, nil, []float64{1, 2}, 0, 0); !errors.Is(err, simerr.ErrBadInput) {
+	op := DenseOp{Eye(3)}
+	if _, _, err := ConjugateGradient(context.Background(), op, nil, []float64{1, 2}, 0, 0); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("want ErrBadInput for short rhs, got %v", err)
 	}
-	if _, _, err := ConjugateGradientOp(context.Background(), op, nil, []float64{1, math.NaN(), 3}, 0, 0); !errors.Is(err, simerr.ErrBadInput) {
+	if _, _, err := ConjugateGradient(context.Background(), op, nil, []float64{1, math.NaN(), 3}, 0, 0); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("want ErrBadInput for NaN rhs, got %v", err)
 	}
 }

@@ -81,23 +81,14 @@ const defaultZ0 = 50.0
 
 // validate normalises and checks the sweep spec.
 func (sw *SweepSpec) validate() error {
-	bad := func(format string, args ...any) error {
-		return simerr.BadInput("serve: sweep spec", format, args...)
-	}
-	if sw.NF < 1 {
-		return bad("nf must be ≥ 1, got %d", sw.NF)
-	}
-	if !finitePos(sw.FMin) || !finitePos(sw.FMax) {
-		return bad("fmin_hz/fmax_hz must be positive and finite, got %g..%g", sw.FMin, sw.FMax)
-	}
-	if sw.FMax < sw.FMin {
-		return bad("fmax_hz %g below fmin_hz %g", sw.FMax, sw.FMin)
+	if err := sparam.ValidateRange(sw.FMin, sw.FMax, sw.NF); err != nil {
+		return err
 	}
 	if sw.Z0 == 0 {
 		sw.Z0 = defaultZ0
 	}
 	if !finitePos(sw.Z0) {
-		return bad("z0_ohm must be positive and finite, got %g", sw.Z0)
+		return simerr.BadInput("serve: sweep spec", "z0_ohm must be positive and finite, got %g", sw.Z0)
 	}
 	return nil
 }

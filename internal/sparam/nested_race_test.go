@@ -45,11 +45,11 @@ func TestNestedSweepExtractionParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := bem.Assemble(m, k, bem.DefaultOptions())
+	a, err := bem.AssembleCtx(context.Background(), m, k, bem.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := extract.Extract(a, extract.Options{})
+	nw, err := extract.ExtractCtx(context.Background(), a, extract.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,20 +184,14 @@ func reciprocityAsymmetry(s *mat.CMatrix) float64 {
 // extraction evaluators check it per port column (Network.PortZCtx).
 type ZFunc func(ctx context.Context, omega float64) (*mat.CMatrix, error)
 
-// SweepZ converts a per-frequency impedance evaluator into an S sweep. The
-// frequency points are evaluated in parallel, so zAt must be safe for
+// SweepZCtx converts a per-frequency impedance evaluator into an S sweep.
+// The frequency points are evaluated in parallel, so zAt must be safe for
 // concurrent calls (the extraction and cavity evaluators are: they only read
-// shared matrices).
-func SweepZ(freqs []float64, z0 float64, zAt func(omega float64) (*mat.CMatrix, error)) (*Sweep, error) {
-	return SweepZCtx(context.Background(), freqs, z0, //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use SweepZCtx
-		func(_ context.Context, omega float64) (*mat.CMatrix, error) { return zAt(omega) })
-}
-
-// SweepZCtx is SweepZ with cancellation: each frequency point checks ctx
-// before evaluating and passes it into zAt, so an expensive sweep stops
-// within one point of a timeout — and a single hung point stops mid-solve —
-// returning a simerr.ErrCancelled-class error. Non-finite frequencies are
-// rejected up front (simerr.ErrBadInput).
+// shared matrices). Each point checks ctx before evaluating and passes it
+// into zAt, so an expensive sweep stops within one point of a timeout — and
+// a single hung point stops mid-solve — returning a
+// simerr.ErrCancelled-class error. Non-finite frequencies are rejected up
+// front (simerr.ErrBadInput).
 func SweepZCtx(ctx context.Context, freqs []float64, z0 float64, zAt ZFunc) (*Sweep, error) {
 	for i, f := range freqs {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -426,6 +420,26 @@ func MaxSingularValue(s *mat.CMatrix) float64 {
 		sigma = next
 	}
 	return sigma
+}
+
+// ValidateRange checks a LinSpace sweep request: at least one point and a
+// positive, finite, ascending band (fmax may equal fmin). Violations are
+// simerr.ErrBadInput-class errors.
+func ValidateRange(fmin, fmax float64, nf int) error {
+	bad := func(format string, args ...any) error {
+		return simerr.BadInput("sparam: sweep range", format, args...)
+	}
+	if nf < 1 {
+		return bad("nf must be ≥ 1, got %d", nf)
+	}
+	finitePos := func(x float64) bool { return x > 0 && !math.IsInf(x, 0) }
+	if !finitePos(fmin) || !finitePos(fmax) {
+		return bad("fmin_hz/fmax_hz must be positive and finite, got %g..%g", fmin, fmax)
+	}
+	if fmax < fmin {
+		return bad("fmax_hz %g below fmin_hz %g", fmax, fmin)
+	}
+	return nil
 }
 
 // LinSpace returns n evenly spaced frequencies from f0 to f1 inclusive.

@@ -1,12 +1,15 @@
 package sparam
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"strings"
 	"testing"
 
 	"pdnsim/internal/mat"
+	"pdnsim/internal/simerr"
 )
 
 func TestFromZKnownOnePort(t *testing.T) {
@@ -117,12 +120,12 @@ func TestDBAndPhase(t *testing.T) {
 func sweepFixture(t *testing.T) *Sweep {
 	t.Helper()
 	// A one-port RC: Z(ω) = 1/(jωC) + R.
-	zAt := func(omega float64) (*mat.CMatrix, error) {
+	zAt := func(_ context.Context, omega float64) (*mat.CMatrix, error) {
 		z := mat.CNew(1, 1)
 		z.Set(0, 0, complex(10, 0)+1/(complex(0, omega*1e-12)))
 		return z, nil
 	}
-	sw, err := SweepZ(LinSpace(1e9, 10e9, 10), 50, zAt)
+	sw, err := SweepZCtx(context.Background(), LinSpace(1e9, 10e9, 10), 50, zAt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestTouchstoneTwoPortOrder(t *testing.T) {
 	z.Set(1, 1, 50)
 	z.Set(0, 1, 10)
 	z.Set(1, 0, 10)
-	sw, err := SweepZ([]float64{1e9}, 50, func(float64) (*mat.CMatrix, error) { return z, nil })
+	sw, err := SweepZCtx(context.Background(), []float64{1e9}, 50, func(context.Context, float64) (*mat.CMatrix, error) { return z, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestTouchstoneRoundTrip(t *testing.T) {
 				z.Set(i, j, complex(40+float64(10*i+j), float64(i-j)))
 			}
 		}
-		orig, err := SweepZ(LinSpace(1e9, 3e9, 4), 50, func(float64) (*mat.CMatrix, error) { return z, nil })
+		orig, err := SweepZCtx(context.Background(), LinSpace(1e9, 3e9, 4), 50, func(context.Context, float64) (*mat.CMatrix, error) { return z, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,5 +290,33 @@ func TestLinSpace(t *testing.T) {
 	}
 	if f := LinSpace(3, 9, 1); len(f) != 1 || f[0] != 3 {
 		t.Fatalf("degenerate LinSpace = %v", f)
+	}
+}
+
+func TestValidateRange(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		fmin, fmax float64
+		nf         int
+		ok         bool
+	}{
+		{"valid", 0.1e9, 10e9, 100, true},
+		{"single point", 1e9, 1e9, 1, true},
+		{"nf zero", 0.1e9, 10e9, 0, false},
+		{"nf negative", 0.1e9, 10e9, -5, false},
+		{"descending", 5e9, 1e9, 3, false},
+		{"negative fmin", -1e9, 10e9, 100, false},
+		{"zero fmin", 0, 10e9, 100, false},
+		{"NaN fmin", math.NaN(), 10e9, 100, false},
+		{"NaN fmax", 0.1e9, math.NaN(), 100, false},
+		{"Inf fmax", 0.1e9, math.Inf(1), 100, false},
+	} {
+		err := ValidateRange(tc.fmin, tc.fmax, tc.nf)
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, simerr.ErrBadInput) {
+			t.Errorf("%s: want ErrBadInput, got %v", tc.name, err)
+		}
 	}
 }

@@ -187,45 +187,38 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 	}
 
 	ckpt := opts.Checkpoint
+	// cancelled flushes a final checkpoint (when enabled) and returns the
+	// cancellation error.
+	cancelled := func(err error) (*Sweep, []PointStatus, error) {
+		if ckpt.Enabled() {
+			if serr := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
+				return nil, statuses, fmt.Errorf("sparam: sweep cancelled and checkpoint flush failed: %w",
+					errors.Join(err, serr))
+			}
+		}
+		return nil, statuses, err
+	}
 	chunk := n
 	if ckpt.Enabled() {
 		chunk = ckpt.Stride()
 	}
 	for lo := 0; lo < n; lo += chunk {
 		if err := simerr.CheckCtx(ctx, "sparam: sweep"); err != nil {
-			if ckpt.Enabled() {
-				if serr := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
-					return nil, statuses, fmt.Errorf("sparam: sweep cancelled and checkpoint flush failed: %w",
-						errors.Join(err, serr))
-				}
-			}
-			return nil, statuses, err
+			return cancelled(err)
 		}
 		hi := min(lo+chunk, n)
-		mat.ParallelFor(hi-lo, func(k int) {
-			i := lo + k
-			if done[i] {
-				return
-			}
-			s, st := supervisePoint(ctx, opts, freqs[i], i, zAt)
-			statuses[i].Attempts = st.Attempts
-			statuses[i].PerturbRel = st.PerturbRel
-			statuses[i].Err = st.Err
-			if st.Err == nil {
-				results[i] = s
-				done[i] = true
-			}
-		})
-		for i := lo; i < hi; i++ {
-			if statuses[i].Err != nil && errors.Is(statuses[i].Err, simerr.ErrCancelled) {
-				if ckpt.Enabled() {
-					if serr := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
-						return nil, statuses, fmt.Errorf("sparam: sweep cancelled and checkpoint flush failed: %w",
-							errors.Join(statuses[i].Err, serr))
-					}
+		shard, shardSt, err := SweepZShardSupervised(ctx, freqs, lo, hi, done, opts, zAt)
+		for k := range shardSt {
+			if i := lo + k; !done[i] {
+				statuses[i] = shardSt[k]
+				if shardSt[k].Err == nil {
+					results[i] = shard[k]
+					done[i] = true
 				}
-				return nil, statuses, statuses[i].Err
 			}
+		}
+		if err != nil {
+			return cancelled(err)
 		}
 		if ckpt.Enabled() {
 			if err := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); err != nil {

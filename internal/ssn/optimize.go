@@ -1,16 +1,13 @@
 package ssn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
 
-	"pdnsim/internal/bem"
-	"pdnsim/internal/extract"
 	"pdnsim/internal/geom"
-	"pdnsim/internal/greens"
 	"pdnsim/internal/mat"
-	"pdnsim/internal/mesh"
 
 	"pdnsim/internal/simerr"
 )
@@ -53,8 +50,9 @@ type OptimizeResult struct {
 // OptimizeDecaps greedily selects decaps that minimise the worst-case PDN
 // impedance at the observation port. The plane is extracted once; each
 // candidate subset is evaluated in the frequency domain by stamping the
-// decap and VRM admittances onto the reduced network.
-func OptimizeDecaps(spec OptimizeSpec) (*OptimizeResult, error) {
+// decap and VRM admittances onto the reduced network. ctx cancels the
+// extraction and is checked before each candidate evaluation.
+func OptimizeDecaps(ctx context.Context, spec OptimizeSpec) (*OptimizeResult, error) {
 	if len(spec.Candidates) == 0 {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "ssn: no decap candidates")
 	}
@@ -71,16 +69,9 @@ func OptimizeDecaps(spec OptimizeSpec) (*OptimizeResult, error) {
 		spec.MaxDecaps = len(spec.Candidates)
 	}
 
-	b := spec.Board
-	if b.MeshNx <= 0 {
-		b.MeshNx = 16
-	}
-	if b.MeshNy <= 0 {
-		b.MeshNy = 16
-	}
-	m, err := mesh.Grid(b.Shape, b.MeshNx, b.MeshNy)
+	m, err := planeMesh(spec.Board)
 	if err != nil {
-		return nil, fmt.Errorf("ssn: meshing: %w", err)
+		return nil, err
 	}
 	if _, err := m.AddPort("OBS", spec.Observe); err != nil {
 		return nil, fmt.Errorf("ssn: observation port: %w", err)
@@ -96,20 +87,9 @@ func OptimizeDecaps(spec OptimizeSpec) (*OptimizeResult, error) {
 			return nil, fmt.Errorf("ssn: candidate %d: %w", i, err)
 		}
 	}
-	kern, err := greens.NewKernel(greens.OverGround, b.PlaneSep, b.EpsR, 1)
+	nw, err := extractPlane(ctx, spec.Board, m)
 	if err != nil {
 		return nil, err
-	}
-	opts := bem.DefaultOptions()
-	opts.SheetResistance = b.SheetRes
-	opts.ReturnSheetResistance = b.SheetRes
-	asm, err := bem.Assemble(m, kern, opts)
-	if err != nil {
-		return nil, fmt.Errorf("ssn: assembly: %w", err)
-	}
-	nw, err := extract.Extract(asm, extract.Options{ExtraNodes: b.ExtraNodes})
-	if err != nil {
-		return nil, fmt.Errorf("ssn: extraction: %w", err)
 	}
 
 	freqs := logSpace(spec.FminHz, spec.FmaxHz, spec.NFreq)
@@ -162,6 +142,9 @@ func OptimizeDecaps(spec OptimizeSpec) (*OptimizeResult, error) {
 		for ci := range spec.Candidates {
 			if chosen[ci] {
 				continue
+			}
+			if err := simerr.CheckCtx(ctx, "ssn: optimize decaps"); err != nil {
+				return nil, err
 			}
 			chosen[ci] = true
 			p, err := peakFor(chosen)

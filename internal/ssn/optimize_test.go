@@ -1,10 +1,13 @@
 package ssn
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"pdnsim/internal/geom"
+	"pdnsim/internal/simerr"
 )
 
 func optBoard() Board {
@@ -34,22 +37,38 @@ func optCandidates() []DecapCandidate {
 
 func TestOptimizeValidation(t *testing.T) {
 	spec := OptimizeSpec{Board: optBoard(), VRM: defaultVRM()}
-	if _, err := OptimizeDecaps(spec); err == nil {
+	if _, err := OptimizeDecaps(context.Background(), spec); err == nil {
 		t.Fatal("no candidates must error")
 	}
 	spec.Candidates = optCandidates()
-	if _, err := OptimizeDecaps(spec); err == nil {
+	if _, err := OptimizeDecaps(context.Background(), spec); err == nil {
 		t.Fatal("zero target must error")
 	}
 	spec.TargetOhm = 0.1
-	if _, err := OptimizeDecaps(spec); err == nil {
+	if _, err := OptimizeDecaps(context.Background(), spec); err == nil {
 		t.Fatal("missing band must error")
 	}
 	spec.FminHz, spec.FmaxHz = 1e6, 5e8
 	bad := spec
 	bad.Candidates = []DecapCandidate{{At: geom.Point{X: 1e-3, Y: 1e-3}}}
-	if _, err := OptimizeDecaps(bad); err == nil {
+	if _, err := OptimizeDecaps(context.Background(), bad); err == nil {
 		t.Fatal("zero-C candidate must error")
+	}
+}
+
+func TestOptimizeCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	spec := OptimizeSpec{
+		Board:      optBoard(),
+		VRM:        VRM{At: geom.Point{X: 4e-3, Y: 4e-3}, V: 3.3, R: 5e-3, L: 20e-9},
+		Observe:    geom.Point{X: 45e-3, Y: 35e-3},
+		Candidates: optCandidates(),
+		TargetOhm:  0.1,
+		FminHz:     1e7, FmaxHz: 5e8,
+	}
+	if _, err := OptimizeDecaps(ctx, spec); !errors.Is(err, simerr.ErrCancelled) {
+		t.Fatalf("cancelled ctx: want ErrCancelled, got %v", err)
 	}
 }
 
@@ -65,7 +84,7 @@ func TestOptimizeReducesPeakMonotonically(t *testing.T) {
 		NFreq:     25,
 		MaxDecaps: 3,
 	}
-	res, err := OptimizeDecaps(spec)
+	res, err := OptimizeDecaps(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +116,14 @@ func TestOptimizeStopsWhenTargetMet(t *testing.T) {
 	}
 	// First find the achievable floor with everything mounted.
 	spec.TargetOhm = 1e-9
-	all, err := OptimizeDecaps(spec)
+	all, err := OptimizeDecaps(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	floor := all.PeakHistory[len(all.PeakHistory)-1]
 	// A mask 3× above the floor should be reachable with fewer parts.
 	spec.TargetOhm = 3 * floor
-	res, err := OptimizeDecaps(spec)
+	res, err := OptimizeDecaps(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +152,7 @@ func TestOptimizePrefersNearbySites(t *testing.T) {
 		NFreq:     20,
 		MaxDecaps: 1,
 	}
-	res, err := OptimizeDecaps(spec)
+	res, err := OptimizeDecaps(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

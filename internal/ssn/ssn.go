@@ -13,6 +13,7 @@
 package ssn
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -113,15 +114,9 @@ func Build(b Board, vrm VRM, chips []Chip, decaps []Decap) (*System, error) {
 	if b.PlaneSep <= 0 || b.EpsR <= 0 {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "ssn: invalid board stackup")
 	}
-	if b.MeshNx <= 0 {
-		b.MeshNx = 16
-	}
-	if b.MeshNy <= 0 {
-		b.MeshNy = 16
-	}
-	m, err := mesh.Grid(b.Shape, b.MeshNx, b.MeshNy)
+	m, err := planeMesh(b)
 	if err != nil {
-		return nil, fmt.Errorf("ssn: meshing plane: %w", err)
+		return nil, err
 	}
 	if _, err := m.AddPort("VRM", vrm.At); err != nil {
 		return nil, fmt.Errorf("ssn: VRM port: %w", err)
@@ -136,20 +131,10 @@ func Build(b Board, vrm VRM, chips []Chip, decaps []Decap) (*System, error) {
 			return nil, fmt.Errorf("ssn: decap %s port: %w", dc.Name, err)
 		}
 	}
-	kern, err := greens.NewKernel(greens.OverGround, b.PlaneSep, b.EpsR, 1)
+	ctx := context.Background() //pdnlint:ignore ctxflow Build keeps its ctx-free signature for the perfbench ssn-cosim workload, which calls it and may change only in a benchmark change
+	nw, err := extractPlane(ctx, b, m)
 	if err != nil {
 		return nil, err
-	}
-	opts := bem.DefaultOptions()
-	opts.SheetResistance = b.SheetRes
-	opts.ReturnSheetResistance = b.SheetRes
-	asm, err := bem.Assemble(m, kern, opts)
-	if err != nil {
-		return nil, fmt.Errorf("ssn: BEM assembly: %w", err)
-	}
-	nw, err := extract.Extract(asm, extract.Options{ExtraNodes: b.ExtraNodes})
-	if err != nil {
-		return nil, fmt.Errorf("ssn: extraction: %w", err)
 	}
 
 	c := circuit.New()
@@ -194,6 +179,42 @@ func Build(b Board, vrm VRM, chips []Chip, decaps []Decap) (*System, error) {
 		}
 	}
 	return sys, nil
+}
+
+// planeMesh grids the board outline (16×16 cells unless b says otherwise).
+func planeMesh(b Board) (*mesh.Mesh, error) {
+	if b.MeshNx <= 0 {
+		b.MeshNx = 16
+	}
+	if b.MeshNy <= 0 {
+		b.MeshNy = 16
+	}
+	m, err := mesh.Grid(b.Shape, b.MeshNx, b.MeshNy)
+	if err != nil {
+		return nil, fmt.Errorf("ssn: meshing plane: %w", err)
+	}
+	return m, nil
+}
+
+// extractPlane reduces the meshed plane pair, ports already placed, to its
+// RLC network: both planes carry b.SheetRes.
+func extractPlane(ctx context.Context, b Board, m *mesh.Mesh) (*extract.Network, error) {
+	kern, err := greens.NewKernel(greens.OverGround, b.PlaneSep, b.EpsR, 1)
+	if err != nil {
+		return nil, err
+	}
+	opts := bem.DefaultOptions()
+	opts.SheetResistance = b.SheetRes
+	opts.ReturnSheetResistance = b.SheetRes
+	asm, err := bem.AssembleCtx(ctx, m, kern, opts)
+	if err != nil {
+		return nil, fmt.Errorf("ssn: BEM assembly: %w", err)
+	}
+	nw, err := extract.ExtractCtx(ctx, asm, extract.Options{ExtraNodes: b.ExtraNodes})
+	if err != nil {
+		return nil, fmt.Errorf("ssn: extraction: %w", err)
+	}
+	return nw, nil
 }
 
 func buildChip(c *circuit.Circuit, ch Chip, planeVdd int) (ChipNodes, error) {

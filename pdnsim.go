@@ -12,7 +12,8 @@
 // The typical flow is
 //
 //	spec, _ := pdnsim.ParseBoard(jsonBytes)         // or build a BoardSpec in code
-//	res, _ := spec.Extract()                        // mesh → BEM → equivalent circuit
+//	ctx := context.Background()                     // or a signal/timeout context
+//	res, _ := spec.ExtractCtx(ctx)                  // mesh → BEM → equivalent circuit
 //	z, _ := res.Network.Zin(0, 2*math.Pi*1e9)       // frequency domain
 //	ckt := pdnsim.NewCircuit()                      // time domain co-simulation
 //	ports, _ := res.Network.Attach(ckt, "plane")
@@ -163,13 +164,9 @@ func NewKernel(mode KernelMode, h, epsR float64, nImages int) (*Kernel, error) {
 // DefaultBEMOptions returns the recommended assembly configuration.
 func DefaultBEMOptions() BEMOptions { return bem.DefaultOptions() }
 
-// Assemble fills the BEM matrices for a meshed plane.
-func Assemble(m *Mesh, k *Kernel, opts BEMOptions) (*Assembly, error) {
-	return bem.Assemble(m, k, opts)
-}
-
-// AssembleCtx is Assemble with cancellation: the panel-integral loops check
-// ctx periodically and return an ErrCancelled-class error once it is done.
+// AssembleCtx fills the BEM matrices for a meshed plane. The panel-integral
+// loops check ctx periodically and return an ErrCancelled-class error once
+// it is done.
 func AssembleCtx(ctx context.Context, m *Mesh, k *Kernel, opts BEMOptions) (*Assembly, error) {
 	return bem.AssembleCtx(ctx, m, k, opts)
 }
@@ -184,13 +181,8 @@ type (
 	ExtractOptions = extract.Options
 )
 
-// ExtractNetwork reduces an assembled plane to its equivalent circuit.
-func ExtractNetwork(a *Assembly, opts ExtractOptions) (*Network, error) {
-	return extract.Extract(a, opts)
-}
-
-// ExtractNetworkCtx is ExtractNetwork with cancellation checked at each
-// reduction stage.
+// ExtractNetworkCtx reduces an assembled plane to its equivalent circuit,
+// checking ctx at each reduction stage.
 func ExtractNetworkCtx(ctx context.Context, a *Assembly, opts ExtractOptions) (*Network, error) {
 	return extract.ExtractCtx(ctx, a, opts)
 }
@@ -281,6 +273,8 @@ type (
 	FDTDSim = fdtd.Sim
 	// FDTDPort is a resistive Thevenin port.
 	FDTDPort = fdtd.Port
+	// FDTDRunOptions configure an FDTD run: step, duration, checkpoints.
+	FDTDRunOptions = fdtd.RunOptions
 )
 
 // NewFDTD builds a plane-pair FDTD simulation.
@@ -308,14 +302,10 @@ type (
 	SPoint = sparam.Point
 )
 
-// SweepS computes S-parameters from a per-frequency impedance evaluator.
-func SweepS(freqs []float64, z0 float64, zAt func(omega float64) (*CMatrix, error)) (*SSweep, error) {
-	return sparam.SweepZ(freqs, z0, zAt)
-}
-
-// SweepSCtx is SweepS with cancellation checked at each frequency point and
-// threaded into the impedance evaluation itself (use Network.PortZCtx as zAt
-// so a hung point is cancellable mid-solve).
+// SweepSCtx computes S-parameters from a per-frequency impedance evaluator.
+// ctx is checked at each frequency point and threaded into the impedance
+// evaluation itself (use Network.PortZCtx as zAt so a hung point is
+// cancellable mid-solve).
 func SweepSCtx(ctx context.Context, freqs []float64, z0 float64, zAt func(ctx context.Context, omega float64) (*CMatrix, error)) (*SSweep, error) {
 	return sparam.SweepZCtx(ctx, freqs, z0, zAt)
 }
@@ -382,9 +372,10 @@ type (
 )
 
 // OptimizeDecaps greedily places decoupling capacitors to drive the PDN
-// impedance at an observation port below a target mask.
-func OptimizeDecaps(spec OptimizeSpec) (*OptimizeResult, error) {
-	return ssn.OptimizeDecaps(spec)
+// impedance at an observation port below a target mask. ctx cancels the
+// plane extraction and the candidate search.
+func OptimizeDecaps(ctx context.Context, spec OptimizeSpec) (*OptimizeResult, error) {
+	return ssn.OptimizeDecaps(ctx, spec)
 }
 
 // Driver/receiver building blocks.

@@ -137,11 +137,11 @@ func TestPipelineCancellation(t *testing.T) {
 
 // TestSweepRejectsNonFiniteFrequencies covers the sweep-input guard.
 func TestSweepRejectsNonFiniteFrequencies(t *testing.T) {
-	zAt := func(omega float64) (*CMatrix, error) { return nil, nil }
-	if _, err := SweepS([]float64{1e9, math.NaN()}, 50, zAt); !errors.Is(err, ErrBadInput) {
+	zAt := func(_ context.Context, omega float64) (*CMatrix, error) { return nil, nil }
+	if _, err := SweepSCtx(context.Background(), []float64{1e9, math.NaN()}, 50, zAt); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("NaN frequency must be ErrBadInput, got %v", err)
 	}
-	if _, err := SweepS([]float64{1e9}, math.NaN(), zAt); !errors.Is(err, ErrBadInput) {
+	if _, err := SweepSCtx(context.Background(), []float64{1e9}, math.NaN(), zAt); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("NaN z0 must be ErrBadInput, got %v", err)
 	}
 }

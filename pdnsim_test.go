@@ -1,6 +1,7 @@
 package pdnsim
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -22,7 +23,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			{Name: "B", X: 27, Y: 27},
 		},
 	}
-	res, err := spec.Extract()
+	res, err := spec.ExtractCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,8 @@ func TestFacadeTLineAndSParams(t *testing.T) {
 	}
 	// Below the first cavity mode (≈3.5 GHz) the norms stay small enough
 	// for the sufficient-only passivity screen.
-	sw, err := SweepS(LinSpace(0.2e9, 1.5e9, 10), 50, cav.Z)
+	sw, err := SweepSCtx(context.Background(), LinSpace(0.2e9, 1.5e9, 10), 50,
+		func(_ context.Context, omega float64) (*CMatrix, error) { return cav.Z(omega) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestFacadeFDTD(t *testing.T) {
 		t.Fatal(err)
 	}
 	// τ = R·C_plane ≈ 0.66 ns; run ~9τ to settle.
-	if _, err := sim.Run(0.9*sim.MaxStableDt(), 6e-9); err != nil {
+	if _, err := sim.Run(context.Background(), FDTDRunOptions{Dt: 0.9 * sim.MaxStableDt(), Tstop: 6e-9}); err != nil {
 		t.Fatal(err)
 	}
 	if last := port.V[len(port.V)-1]; math.Abs(last-1) > 0.02 {
