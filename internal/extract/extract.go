@@ -168,7 +168,7 @@ func ExtractCtx(ctx context.Context, a *bem.Assembly, opts Options) (nw *Network
 	// non-convergence) are recorded and fall through to the dense path.
 	if opts.Regularize == 0 && len(internal) > 0 && operatorsAvailable(a) &&
 		(a.Opts.Operator == bem.OpToeplitz || len(a.Mesh.Cells) >= operatorPathMinCells) {
-		gammaRed, cRed, gRed, gammaScale, err = operatorReduce(ctx, a, nodeCells, internal)
+		gammaRed, cRed, gRed, gammaScale, err = operatorReduce(ctx, a, d, nodeCells, internal)
 		switch {
 		case err == nil:
 			done = true

@@ -1,4 +1,4 @@
-// Operator-path reduction (ROADMAP item 1): when the assembly carries
+// Operator-path reduction (DESIGN.md §5l): when the assembly carries
 // block-Toeplitz operators for P and the per-direction L blocks, the
 // extraction never densifies the O(n³) systems. The three reduced networks
 // are produced column by column — one solve per kept node — with every
@@ -30,6 +30,7 @@ import (
 	"math"
 
 	"pdnsim/internal/bem"
+	"pdnsim/internal/diag"
 	"pdnsim/internal/mat"
 	"pdnsim/internal/mesh"
 	"pdnsim/internal/simerr"
@@ -242,8 +243,9 @@ func (g *gridProjector) multiplier(r []float64) []float64 {
 // formulation stalls around √ε. Projecting the *update* keeps every stored
 // quantity at the scale of the constrained residual. Returns the minimiser
 // y and the true final residual r = b − L·y, recomputed with one extra
-// matvec (its multiplier recovers the Guyan column).
-func projectedCG(ctx context.Context, op mat.LinearOperator, proj *gridProjector, b []float64, tol float64, maxIter int) (y, r []float64, err error) {
+// matvec (its multiplier recovers the Guyan column), and the number of
+// iterations performed.
+func projectedCG(ctx context.Context, op mat.LinearOperator, proj *gridProjector, b []float64, tol float64, maxIter int) (y, r []float64, iters int, err error) {
 	n := op.Size()
 	if maxIter <= 0 {
 		maxIter = 20 * n
@@ -262,20 +264,20 @@ func projectedCG(ctx context.Context, op mat.LinearOperator, proj *gridProjector
 		return out
 	}
 	if norm0 == 0 {
-		return y, trueResidual(), nil
+		return y, trueResidual(), 0, nil
 	}
 	p := append([]float64(nil), r...)
 	rr := mat.Dot(r, r)
 	for iter := 0; iter < maxIter; iter++ {
 		if iter%cgProjCtxCheckEvery == 0 {
 			if err := simerr.CheckCtx(ctx, "extract: projected CG"); err != nil {
-				return nil, nil, err
+				return nil, nil, iter, err
 			}
 		}
 		op.MulVecTo(lp, p)
 		pap := mat.Dot(p, lp)
 		if pap <= 0 {
-			return nil, nil, simerr.Tagf(simerr.ErrSingular, "extract: projected CG breakdown (inductance operator not positive definite on the constraint space)")
+			return nil, nil, iter, simerr.Tagf(simerr.ErrSingular, "extract: projected CG breakdown (inductance operator not positive definite on the constraint space)")
 		}
 		alpha := rr / pap
 		for i := 0; i < n; i++ {
@@ -285,10 +287,10 @@ func projectedCG(ctx context.Context, op mat.LinearOperator, proj *gridProjector
 		proj.projectTo(r, r) // discard the multiplier component introduced by L·p
 		rrNew := mat.Dot(r, r)
 		if math.Sqrt(rrNew) <= tol*norm0 {
-			return y, trueResidual(), nil
+			return y, trueResidual(), iter + 1, nil
 		}
 		if rr == 0 {
-			return nil, nil, simerr.Tagf(simerr.ErrSingular, "extract: projected CG stalled before convergence")
+			return nil, nil, iter, simerr.Tagf(simerr.ErrSingular, "extract: projected CG stalled before convergence")
 		}
 		beta := rrNew / rr
 		rr = rrNew
@@ -296,7 +298,7 @@ func projectedCG(ctx context.Context, op mat.LinearOperator, proj *gridProjector
 			p[i] = r[i] + beta*p[i]
 		}
 	}
-	return nil, nil, simerr.Tagf(simerr.ErrNonConvergence, "extract: projected CG did not converge in %d iterations", maxIter)
+	return nil, nil, maxIter, simerr.Tagf(simerr.ErrNonConvergence, "extract: projected CG did not converge in %d iterations", maxIter)
 }
 
 // cgProjCtxCheckEvery matches mat's cgCtxCheckEvery: cancellation latency of
@@ -306,8 +308,9 @@ const cgProjCtxCheckEvery = 8
 // operatorReduce produces the three reduced networks through the operator
 // path. It returns the scale estimate used for the PSD trust band on Γ_red
 // (a power-iteration ‖Γ‖₂ estimate standing in for the dense path's
-// ‖Γ‖∞ — same order, which is all the roundoff band consumes).
-func operatorReduce(ctx context.Context, a *bem.Assembly, keep, internal []int) (gammaRed, cRed, gRed *mat.Matrix, gammaScale float64, err error) {
+// ‖Γ‖∞ — same order, which is all the roundoff band consumes). On success
+// it records the CG iteration counts of every stage as one Info entry.
+func operatorReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, keep, internal []int) (gammaRed, cRed, gRed *mat.Matrix, gammaScale float64, err error) {
 	nCells := len(a.Mesh.Cells)
 	k := len(keep)
 	lop := newLinkInductance(a)
@@ -330,6 +333,7 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, keep, internal []int) 
 	gammaRed = mat.New(k, k)
 	v := mat.New(len(internal), k)
 	b := make([]float64, lop.Size())
+	var projIters, projMax, capIters, capMax int
 	for j := 0; j < k; j++ {
 		if err := simerr.CheckCtx(ctx, "extract: inductance reduction"); err != nil {
 			return nil, nil, nil, 0, err
@@ -345,10 +349,11 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, keep, internal []int) 
 				b[i] = -1
 			}
 		}
-		y, r, err := projectedCG(ctx, lop, proj, b, operatorGammaTol, 0)
+		y, r, iters, err := projectedCG(ctx, lop, proj, b, operatorGammaTol, 0)
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
+		projIters, projMax = projIters+iters, max(projMax, iters)
 		for i := range a.Mesh.Links {
 			if p := keepPos[a.Mesh.Links[i].From]; p >= 0 {
 				gammaRed.Add(p, j, y[i])
@@ -382,10 +387,11 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, keep, internal []int) 
 		for i := 0; i < nCells; i++ {
 			wcol[i] = w.At(i, j)
 		}
-		zj, _, err := mat.ConjugateGradient(ctx, a.POp, a.POp, wcol, operatorCapCGTol, 0)
+		zj, iters, err := mat.ConjugateGradient(ctx, a.POp, a.POp, wcol, operatorCapCGTol, 0)
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
+		capIters, capMax = capIters+iters, max(capMax, iters)
 		for i := 0; i < nCells; i++ {
 			z.Set(i, j, zj[i])
 		}
@@ -409,10 +415,13 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, keep, internal []int) 
 		return nil, nil, nil, 0, err
 	}
 
-	gammaScale, err = estimateGammaScale(ctx, a, lop)
+	gammaScale, scaleIters, err := estimateGammaScale(ctx, a, lop)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
+	d.Infof("extract", "operator iterations", float64(projIters+capIters+scaleIters), 0,
+		"projected CG %d (max %d per column), capacitance CG %d (max %d per column), γ-scale CG %d, over %d kept nodes",
+		projIters, projMax, capIters, capMax, scaleIters, k)
 	return gammaRed, cRed, gRed, gammaScale, nil
 }
 
@@ -506,8 +515,8 @@ func reduceConductance(a *bem.Assembly, keep, internal []int, keepPos, intPos []
 
 // estimateGammaScale runs a short power iteration on Γ = A·L⁻¹·Aᵀ using
 // loose-tolerance CG inductance solves, returning a ‖Γ‖₂ estimate for the
-// reduced-Γ PSD trust band.
-func estimateGammaScale(ctx context.Context, a *bem.Assembly, lop *linkInductance) (float64, error) {
+// reduced-Γ PSD trust band and the CG iterations its solves took.
+func estimateGammaScale(ctx context.Context, a *bem.Assembly, lop *linkInductance) (float64, int, error) {
 	n := len(a.Mesh.Cells)
 	z := make([]float64, n)
 	for i := range z {
@@ -515,17 +524,19 @@ func estimateGammaScale(ctx context.Context, a *bem.Assembly, lop *linkInductanc
 	}
 	w := make([]float64, lop.Size())
 	var lambda float64
+	var iters int
 	for it := 0; it < gammaScalePowerIters; it++ {
 		if err := simerr.CheckCtx(ctx, "extract: gamma scale"); err != nil {
-			return 0, err
+			return 0, iters, err
 		}
 		// w = Aᵀ·z over links.
 		for i, l := range a.Mesh.Links {
 			w[i] = z[l.From] - z[l.To]
 		}
-		u, _, err := mat.ConjugateGradient(ctx, lop, nil, w, gammaScaleCGTol, 0)
+		u, its, err := mat.ConjugateGradient(ctx, lop, nil, w, gammaScaleCGTol, 0)
+		iters += its
 		if err != nil {
-			return 0, err
+			return 0, iters, err
 		}
 		// z' = A·u over cells.
 		for i := range z {
@@ -537,12 +548,12 @@ func estimateGammaScale(ctx context.Context, a *bem.Assembly, lop *linkInductanc
 		}
 		lambda = math.Sqrt(mat.Dot(z, z))
 		if lambda == 0 {
-			return 0, simerr.Tagf(simerr.ErrSingular, "extract: gamma scale power iteration collapsed")
+			return 0, iters, simerr.Tagf(simerr.ErrSingular, "extract: gamma scale power iteration collapsed")
 		}
 		inv := 1 / lambda
 		for i := range z {
 			z[i] *= inv
 		}
 	}
-	return lambda, nil
+	return lambda, iters, nil
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"pdnsim/internal/bem"
+	"pdnsim/internal/diag"
 	"pdnsim/internal/geom"
 	"pdnsim/internal/greens"
 	"pdnsim/internal/mesh"
@@ -157,6 +159,47 @@ func TestOperatorPathRegularizePinsDense(t *testing.T) {
 	}
 }
 
+// TestOperatorIterationsRecorded: a forced operator-path extraction reports
+// its CG iteration counts as one Info entry; the dense path has none to
+// report.
+func TestOperatorIterationsRecorded(t *testing.T) {
+	opts := Options{ExtraNodes: 5}
+	for _, c := range []struct {
+		mode bem.OperatorMode
+		want bool
+	}{{bem.OpToeplitz, true}, {bem.OpDense, false}} {
+		n, err := ExtractCtx(context.Background(), buildPlaneOp(t, 12, c.mode), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var found []diag.Diagnostic
+		for _, item := range n.Diag.Items() {
+			if item.Check == "operator iterations" {
+				found = append(found, item)
+			}
+		}
+		if !c.want {
+			if len(found) != 0 {
+				t.Fatalf("%v: dense path recorded %s", c.mode, found[0])
+			}
+			continue
+		}
+		if len(found) != 1 {
+			t.Fatalf("%v: %d \"operator iterations\" entries, want 1", c.mode, len(found))
+		}
+		it := found[0]
+		// Every kept node needs at least one projected-CG and one
+		// capacitance-CG iteration.
+		if it.Severity != diag.Info || it.Value < float64(2*len(n.NodeCells)) {
+			t.Fatalf("%v: implausible entry %s (value %g, %d kept nodes)", c.mode, it, it.Value, len(n.NodeCells))
+		}
+		if !strings.Contains(it.Message, "projected CG") || !strings.Contains(it.Message, "capacitance CG") ||
+			!strings.Contains(it.Message, "γ-scale CG") {
+			t.Fatalf("%v: entry misses a stage: %s", c.mode, it.Message)
+		}
+	}
+}
+
 // TestProjectedCGSolvesConstrainedSystem exercises projectedCG directly on a
 // small assembly: the minimiser must satisfy the constraint A_I·y = 0 and
 // the unprojected residual must lie in range(A_Iᵀ).
@@ -183,7 +226,7 @@ func TestProjectedCGSolvesConstrainedSystem(t *testing.T) {
 			b[i] = -1
 		}
 	}
-	y, r, err := projectedCG(context.Background(), lop, proj, b, 1e-12, 0)
+	y, r, _, err := projectedCG(context.Background(), lop, proj, b, 1e-12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

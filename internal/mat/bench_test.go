@@ -125,6 +125,72 @@ func BenchmarkToeplitzMatvec(b *testing.B) {
 	b.ReportMetric(float64(op.Size()), "n")
 }
 
+// lShapedToeplitz builds the operator the Toeplitz micro-benchmarks share:
+// a 39×35 grid with a 13×12 corner notched out (an L-shaped plane of 1209
+// cells — the size class of the extract-operator boards, padded to the same
+// 128×128 circulant). The kernel is 1/r with a dominant self term, like a
+// BEM potential table, so its circulant preconditioner is usable.
+func lShapedToeplitz(b *testing.B) *ToeplitzOp {
+	const nx, ny = 39, 35
+	table := make([]float64, nx*ny)
+	table[0] = 4
+	for i := 1; i < len(table); i++ {
+		table[i] = 1 / math.Hypot(float64(i%nx), float64(i/nx))
+	}
+	var coords [][2]int
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			if x >= 26 && y >= 23 {
+				continue
+			}
+			coords = append(coords, [2]int{x, y})
+		}
+	}
+	op, err := NewToeplitzOp(nx, ny, table, coords)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return op
+}
+
+// BenchmarkToeplitzMatvecSubset times MulVecTo on the L-shaped subset: the
+// matvec inside every projected-CG and capacitance-CG iteration of an
+// operator-path extraction.
+func BenchmarkToeplitzMatvecSubset(b *testing.B) {
+	op := lShapedToeplitz(b)
+	x := make([]float64, op.Size())
+	dst := make([]float64, op.Size())
+	for i := range x {
+		x[i] = math.Sin(float64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op.MulVecTo(dst, x)
+	}
+	b.ReportMetric(float64(op.Size()), "n")
+}
+
+// BenchmarkToeplitzPrecond times the circulant preconditioner apply on the
+// same subset (the capacitance CG runs one per iteration).
+func BenchmarkToeplitzPrecond(b *testing.B) {
+	op := lShapedToeplitz(b)
+	if !op.HasPreconditioner() {
+		b.Fatal("benchmark kernel has no usable circulant preconditioner")
+	}
+	r := make([]float64, op.Size())
+	dst := make([]float64, op.Size())
+	for i := range r {
+		r[i] = math.Cos(float64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op.PrecondTo(dst, r)
+	}
+	b.ReportMetric(float64(op.Size()), "n")
+}
+
 func BenchmarkMulVec400(b *testing.B) {
 	a := benchMatrix(6, benchN, benchN)
 	x := make([]float64, benchN)

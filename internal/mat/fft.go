@@ -7,6 +7,34 @@
 // deterministic (the serial≡parallel and resume contracts both lean on
 // this).
 //
+// The 2-D transform does only the work its caller reads, and every entry it
+// computes goes through the same floating-point operations, in the same
+// order, as in a full row-column transform with a strided 1-D FFT per column
+// (the reference kept in toeplitz_test.go, which the results must equal):
+//
+//   - forward(data, rows) transforms only the first rows rows before the
+//     column pass. The Toeplitz scatter fills rows < ny of the padded py-row
+//     grid, and the rest hold +0. A butterfly on +0 inputs writes +0 back
+//     (w·0 is ±0, and +0 ± ±0 is +0), so a skipped row holds exactly what
+//     its transform would have left there.
+//   - inverse(data, cols, rows) computes only the leading cols×rows block:
+//     the gather reads columns < nx and rows < ny. Columns are independent in
+//     the column pass, so columns ≥ cols are skipped outright. The row pass
+//     and the column pass each compute only the low half of their last
+//     stage when the high half is unread (nx ≤ px/2 and ny ≤ py/2 always
+//     hold for the circulant embedding); no low output reads a high one.
+//   - The column pass is row-blocked. Each butterfly acts on contiguous row
+//     segments, and the bit-reversal swaps whole row segments. Per entry
+//     this is the strided column transform, but memory is walked in order.
+//   - Stages run in pairs where they can (h and 2h over a block of 4h), so
+//     an entry is loaded and stored once per two stages; the per-entry
+//     sequence of operations is that of the two stages run in turn.
+//   - The first two stages, whose twiddles are all 1 but one, skip the
+//     multiplies by 1. Such a twiddle is exactly 1 with a zero imaginary
+//     part, so w·x equals x except possibly in the sign of a zero component;
+//     a signed zero cannot change a nonzero sum, so every output is == to
+//     the multiplied form.
+//
 // Only power-of-two sizes are supported; the circulant embedding in
 // toeplitz.go always pads to a power of two, so no general-size (Bluestein)
 // fallback is needed.
@@ -56,81 +84,228 @@ func newFFTPlan(n int) *fftPlan {
 	return p
 }
 
-// transform runs the in-place decimation-in-time FFT over data[off],
-// data[off+stride], …, data[off+(n-1)·stride] with the given twiddle table
-// (tw for forward, itw for inverse). The caller scales an inverse transform
-// by 1/n itself — the Toeplitz matvec folds that factor into its spectrum so
-// the hot path never needs a separate normalisation pass.
+// transform runs the in-place decimation-in-time FFT over the contiguous
+// x[0:n] with the given twiddle table (tw for forward, itw for inverse).
+// Only outputs x[0:keep] are needed: when keep ≤ n/2 the last stage computes
+// just those. The caller scales an inverse transform by 1/n itself — the
+// Toeplitz matvec folds that factor into its spectrum so the hot path never
+// needs a separate normalisation pass.
+//
+// Stages run two at a time (stages h and 2h over blocks of 4h); the last
+// stage always runs on its own so that it can be pruned. Stage h's twiddles
+// start at tw[h-1].
 //
 //pdn:hot
-func (p *fftPlan) transform(data []complex128, off, stride int, tw []complex128) {
+func (p *fftPlan) transform(x []complex128, keep int, tw []complex128) {
 	n := p.n
-	rev := p.rev
-	for i := 0; i < n; i++ {
-		j := int(rev[i])
-		if i < j {
-			ii, jj := off+i*stride, off+j*stride
-			data[ii], data[jj] = data[jj], data[ii]
+	x = x[:n]
+	for i, r := range p.rev {
+		if j := int(r); i < j {
+			x[i], x[j] = x[j], x[i]
 		}
 	}
-	twBase := 0
-	for h := 1; h < n; h <<= 1 {
-		step := h << 1
-		for s := 0; s < n; s += step {
-			base := off + s*stride
-			for j := 0; j < h; j++ {
-				w := tw[twBase+j]
-				lo := base + j*stride
-				hi := lo + h*stride
-				t := w * data[hi]
-				data[hi] = data[lo] - t
-				data[lo] += t
+	h := 1
+	if n >= 8 {
+		// Stages 1 and 2 inline: a call per block of four would cost more
+		// than the block's butterflies, whose twiddles are 1, 1, 1 and tw[2]
+		// (the multiplies by 1 are skipped).
+		w := tw[2]
+		for s := 0; s < n; s += 4 {
+			q := x[s : s+4]
+			a0, a1 := q[0]+q[1], q[0]-q[1]
+			a2, a3 := q[2]+q[3], q[2]-q[3]
+			t := w * a3
+			q[0], q[2], q[1], q[3] = a0+a2, a0-a2, a1+t, a1-t
+		}
+		h = 4
+	}
+	for ; 4*h < n; h <<= 2 {
+		wa, wb, wc := tw[h-1:2*h-1], tw[2*h-1:3*h-1], tw[3*h-1:4*h-1]
+		for s := 0; s < n; s += 4 * h {
+			twoStages(x[s:s+h], x[s+h:s+2*h], x[s+2*h:s+3*h], x[s+3*h:s+4*h], wa, wb, wc)
+		}
+	}
+	for ; h < n; h <<= 1 {
+		w := tw[h-1 : 2*h-1]
+		if 2*h == n && keep <= h {
+			lo, hi := x[:keep], x[h:h+keep]
+			w = w[:len(lo)]
+			for j := range lo {
+				lo[j] += w[j] * hi[j]
+			}
+			return
+		}
+		for s := 0; s < n; s += 2 * h {
+			lo, hi := x[s:s+h], x[s+h:s+2*h]
+			hi, w := hi[:len(lo)], w[:len(lo)]
+			for j := range lo {
+				t := w[j] * hi[j]
+				hi[j] = lo[j] - t
+				lo[j] += t
 			}
 		}
-		twBase += h
 	}
 }
 
-// fftPlan2D is a row-column 2D FFT over an ny×nx row-major complex grid
-// (both dimensions powers of two).
-type fftPlan2D struct {
-	nx, ny int
-	px, py *fftPlan
+// twoStages applies stages h and 2h to one block of 4h entries, given as
+// its quarters x0..x3 (each h long): stage h pairs x0/x1 and x2/x3 with
+// twiddles wa, stage 2h pairs x0/x2 with wb and x1/x3 with wc. Per entry
+// these are the operations of the two stages run one after the other.
+func twoStages(x0, x1, x2, x3, wa, wb, wc []complex128) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	wa, wb, wc = wa[:len(x0)], wb[:len(x0)], wc[:len(x0)]
+	for j := range x0 {
+		a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
+		t := wa[j] * a1
+		a0, a1 = a0+t, a0-t
+		t = wa[j] * a3
+		a2, a3 = a2+t, a2-t
+		t = wb[j] * a2
+		x0[j], x2[j] = a0+t, a0-t
+		t = wc[j] * a3
+		x1[j], x3[j] = a1+t, a1-t
+	}
 }
 
-func newFFTPlan2D(nx, ny int) *fftPlan2D {
-	p := &fftPlan2D{nx: nx, ny: ny, px: newFFTPlan(nx)}
-	if ny == nx {
-		p.py = p.px
+// columns runs the same transform down the first cols columns of a grid of
+// n rows with row stride stride, keeping output rows [0, keep). It is
+// row-blocked: each butterfly combines contiguous row segments, so the
+// pass streams through memory instead of striding by a row per access.
+//
+//pdn:hot
+func (p *fftPlan) columns(data []complex128, stride, cols, keep int, tw []complex128) {
+	n := p.n
+	row := func(r int) []complex128 { return data[r*stride : r*stride+cols] }
+	for i, r := range p.rev {
+		if j := int(r); i < j {
+			swapRows(row(i), row(j))
+		}
+	}
+	h := 1
+	if n >= 8 {
+		for s := 0; s < n; s += 4 {
+			twoStageRows1(row(s), row(s+1), row(s+2), row(s+3), tw[2])
+		}
+		h = 4
+	}
+	for ; 4*h < n; h <<= 2 {
+		for s := 0; s < n; s += 4 * h {
+			for j := 0; j < h; j++ {
+				r := s + j
+				twoStageRows(row(r), row(r+h), row(r+2*h), row(r+3*h), tw[h-1+j], tw[2*h-1+j], tw[3*h-1+j])
+			}
+		}
+	}
+	for ; h < n; h <<= 1 {
+		if 2*h == n && keep <= h {
+			for j := 0; j < keep; j++ {
+				accumulate(row(j), row(j+h), tw[h-1+j])
+			}
+			return
+		}
+		for s := 0; s < n; s += 2 * h {
+			for j := 0; j < h; j++ {
+				butterfly(row(s+j), row(s+j+h), tw[h-1+j])
+			}
+		}
+	}
+}
+
+// The row-segment kernels of the column pass apply one butterfly, or two
+// stages' worth, with the same twiddles to every column of the segments.
+// accumulate is the low half of a butterfly only; twoStageRows1 is
+// twoStageRows for the first two stages, whose twiddles are 1, 1 and wc.
+// They are small leaf functions so that the loop state stays in registers.
+
+func swapRows(a, b []complex128) {
+	b = b[:len(a)]
+	for c := range a {
+		a[c], b[c] = b[c], a[c]
+	}
+}
+
+func butterfly(lo, hi []complex128, w complex128) {
+	hi = hi[:len(lo)]
+	for c := range lo {
+		t := w * hi[c]
+		hi[c] = lo[c] - t
+		lo[c] += t
+	}
+}
+
+func accumulate(lo, hi []complex128, w complex128) {
+	hi = hi[:len(lo)]
+	for c := range lo {
+		lo[c] += w * hi[c]
+	}
+}
+
+func twoStageRows(x0, x1, x2, x3 []complex128, wa, wb, wc complex128) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for c := range x0 {
+		a0, a1, a2, a3 := x0[c], x1[c], x2[c], x3[c]
+		t := wa * a1
+		a0, a1 = a0+t, a0-t
+		t = wa * a3
+		a2, a3 = a2+t, a2-t
+		t = wb * a2
+		x0[c], x2[c] = a0+t, a0-t
+		t = wc * a3
+		x1[c], x3[c] = a1+t, a1-t
+	}
+}
+
+func twoStageRows1(x0, x1, x2, x3 []complex128, wc complex128) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for c := range x0 {
+		a0, a1, a2, a3 := x0[c], x1[c], x2[c], x3[c]
+		a0, a1 = a0+a1, a0-a1
+		a2, a3 = a2+a3, a2-a3
+		t := wc * a3
+		x0[c], x2[c] = a0+a2, a0-a2
+		x1[c], x3[c] = a1+t, a1-t
+	}
+}
+
+// fftPlan2D is a row-column 2D FFT over a h×w row-major complex grid (both
+// dimensions powers of two).
+type fftPlan2D struct {
+	w, h     int
+	row, col *fftPlan // 1-D plans along a row (size w) and down a column (size h)
+}
+
+func newFFTPlan2D(w, h int) *fftPlan2D {
+	p := &fftPlan2D{w: w, h: h, row: newFFTPlan(w)}
+	if h == w {
+		p.col = p.row
 	} else {
-		p.py = newFFTPlan(ny)
+		p.col = newFFTPlan(h)
 	}
 	return p
 }
 
-// forward transforms the grid in place (rows then columns).
+// forward transforms the grid in place (rows then columns). Rows at and
+// beyond rows must hold +0; their row transforms are skipped.
 //
 //pdn:hot
-func (p *fftPlan2D) forward(data []complex128) {
-	for r := 0; r < p.ny; r++ {
-		p.px.transform(data, r*p.nx, 1, p.px.tw)
+func (p *fftPlan2D) forward(data []complex128, rows int) {
+	for r := 0; r < rows; r++ {
+		p.row.transform(data[r*p.w:(r+1)*p.w], p.w, p.row.tw)
 	}
-	for c := 0; c < p.nx; c++ {
-		p.py.transform(data, c, p.nx, p.py.tw)
-	}
+	p.col.columns(data, p.w, p.w, p.h, p.col.tw)
 }
 
-// inverse transforms the grid in place without the 1/(nx·ny) scaling — the
-// caller folds it into whatever pointwise factor it applies in between.
+// inverse transforms the grid in place (rows then columns) without the
+// 1/(w·h) scaling — the caller folds it into whatever pointwise factor it
+// applies in between. Only the leading cols×rows block of the result is
+// valid; the rest of the grid is left as scratch.
 //
 //pdn:hot
-func (p *fftPlan2D) inverse(data []complex128) {
-	for r := 0; r < p.ny; r++ {
-		p.px.transform(data, r*p.nx, 1, p.px.itw)
+func (p *fftPlan2D) inverse(data []complex128, cols, rows int) {
+	for r := 0; r < p.h; r++ {
+		p.row.transform(data[r*p.w:(r+1)*p.w], cols, p.row.itw)
 	}
-	for c := 0; c < p.nx; c++ {
-		p.py.transform(data, c, p.nx, p.py.itw)
-	}
+	p.col.columns(data, p.w, cols, rows, p.col.itw)
 }
 
 // nextPow2 returns the smallest power of two ≥ n (and ≥ 1).

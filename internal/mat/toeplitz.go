@@ -1,5 +1,5 @@
 // Block-Toeplitz operators: the structure-preserving product behind the
-// superlinear solve path (ROADMAP item 1). On a uniform grid the BEM kernel
+// superlinear solve path (DESIGN.md §5l). On a uniform grid the BEM kernel
 // integrals depend only on the integer grid offset between two elements, so
 // the cells×cells potential matrix P (and each same-direction block of the
 // partial-inductance matrix L) is a two-level symmetric Toeplitz matrix,
@@ -52,7 +52,8 @@ type ToeplitzOp struct {
 // NewToeplitzOp builds the operator for the given bounding grid dims, the
 // ny×nx kernel table t (t[dy·nx+dx] is the entry for grid offset (dx,dy)),
 // and the grid coordinates of each unknown. Coordinates must lie in
-// [0,nx)×[0,ny); unknowns are addressed in the order given.
+// [0,nx)×[0,ny) and be distinct (two unknowns on one grid point would share
+// a scatter slot); unknowns are addressed in the order given.
 func NewToeplitzOp(nx, ny int, table []float64, coords [][2]int) (*ToeplitzOp, error) {
 	if nx <= 0 || ny <= 0 || len(table) != nx*ny {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Toeplitz kernel table is %d entries, want %d×%d", len(table), nx, ny)
@@ -64,12 +65,18 @@ func NewToeplitzOp(nx, ny int, table []float64, coords [][2]int) (*ToeplitzOp, e
 	op.px = nextPow2(2*nx - 1)
 	op.py = nextPow2(2*ny - 1)
 	op.scatter = make([]int, len(coords))
+	owner := make([]int32, op.px*op.py) // 1 + the unknown scattered to each padded-grid cell
 	for i, c := range coords {
 		ix, iy := c[0], c[1]
 		if ix < 0 || ix >= nx || iy < 0 || iy >= ny {
 			return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Toeplitz unknown %d at grid (%d,%d) outside %d×%d", i, ix, iy, nx, ny)
 		}
-		op.scatter[i] = iy*op.px + ix
+		s := iy*op.px + ix
+		if o := owner[s]; o != 0 {
+			return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Toeplitz unknowns %d and %d share grid (%d,%d)", o-1, i, ix, iy)
+		}
+		owner[s] = int32(i + 1)
+		op.scatter[i] = s
 	}
 	op.plan = newFFTPlan2D(op.px, op.py)
 	op.work = make([]complex128, op.px*op.py)
@@ -93,7 +100,7 @@ func NewToeplitzOp(nx, ny int, table []float64, coords [][2]int) (*ToeplitzOp, e
 			emb[qy*op.px+qx] = complex(table[dy*nx+dx], 0)
 		}
 	}
-	op.plan.forward(emb)
+	op.plan.forward(emb, op.py)
 	scale := 1 / float64(op.px*op.py)
 	op.spec = emb
 	minRe, maxRe := real(op.spec[0]), real(op.spec[0])
@@ -162,21 +169,7 @@ func (op *ToeplitzOp) MulVecTo(dst, x []float64) {
 	if len(dst) != op.n || len(x) != op.n {
 		panic("mat: ToeplitzOp.MulVecTo dimension mismatch")
 	}
-	w := op.work
-	for i := range w {
-		w[i] = 0
-	}
-	for i, s := range op.scatter {
-		w[s] = complex(x[i], 0)
-	}
-	op.plan.forward(w)
-	for i := range w {
-		w[i] *= op.spec[i]
-	}
-	op.plan.inverse(w)
-	for i, s := range op.scatter {
-		dst[i] = real(w[s])
-	}
+	op.convolve(dst, x, op.spec, op.work)
 }
 
 // MulVec returns T·x as a new vector.
@@ -200,18 +193,26 @@ func (op *ToeplitzOp) PrecondTo(dst, r []float64) {
 		}
 		return
 	}
-	w := op.pwork
-	for i := range w {
-		w[i] = 0
-	}
+	op.convolve(dst, r, op.pinv, op.pwork)
+}
+
+// convolve computes dst = gather(IFFT(spec ⊙ FFT(scatter(x)))) in the
+// scratch grid w. Only the first ny rows of the scatter are nonzero and only
+// the leading nx×ny block is gathered, so the 2-D transforms skip the rest
+// (fft.go).
+//
+//pdn:hot
+func (op *ToeplitzOp) convolve(dst, x []float64, spec, w []complex128) {
+	clear(w)
 	for i, s := range op.scatter {
-		w[s] = complex(r[i], 0)
+		w[s] = complex(x[i], 0)
 	}
-	op.plan.forward(w)
+	op.plan.forward(w, op.ny)
+	spec = spec[:len(w)]
 	for i := range w {
-		w[i] *= op.pinv[i]
+		w[i] *= spec[i]
 	}
-	op.plan.inverse(w)
+	op.plan.inverse(w, op.nx, op.ny)
 	for i, s := range op.scatter {
 		dst[i] = real(w[s])
 	}

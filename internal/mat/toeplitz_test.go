@@ -1,10 +1,13 @@
 package mat
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"pdnsim/internal/simerr"
 )
 
 // fftAgainstDFTTol bounds the relative error between the planned FFT and a
@@ -39,7 +42,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		got := append([]complex128(nil), x...)
-		p.transform(got, 0, 1, p.tw)
+		p.transform(got, n, p.tw)
 		want := naiveDFT(x, false)
 		var scale float64
 		for _, w := range want {
@@ -53,13 +56,77 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 			}
 		}
 		// Inverse (unscaled) round-trips to n·x.
-		p.transform(got, 0, 1, p.itw)
+		p.transform(got, n, p.itw)
 		for i := range got {
 			if cmplx.Abs(got[i]-complex(float64(n), 0)*x[i]) > fftAgainstDFTTol*float64(n)*(1+cmplx.Abs(x[i])) {
 				t.Fatalf("n=%d: inverse round-trip[%d]=%v, want %v", n, i, got[i], complex(float64(n), 0)*x[i])
 			}
 		}
 	}
+}
+
+// refTransform is the plain strided radix-2 FFT: every butterfly multiplies
+// by its twiddle (j = 0 included), one stage at a time, and a column is
+// walked one stride at a time. The pruned, row-blocked 2-D transform must
+// reproduce it entry for entry.
+func refTransform(p *fftPlan, data []complex128, off, stride int, tw []complex128) {
+	n := p.n
+	for i := 0; i < n; i++ {
+		j := int(p.rev[i])
+		if i < j {
+			ii, jj := off+i*stride, off+j*stride
+			data[ii], data[jj] = data[jj], data[ii]
+		}
+	}
+	twBase := 0
+	for h := 1; h < n; h <<= 1 {
+		for s := 0; s < n; s += 2 * h {
+			base := off + s*stride
+			for j := 0; j < h; j++ {
+				w := tw[twBase+j]
+				lo := base + j*stride
+				hi := lo + h*stride
+				t := w * data[hi]
+				data[hi] = data[lo] - t
+				data[lo] += t
+			}
+		}
+		twBase += h
+	}
+}
+
+// refTransform2D runs refTransform over every row, then every column, of
+// the full grid: no row, column or stage is skipped.
+func refTransform2D(p *fftPlan2D, data []complex128, inverse bool) {
+	rtw, ctw := p.row.tw, p.col.tw
+	if inverse {
+		rtw, ctw = p.row.itw, p.col.itw
+	}
+	for r := 0; r < p.h; r++ {
+		refTransform(p.row, data, r*p.w, 1, rtw)
+	}
+	for c := 0; c < p.w; c++ {
+		refTransform(p.col, data, c, p.w, ctw)
+	}
+}
+
+// refConvolve is the unpruned reference for MulVecTo (spec = op.spec) and
+// for the circulant branch of PrecondTo (spec = op.pinv).
+func refConvolve(op *ToeplitzOp, x []float64, spec []complex128) []float64 {
+	w := make([]complex128, op.px*op.py)
+	for i, s := range op.scatter {
+		w[s] = complex(x[i], 0)
+	}
+	refTransform2D(op.plan, w, false)
+	for i := range w {
+		w[i] *= spec[i]
+	}
+	refTransform2D(op.plan, w, true)
+	dst := make([]float64, op.n)
+	for i, s := range op.scatter {
+		dst[i] = real(w[s])
+	}
+	return dst
 }
 
 func TestFFTStridedMatchesContiguous(t *testing.T) {
@@ -71,12 +138,12 @@ func TestFFTStridedMatchesContiguous(t *testing.T) {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	cont := append([]complex128(nil), x...)
-	p.transform(cont, 0, 1, p.tw)
+	p.transform(cont, n, p.tw)
 	spread := make([]complex128, n*stride+2)
 	for i := range x {
 		spread[1+i*stride] = x[i]
 	}
-	p.transform(spread, 1, stride, p.tw)
+	refTransform(p, spread, 1, stride, p.tw)
 	for i := range x {
 		if spread[1+i*stride] != cont[i] {
 			t.Fatalf("strided FFT differs at %d: %v vs %v", i, spread[1+i*stride], cont[i])
@@ -257,4 +324,140 @@ func absInt(x int) int {
 		return -x
 	}
 	return x
+}
+
+// selfDominantTable is a 1/r kernel with a dominant self term, like a BEM
+// potential table: its circulant embedding is positive, so the operator
+// carries a circulant preconditioner.
+func selfDominantTable(nx, ny int) []float64 {
+	tb := make([]float64, nx*ny)
+	tb[0] = 6
+	for i := 1; i < len(tb); i++ {
+		tb[i] = 1 / math.Hypot(float64(i%nx), float64(i/nx))
+	}
+	return tb
+}
+
+// subsetCoords keeps the grid points of an nx×ny grid for which keep is
+// true, in raster order.
+func subsetCoords(nx, ny int, keep func(ix, iy int) bool) [][2]int {
+	var coords [][2]int
+	for iy := 0; iy < ny; iy++ {
+		for ix := 0; ix < nx; ix++ {
+			if keep(ix, iy) {
+				coords = append(coords, [2]int{ix, iy})
+			}
+		}
+	}
+	return coords
+}
+
+// TestToeplitzPrunedFFTMatchesReference holds the pruned, row-blocked 2-D
+// FFT to the unpruned strided one: MulVecTo and the circulant branch of
+// PrecondTo must give == results, not merely close ones.
+func TestToeplitzPrunedFFTMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	all := func(ix, iy int) bool { return true }
+	cases := []struct {
+		name   string
+		nx, ny int
+		keep   func(ix, iy int) bool
+	}{
+		{"1x1", 1, 1, all},
+		{"1x9", 1, 9, all},
+		{"9x1", 9, 1, all},
+		{"2x3", 2, 3, all},
+		{"4x8", 4, 8, all},
+		{"32x32", 32, 32, all},
+		{"33x33", 33, 33, all},
+		{"39x35", 39, 35, all},
+		{"L 39x35", 39, 35, func(ix, iy int) bool { return ix < 26 || iy < 23 }},
+		{"holed 21x17", 21, 17, func(ix, iy int) bool { return rng.Float64() < 0.8 || (ix == 0 && iy == 0) }},
+	}
+	for _, c := range cases {
+		coords := subsetCoords(c.nx, c.ny, c.keep)
+		op, err := NewToeplitzOp(c.nx, c.ny, selfDominantTable(c.nx, c.ny), coords)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !op.HasPreconditioner() {
+			t.Fatalf("%s: self-dominant kernel lost its circulant preconditioner", c.name)
+		}
+		x := make([]float64, op.Size())
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		x[0] = 0 // an exact zero in the scatter
+		got := make([]float64, op.Size())
+		for _, apply := range []struct {
+			name string
+			fn   func(dst, x []float64)
+			spec []complex128
+		}{
+			{"MulVecTo", op.MulVecTo, op.spec},
+			{"PrecondTo", op.PrecondTo, op.pinv},
+		} {
+			apply.fn(got, x)
+			want := refConvolve(op, x, apply.spec)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s %s[%d] = %.17g, reference %.17g", c.name, apply.name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestToeplitzPrecondJacobiBranch(t *testing.T) {
+	// The 1/(1+r) kernel's circulant embedding crosses zero on this grid,
+	// so PrecondTo must fall back to diagonal scaling.
+	rng := rand.New(rand.NewSource(47))
+	tb := randomKernelTable(39, 35, rng)
+	op, err := NewToeplitzOp(39, 35, tb, fullGridCoords(39, 35))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.HasPreconditioner() {
+		t.Fatal("expected an unusable circulant for the 1/(1+r) kernel on 39×35")
+	}
+	r := make([]float64, op.Size())
+	for i := range r {
+		r[i] = rng.NormFloat64()
+	}
+	got := make([]float64, op.Size())
+	op.PrecondTo(got, r)
+	d := 1 / tb[0]
+	for i := range r {
+		if got[i] != d*r[i] {
+			t.Fatalf("Jacobi PrecondTo[%d] = %g, want %g", i, got[i], d*r[i])
+		}
+	}
+}
+
+func TestToeplitzAppliesDoNotAllocate(t *testing.T) {
+	op, err := NewToeplitzOp(39, 35, selfDominantTable(39, 35), fullGridCoords(39, 35))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, op.Size())
+	for i := range x {
+		x[i] = math.Sin(float64(i))
+	}
+	dst := make([]float64, op.Size())
+	if a := testing.AllocsPerRun(5, func() { op.MulVecTo(dst, x) }); a != 0 {
+		t.Fatalf("MulVecTo allocates %v times per call", a)
+	}
+	if a := testing.AllocsPerRun(5, func() { op.PrecondTo(dst, x) }); a != 0 {
+		t.Fatalf("PrecondTo allocates %v times per call", a)
+	}
+}
+
+func TestToeplitzRejectsRepeatedCoordinates(t *testing.T) {
+	// Two unknowns on one grid point would share a scatter slot: the FFT
+	// product silently disagreed with Dense() ([14 11 14] vs [18 12 18] for
+	// x = {1, 2, 3}) before the constructor rejected them.
+	_, err := NewToeplitzOp(2, 2, []float64{4, 1, 1, 0.5}, [][2]int{{0, 0}, {1, 0}, {0, 0}})
+	if !errors.Is(err, simerr.ErrBadInput) {
+		t.Fatalf("repeated coordinate: err = %v, want ErrBadInput", err)
+	}
 }
