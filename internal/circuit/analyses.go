@@ -185,9 +185,10 @@ type TranOptions struct {
 	// snapshot must come from an identical run configuration (same circuit,
 	// dt, tstop, method, UIC) — any mismatch is a simerr.ErrBadInput-class
 	// error. Because the snapshot carries every value the stepping loop
-	// depends on and JSON round-trips float64 exactly, a resumed run
-	// reproduces the uninterrupted run bit-for-bit (checkpoint.ResumeRelTol
-	// documents the guaranteed bound).
+	// depends on — including the nonlinear devices' limiter state (diode
+	// vPrev, MOSFET vgsPrev/vdsPrev) — and JSON round-trips float64 exactly,
+	// a resumed run reproduces the uninterrupted run bit-for-bit
+	// (checkpoint.ResumeRelTol documents the guaranteed bound).
 	ResumeFrom string
 }
 
@@ -313,8 +314,6 @@ func (c *Circuit) Tran(opts TranOptions) (*Result, error) {
 		record(0, x)
 	}
 
-	s.lu = nil // force matrix assembly with transient companions
-
 	// Checkpointing only ever serialises a copy of the state at the last
 	// *recorded* uniform step: the live x/companion slices are mutated in
 	// place, and an abandoned step can leave them mid-halving, off the grid.
@@ -435,6 +434,16 @@ func tranDiagnostics(stats SolveStats) *diag.Diagnostics {
 			"condition estimate %.3g; per-step residuals are being tracked", c)
 	} else if c > 0 {
 		d.Infof("circuit", "MNA κ₁ estimate", c, diag.CondWarn, "condition estimate %.3g", c)
+	}
+	if n := stats.LowRankSolves + stats.FullSolves; n > 0 {
+		d.Infof("circuit", "Newton solve path", float64(stats.LowRankSolves), float64(n),
+			"%d of %d Newton iterations solved as a rank-k correction of the cached device-free factor (largest k %d), %d by full factorisation",
+			stats.LowRankSolves, n, stats.MaxRank, stats.FullSolves)
+	}
+	if fb := stats.FallbackSingular + stats.FallbackCond + stats.FallbackResidual; fb > 0 {
+		d.Warnf("circuit", "Newton low-rank fallback", float64(fb), 0, true,
+			"%d steps fell back to the full factorisation (%d singular, %d capacitance κ₁ past %.0e, %d residual past %.0e)",
+			fb, stats.FallbackSingular, stats.FallbackCond, lowRankCondMax, stats.FallbackResidual, stepRefineThreshold)
 	}
 	if r := stats.WorstStepResidual; r > stepResidualWarn {
 		d.Warnf("circuit", "step residual", r, stepResidualWarn, stats.RefinedSteps > 0,

@@ -22,10 +22,12 @@ type tranMTLState struct {
 
 // tranSnapshot is the complete resumable state of a transient run after an
 // accepted uniform step: the MNA solution vector, the companion-model state,
-// the line histories, the solver statistics, and every recorded output
-// sample. Restoring it reproduces the uninterrupted run's arithmetic exactly
-// — JSON round-trips float64 losslessly and no other state feeds the
-// stepping loop.
+// the line histories, the devices' limiter state (the last voltages
+// pnjlim/fetlim limited against, diode vPrev and MOSFET vgsPrev/vdsPrev),
+// the solver statistics, and every recorded output sample. Restoring it
+// reproduces the uninterrupted run's arithmetic exactly — JSON round-trips
+// float64 losslessly and no other state feeds the stepping loop (the MNA
+// factor cache is rebuilt from its key, a pure function of the options).
 type tranSnapshot struct {
 	Dt       float64 `json:"dt"`
 	Tstop    float64 `json:"tstop"`
@@ -39,7 +41,10 @@ type tranSnapshot struct {
 	CapCurr []float64      `json:"cap_curr"`
 	IndVolt []float64      `json:"ind_volt"`
 	MTL     []tranMTLState `json:"mtl,omitempty"`
-	Stats   SolveStats     `json:"stats"`
+	// Limiters holds one entry per device in circuit order: its limiter
+	// state, or null for a device without one.
+	Limiters [][]float64 `json:"limiters,omitempty"`
+	Stats    SolveStats  `json:"stats"`
 
 	Time []float64            `json:"time"`
 	V    [][]float64          `json:"v"`
@@ -52,16 +57,18 @@ type tranSnapshot struct {
 // uniform grid, when a step is abandoned), so checkpointing copies them at
 // each accepted step and snapshots only ever serialise a copy.
 type tranState struct {
-	step    int
-	x       []float64
-	capCurr []float64
-	indVolt []float64
-	mtl     []tranMTLState
+	step     int
+	x        []float64
+	capCurr  []float64
+	indVolt  []float64
+	mtl      []tranMTLState
+	limiters [][]float64
 }
 
 // captureTranState copies the resumable state after accepted step n. MTL
 // wave histories are append-only, so capturing their slice headers (and
-// copying the small DC vectors) is stable against later growth.
+// copying the small DC vectors) is stable against later growth. Device
+// limiter state is copied as the step's last Newton iteration left it.
 func captureTranState(c *Circuit, n int, x, capCurr, indVolt []float64) *tranState {
 	st := &tranState{
 		step:    n,
@@ -76,6 +83,14 @@ func captureTranState(c *Circuit, n int, x, capCurr, indVolt []float64) *tranSta
 			DcW1: append([]float64(nil), tl.dcW1...),
 			DcW2: append([]float64(nil), tl.dcW2...),
 		})
+	}
+	if len(c.devices) > 0 {
+		st.limiters = make([][]float64, len(c.devices))
+		for i, d := range c.devices {
+			if l, ok := d.(limiter); ok {
+				st.limiters[i] = l.limiterState()
+			}
+		}
 	}
 	return st
 }
@@ -95,6 +110,7 @@ func saveTranSnapshot(path string, opts TranOptions, s *solver, st *tranState, r
 		CapCurr:  st.capCurr,
 		IndVolt:  st.indVolt,
 		MTL:      st.mtl,
+		Limiters: st.limiters,
 		Stats:    s.stats,
 		Time:     res.Time[:st.step+1],
 		V:        res.v[:st.step+1],
@@ -146,6 +162,18 @@ func restoreTranSnapshot(path string, opts TranOptions, s *solver) (*tranSnapsho
 			return nil, bad("line %s history has wrong mode count", tl.Name())
 		}
 	}
+	if len(snap.Limiters) != len(c.devices) {
+		return nil, bad("snapshot has limiter state for %d devices, circuit has %d devices", len(snap.Limiters), len(c.devices))
+	}
+	for i, d := range c.devices {
+		want := 0
+		if l, ok := d.(limiter); ok {
+			want = len(l.limiterState())
+		}
+		if len(snap.Limiters[i]) != want {
+			return nil, bad("device %s limiter state has %d values, want %d", d.Name(), len(snap.Limiters[i]), want)
+		}
+	}
 	nSteps := int(math.Round(opts.Tstop / opts.Dt))
 	if snap.Step < 0 || snap.Step > nSteps {
 		return nil, bad("snapshot step %d outside the run's %d steps", snap.Step, nSteps)
@@ -166,8 +194,8 @@ func restoreTranSnapshot(path string, opts TranOptions, s *solver) (*tranSnapsho
 }
 
 // applyTranSnapshot installs the validated snapshot into the solver, the
-// circuit's line histories, and the result records, returning the restored
-// node vector and the step to continue from.
+// circuit's line histories and device limiters, and the result records,
+// returning the restored node vector and the step to continue from.
 func applyTranSnapshot(snap *tranSnapshot, s *solver, capCurr, indVolt []float64, res *Result) (x []float64, startStep int) {
 	copy(capCurr, snap.CapCurr)
 	copy(indVolt, snap.IndVolt)
@@ -176,6 +204,11 @@ func applyTranSnapshot(snap *tranSnapshot, s *solver, capCurr, indVolt []float64
 		tl.w1, tl.w2 = m.W1, m.W2
 		tl.dcW1 = append([]float64(nil), m.DcW1...)
 		tl.dcW2 = append([]float64(nil), m.DcW2...)
+	}
+	for i, d := range s.c.devices {
+		if l, ok := d.(limiter); ok {
+			l.setLimiterState(snap.Limiters[i])
+		}
 	}
 	s.stats = snap.Stats
 	res.Time = snap.Time

@@ -120,6 +120,100 @@ func TestTranKillAndResumeMatchesGolden(t *testing.T) {
 	}
 }
 
+// cmosRailCircuit is a CMOS inverter behind a 2 nH package inductance with
+// a 20 pF rail capacitor and a 0.5 pF load, driven by vin: every edge
+// drives the pnjlim/fetlim limiters, so their state feeds the iterates.
+func cmosRailCircuit(t testing.TB, vin Waveform) (*Circuit, int) {
+	t.Helper()
+	c := New()
+	vdd := c.Node("vdd")
+	rail := c.Node("rail")
+	in := c.Node("in")
+	out := c.Node("out")
+	if _, err := c.AddVSource("VDD", vdd, Ground, DC(3.3)); err != nil {
+		t.Fatal(err)
+	}
+	mustL(t, c, "Lpkg", vdd, rail, 2e-9)
+	mustC(t, c, "Crail", rail, Ground, 20e-12)
+	if _, err := c.AddVSource("VIN", in, Ground, vin); err != nil {
+		t.Fatal(err)
+	}
+	cmosInverter(t, c, in, out, rail, 4e-3, 4e-3)
+	mustC(t, c, "CL", out, Ground, 0.5e-12)
+	return c, out
+}
+
+// TestNonlinearTranResumeIsBitwise: a nonlinear run cancelled mid-flight
+// and resumed reproduces the uninterrupted run bit for bit. That needs the
+// devices' limiter state in the snapshot, and the Newton low-rank columns
+// to be a pure function of the factor key rather than of when they were
+// first solved.
+func TestNonlinearTranResumeIsBitwise(t *testing.T) {
+	pulse := Pulse{V1: 0, V2: 3.3, Delay: 1e-9, Rise: 0.2e-9, Fall: 0.2e-9, Width: 3e-9}
+	opts := TranOptions{Dt: 20e-12, Tstop: 7e-9, Method: Trapezoidal}
+
+	cg, _ := cmosRailCircuit(t, pulse)
+	golden, err := cg.Tran(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ck := filepath.Join(t.TempDir(), "cmos.ckpt")
+	ci, _ := cmosRailCircuit(t, &cancelAtWave{inner: pulse, tCancel: 1.1e-9, cancel: cancel})
+	iopts := opts
+	iopts.Ctx = ctx
+	iopts.Checkpoint = checkpoint.Policy{Path: ck, Every: 1}
+	if _, err := ci.Tran(iopts); !errors.Is(err, simerr.ErrCancelled) {
+		t.Fatalf("interrupted run must surface ErrCancelled, got %v", err)
+	}
+
+	cr, _ := cmosRailCircuit(t, pulse)
+	ropts := opts
+	ropts.ResumeFrom = ck
+	resumed, err := cr.Tran(ropts)
+	if err != nil {
+		t.Fatalf("resume failed: %v", err)
+	}
+	for node := 1; node < cg.NumNodes(); node++ {
+		want, got := golden.V(node), resumed.V(node)
+		if len(got) != len(want) {
+			t.Fatalf("V(%s): %d samples, want %d", cg.NodeName(node), len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("V(%s) sample %d: resumed %v, uninterrupted %v", cg.NodeName(node), i, got[i], want[i])
+			}
+		}
+	}
+	if resumed.Stats != golden.Stats {
+		t.Fatalf("resumed stats %+v, uninterrupted %+v", resumed.Stats, golden.Stats)
+	}
+}
+
+// TestTranResumeRejectsLimiterMismatch: a snapshot whose limiter state does
+// not fit the circuit's devices is ErrBadInput.
+func TestTranResumeRejectsLimiterMismatch(t *testing.T) {
+	pulse := Pulse{V1: 0, V2: 3.3, Delay: 1e-9, Rise: 0.2e-9, Fall: 0.2e-9, Width: 3e-9}
+	ck := filepath.Join(t.TempDir(), "cmos.ckpt")
+	c1, _ := cmosRailCircuit(t, pulse)
+	opts := TranOptions{Dt: 20e-12, Tstop: 1e-9, Method: Trapezoidal}
+	wopts := opts
+	wopts.Checkpoint = checkpoint.Policy{Path: ck, Every: 10}
+	if _, err := c1.Tran(wopts); err != nil {
+		t.Fatal(err)
+	}
+	// The same node and branch set, with one device fewer.
+	c2, _ := cmosRailCircuit(t, pulse)
+	c2.devices = c2.devices[:1]
+	ropts := opts
+	ropts.ResumeFrom = ck
+	if _, err := c2.Tran(ropts); !errors.Is(err, simerr.ErrBadInput) {
+		t.Fatalf("device-count mismatch must be ErrBadInput, got %v", err)
+	}
+}
+
 // TestTranMTLKillAndResume repeats the kill-and-resume contract on a
 // transmission-line circuit: the Bergeron wave histories are part of the
 // snapshot and a resume must replay reflections identically.

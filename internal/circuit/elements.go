@@ -137,9 +137,14 @@ type Device interface {
 // time-varying devices (e.g. ramped IBIS-style drivers) scale their output.
 type Stamper struct {
 	n   int
-	a   []float64 // n×n row-major; nil during RHS-only loads
+	a   []float64 // n×n row-major
 	rhs []float64
-	T   float64
+	// rows lists, in first-write order, the matrix rows the conductance
+	// stamps wrote, and seen marks them: the row set R of the Newton
+	// low-rank correction. A nil seen records nothing.
+	rows []int
+	seen []bool
+	T    float64
 	// Dt is the integration step of the solve being assembled (0 for DC).
 	// Devices with internal dynamics — or fault-injection test doubles that
 	// model stiffness — may read it to scale their companion models.
@@ -149,19 +154,28 @@ type Stamper struct {
 	Gmin float64
 }
 
+// add adds v to a[r][c] and records row r.
+func (s *Stamper) add(r, c int, v float64) {
+	if s.seen != nil && !s.seen[r] {
+		s.seen[r] = true
+		s.rows = append(s.rows, r)
+	}
+	s.a[r*s.n+c] += v
+}
+
 // StampConductance adds g between nodes a and b (node indices as in
 // Circuit; Ground is handled).
 func (s *Stamper) StampConductance(a, b int, g float64) {
 	i, j := a-1, b-1
 	if i >= 0 {
-		s.a[i*s.n+i] += g
+		s.add(i, i, g)
 	}
 	if j >= 0 {
-		s.a[j*s.n+j] += g
+		s.add(j, j, g)
 	}
 	if i >= 0 && j >= 0 {
-		s.a[i*s.n+j] -= g
-		s.a[j*s.n+i] -= g
+		s.add(i, j, -g)
+		s.add(j, i, -g)
 	}
 }
 
@@ -180,7 +194,7 @@ func (s *Stamper) StampTransconductance(a, b, cp, cn int, g float64) {
 			if cols[c] < 0 {
 				continue
 			}
-			s.a[rows[r]*s.n+cols[c]] += signs[r] * csign[c] * g
+			s.add(rows[r], cols[c], signs[r]*csign[c]*g)
 		}
 	}
 }

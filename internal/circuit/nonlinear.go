@@ -17,6 +17,16 @@ const (
 	devRelTol = 1e-4
 )
 
+// limiter is implemented by devices whose Load keeps step-limiting memory
+// (pnjlim/fetlim) from one linearisation to the next, across Newton
+// iterations and time steps. The memory steers every later iterate, so
+// transient checkpoints carry it: a resumed run limits exactly as the
+// uninterrupted one did.
+type limiter interface {
+	limiterState() []float64
+	setLimiterState(v []float64) // v has limiterState's length
+}
+
 // Diode is an ideal-exponential junction diode.
 type Diode struct {
 	name string
@@ -68,6 +78,9 @@ func (d *Diode) Converged(x []float64) bool {
 	v := NodeVoltage(x, d.A) - NodeVoltage(x, d.K)
 	return math.Abs(v-d.vPrev) <= devAbsTol+devRelTol*math.Abs(v)
 }
+
+func (d *Diode) limiterState() []float64     { return []float64{d.vPrev} }
+func (d *Diode) setLimiterState(v []float64) { d.vPrev = v[0] }
 
 func (d *Diode) vcrit() float64 {
 	nvt := d.N * thermalV
@@ -182,6 +195,9 @@ func (m *MOSFET) Converged(x []float64) bool {
 	return math.Abs(vgs-m.vgsPrev) <= devAbsTol+devRelTol*math.Abs(vgs) &&
 		math.Abs(vds-m.vdsPrev) <= devAbsTol+devRelTol*math.Abs(vds)
 }
+
+func (m *MOSFET) limiterState() []float64     { return []float64{m.vgsPrev, m.vdsPrev} }
+func (m *MOSFET) setLimiterState(v []float64) { m.vgsPrev, m.vdsPrev = v[0], v[1] }
 
 // fetlim limits the per-iteration change of a FET control voltage.
 func fetlim(vnew, vold float64) float64 {

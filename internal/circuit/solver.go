@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"pdnsim/internal/diag"
 	"pdnsim/internal/mat"
 	"pdnsim/internal/simerr"
 )
@@ -56,6 +57,17 @@ type SolveStats struct {
 	WorstStepResidual float64 // worst per-step relative residual (after refinement)
 	RefinedSteps      int     // steps that took a refinement correction
 	CondEstimate      float64 // worst κ₁ estimate across MNA factorisations
+
+	// Newton solve path (DESIGN.md §5m): a transient Newton iteration is
+	// solved as a rank-k correction of the cached device-free factor; the
+	// DC operating point, corrections with 2k > n and fallbacks take a full
+	// factorisation. A fallback finishes its step on the full path.
+	LowRankSolves    int // Newton iterations solved as a low-rank correction
+	FullSolves       int // Newton iterations solved by a full factorisation
+	MaxRank          int // largest correction rank k (MNA rows the devices touch)
+	FallbackSingular int // steps whose device-free or capacitance matrix was singular
+	FallbackCond     int // steps whose capacitance matrix κ₁ passed lowRankCondMax
+	FallbackResidual int // steps whose low-rank solution failed the acceptance residual
 }
 
 // solver holds the sized MNA system for one circuit.
@@ -64,19 +76,49 @@ type solver struct {
 	nv  int // node unknowns (nodes minus ground)
 	dim int // nv + branch unknowns
 
-	// Cached factorisation of the linear system matrix; invalidated when
-	// switch states change. luA is the assembled matrix behind lu, kept for
-	// per-step residual evaluation and refinement, and luNormA its ∞-norm so
-	// the per-step residual does not recompute an O(n²) norm every step.
-	lu        *mat.LU
-	luA       *mat.Matrix
-	luNormA   float64
-	luSwState []bool
+	fac   *mnaFactor // factor cache shared by the linear and Newton steps
+	swNow []bool     // switch states at the time being solved
 
-	dt     float64
-	method Method
+	// Newton buffers, allocated on first use and reused by every
+	// iteration: work is the full assembled matrix of a full solve, delta
+	// the device stamps of a low-rank one (non-zero only in the rows stp
+	// recorded), rhs the iteration's right-hand side, workLU and capLU the
+	// full and k×k factors, capBuf the capacitance system's storage.
+	work, delta *mat.Matrix
+	rhs         []float64
+	stp         Stamper
+	workLU      mat.LU
+	capLU       mat.LU
+	capBuf      []float64
 
 	stats SolveStats
+}
+
+// mnaFactor is the factor cache of the transient steps: the device-free MNA
+// matrix A0 of one key, its LU factor, per-row ∞-norm sums and the columns
+// of the Newton low-rank correction. The key is everything assembleMatrix
+// reads: step size, method, Gmin-stepping conductance and switch states.
+type mnaFactor struct {
+	dt        float64
+	method    Method
+	extraGmin float64
+	swState   []bool
+
+	a      *mat.Matrix // A0
+	lu     *mat.LU     // nil when A0 would not factor; err says why
+	err    error
+	rowAbs []float64 // Σ_j |A0_ij| per row i
+	normA  float64   // ‖A0‖∞, the largest rowAbs
+	// w[r] = A0⁻¹·e_r, solved the first time a device touches row r under
+	// this key. Each column is a pure function of the key, so when it is
+	// computed changes no result: a resumed run stays bitwise.
+	w [][]float64
+}
+
+// matches reports whether f was built for st's key at switch states sw.
+func (f *mnaFactor) matches(st assembleState, sw []bool) bool {
+	//pdnlint:ignore floateq cache-key identity test: a bitwise-different dt or Gmin must invalidate the cached factorisation, tolerance would reuse a stale matrix
+	return f.dt == st.dt && f.extraGmin == st.extraGmin && f.method == st.method && equalBools(sw, f.swState)
 }
 
 // unknownName maps an MNA unknown index to a readable name: node unknowns
@@ -396,35 +438,78 @@ func (s *solver) stampMTLRHS(rhs []float64, tl *MTL, st assembleState) {
 // factorisation before accepting the solution. Four decades above the
 // refinement stopping target mat.RefineTarget (and two below
 // stepResidualWarn), so refinement kicks in well before a step is flagged
-// as degraded.
+// as degraded. It is also the acceptance gate of a Newton low-rank solve.
 const stepRefineThreshold = 1e4 * mat.RefineTarget
 
-// solveLinearStep solves one time point of a linear circuit, reusing the LU
-// factorisation while switch states are unchanged. Every solve measures its
-// relative residual; a residual above stepRefineThreshold triggers one
-// refinement pass, and the worst accepted residual is tracked in the stats.
-func (s *solver) solveLinearStep(st assembleState) ([]float64, error) {
-	states := make([]bool, len(s.c.switches))
-	for i, sw := range s.c.switches {
-		states[i] = sw.Ctrl(st.t)
-	}
-	if s.lu == nil || !equalBools(states, s.luSwState) ||
-		st.dt != s.dt || st.method != s.method { //pdnlint:ignore floateq cache-key identity test: a bitwise-different dt must invalidate the cached LU factorisation, tolerance would reuse a stale matrix
+// lowRankCondMax bounds the κ₁ estimate of the k×k capacitance matrix
+// S = I_k + Δ_R·W of a Newton low-rank solve at the level diag flags a
+// factorisation as losing digits: past it S⁻¹ amplifies roundoff enough
+// that the step finishes on the full solve instead of betting on the
+// residual gate. Healthy co-simulation corrections sit near κ₁ = 10².
+const lowRankCondMax = diag.CondWarn
 
-		a := s.assembleMatrix(st)
-		lu, err := mat.NewLU(a)
-		if err != nil {
-			return nil, s.singular("circuit: MNA matrix", err)
+// factorFor returns the cached factorisation of the device-free MNA matrix
+// for st's key, assembling and factoring it when the key changed. A
+// non-finite assembly is an ErrNaN-class error; a matrix that will not
+// factor is cached with lu nil and the singular error in err.
+func (s *solver) factorFor(st assembleState) (*mnaFactor, error) {
+	if s.swNow == nil {
+		s.swNow = make([]bool, len(s.c.switches))
+	}
+	for i, sw := range s.c.switches {
+		s.swNow[i] = sw.Ctrl(st.t)
+	}
+	if s.fac != nil && s.fac.matches(st, s.swNow) {
+		return s.fac, nil
+	}
+	a := s.assembleMatrix(st)
+	if !allFinite(a.Data) {
+		return nil, &simerr.NaNError{Op: "circuit: MNA assembly", Time: st.t, Index: -1}
+	}
+	f, err := newMNAFactor(a)
+	f.dt, f.method, f.extraGmin = st.dt, st.method, st.extraGmin
+	f.swState = append([]bool(nil), s.swNow...)
+	if err != nil {
+		f.err = s.singular("circuit: MNA matrix", err)
+	} else if cond := f.lu.Cond1Est(); cond > s.stats.CondEstimate {
+		s.stats.CondEstimate = cond
+	}
+	s.fac = f
+	return f, nil
+}
+
+// newMNAFactor factors a device-free MNA matrix and sums its rows. On a
+// factorisation error the factor comes back with lu nil.
+func newMNAFactor(a *mat.Matrix) (*mnaFactor, error) {
+	n := a.Rows
+	f := &mnaFactor{a: a, rowAbs: make([]float64, n), w: make([][]float64, n)}
+	for i := range f.rowAbs {
+		var sum float64
+		for _, v := range a.Data[i*n : (i+1)*n] {
+			sum += math.Abs(v)
 		}
-		s.lu = lu
-		s.luA = a
-		s.luNormA = mat.NormInf(a)
-		s.luSwState = states
-		s.dt = st.dt
-		s.method = st.method
-		if cond := lu.Cond1Est(); cond > s.stats.CondEstimate {
-			s.stats.CondEstimate = cond
-		}
+		f.rowAbs[i] = sum
+		f.normA = math.Max(f.normA, sum)
+	}
+	lu, err := mat.NewLU(a)
+	if err != nil {
+		return f, err
+	}
+	f.lu = lu
+	return f, nil
+}
+
+// solveLinearStep solves one time point of a linear circuit through the
+// cached factorisation. Every solve measures its relative residual; a
+// residual above stepRefineThreshold triggers one refinement pass, and the
+// worst accepted residual is tracked in the stats.
+func (s *solver) solveLinearStep(st assembleState) ([]float64, error) {
+	f, err := s.factorFor(st)
+	if err != nil {
+		return nil, err
+	}
+	if f.lu == nil {
+		return nil, f.err
 	}
 	rhs := s.assembleRHS(st)
 	// Classify a non-finite RHS (a NaN source value, corrupted history) as
@@ -433,21 +518,21 @@ func (s *solver) solveLinearStep(st assembleState) ([]float64, error) {
 	if err := simerr.CheckFinite("circuit: transient assembly", st.t, rhs, s.unknownName); err != nil {
 		return nil, err
 	}
-	x, err := s.lu.Solve(rhs)
+	x, err := f.lu.Solve(rhs)
 	if err != nil {
 		return nil, err
 	}
 	// Per-step residual via the fast uncompensated kernel: its ~n·eps accuracy
 	// sits orders of magnitude below stepRefineThreshold, and it avoids both
 	// the compensated arithmetic and the O(n²) norm recomputation per step.
-	res, relres := mat.ResidualVecN(s.luA, x, rhs, s.luNormA)
+	res, relres := mat.ResidualVecN(f.a, x, rhs, f.normA)
 	if relres > stepRefineThreshold {
-		if dx, derr := s.lu.Solve(res); derr == nil {
+		if dx, derr := f.lu.Solve(res); derr == nil {
 			xn := make([]float64, len(x))
 			for i := range x {
 				xn[i] = x[i] + dx[i]
 			}
-			if _, rn := mat.ResidualVecN(s.luA, xn, rhs, s.luNormA); rn < relres {
+			if _, rn := mat.ResidualVecN(f.a, xn, rhs, f.normA); rn < relres {
 				x, relres = xn, rn
 				s.stats.RefinedSteps++
 			}
@@ -462,6 +547,13 @@ func (s *solver) solveLinearStep(st assembleState) ([]float64, error) {
 // solveNewtonStep solves one (DC or transient) time point with Newton
 // iterations over the nonlinear devices. x0 is the initial guess.
 //
+// A transient iteration solves (A0 + Δ)·x = b, Δ the device stamps, as a
+// rank-k correction of the cached factor of A0 (solveLowRank), and accepts
+// the converged solution only if its residual against the full assembled
+// matrix passes stepRefineThreshold. The DC operating point (its A0 leaves
+// capacitively floating nodes on gshunt alone), corrections with 2k > n and
+// the rest of a step after a fallback solve by a full factorisation.
+//
 // A non-finite iterate is classified by its cause: if the assembled system
 // itself carries NaN/Inf (a non-finite source value, a corrupted element)
 // the step fails immediately with simerr.ErrNaN — no retry can fix bad
@@ -469,27 +561,48 @@ func (s *solver) solveLinearStep(st assembleState) ([]float64, error) {
 // divergence and surfaces as simerr.ErrNonConvergence, which the adaptive
 // transient loop answers with timestep halving.
 func (s *solver) solveNewtonStep(st assembleState, x0 []float64) ([]float64, error) {
-	x := append([]float64{}, x0...)
-	base := s.assembleMatrix(st)
 	rhs0 := s.assembleRHS(st)
-	inputsFinite := allFinite(base.Data) && allFinite(rhs0)
-	if !inputsFinite {
-		if err := simerr.CheckFinite("circuit: Newton assembly", st.t, rhs0, s.unknownName); err != nil {
+	if err := simerr.CheckFinite("circuit: Newton assembly", st.t, rhs0, s.unknownName); err != nil {
+		return nil, err
+	}
+	var f *mnaFactor
+	var dcBase *mat.Matrix
+	if st.dt > 0 {
+		var err error
+		if f, err = s.factorFor(st); err != nil {
 			return nil, err
 		}
+	} else if dcBase = s.assembleMatrix(st); !allFinite(dcBase.Data) {
 		return nil, &simerr.NaNError{Op: "circuit: Newton assembly", Time: st.t, Index: -1}
 	}
+	if s.work == nil {
+		s.work, s.delta = mat.New(s.dim, s.dim), mat.New(s.dim, s.dim)
+		s.rhs = make([]float64, s.dim)
+		s.stp = Stamper{n: s.dim, seen: make([]bool, s.dim)}
+	}
+	// full routes the rest of the step through the full factorisation.
+	full := f == nil
+	if f != nil && f.lu == nil {
+		full = true
+		s.stats.FallbackSingular++
+	}
+	x := append([]float64{}, x0...)
 	worst := math.Inf(1)
 	for iter := 0; iter < maxNewton; iter++ {
-		a := base.Clone()
-		rhs := append([]float64{}, rhs0...)
-		stp := &Stamper{n: s.dim, a: a.Data, rhs: rhs, T: st.t, Dt: st.dt, Gmin: st.extraGmin}
-		for _, d := range s.c.devices {
-			d.Load(stp, x)
+		copy(s.rhs, rhs0)
+		s.loadDevices(x, st, dcBase)
+		lowRank := !full && 2*len(s.stp.rows) <= s.dim
+		var xn []float64
+		if lowRank {
+			if xn = s.solveLowRank(f); xn == nil {
+				lowRank, full = false, true
+			}
 		}
-		xn, err := mat.Solve(a, rhs)
-		if err != nil {
-			return nil, s.singular("circuit: Newton matrix", err)
+		if !lowRank {
+			var err error
+			if xn, err = s.solveFull(f); err != nil {
+				return nil, s.singular("circuit: Newton matrix", err)
+			}
 		}
 		if !allFinite(xn) {
 			// Divergence (inputs were finite): report as non-convergence so
@@ -520,14 +633,26 @@ func (s *solver) solveNewtonStep(st assembleState, x0 []float64) ([]float64, err
 			}
 		}
 		if conv && iter > 0 {
+			// Residual of the final linearised solve against the full
+			// assembled matrix: the linear-algebra trust signal, separate
+			// from Newton's own update criterion. A low-rank solution that
+			// fails it finishes the step on the full factorisation.
+			var relres float64
+			if lowRank {
+				if relres = s.lowRankResidual(f, x); relres > stepRefineThreshold {
+					s.stats.FallbackResidual++
+					full = true
+					continue
+				}
+			} else {
+				_, relres = mat.ResidualVec(s.work, x, s.rhs)
+			}
+			if relres > s.stats.WorstStepResidual {
+				s.stats.WorstStepResidual = relres
+			}
 			s.stats.NewtonIterations += iter + 1
 			if iter+1 > s.stats.WorstNewtonIters {
 				s.stats.WorstNewtonIters = iter + 1
-			}
-			// Residual of the final linearised solve: the linear-algebra
-			// trust signal, separate from Newton's own update criterion.
-			if _, relres := mat.ResidualVec(a, x, rhs); relres > s.stats.WorstStepResidual {
-				s.stats.WorstStepResidual = relres
 			}
 			return x, nil
 		}
@@ -537,6 +662,153 @@ func (s *solver) solveNewtonStep(st assembleState, x0 []float64) ([]float64, err
 		Op: "circuit: Newton iteration", Iterations: maxNewton,
 		WorstResidual: worst, Time: st.t,
 	}
+}
+
+// loadDevices stamps every device's linearisation around x into s.rhs and
+// into a matrix: at DC (dcBase non-nil) into s.work, a fresh copy of
+// dcBase, so the DC arithmetic is the plain dense one; in a transient into
+// s.delta, whose rows from the previous iteration it clears first. s.stp
+// records the rows written.
+func (s *solver) loadDevices(x []float64, st assembleState, dcBase *mat.Matrix) {
+	stp := &s.stp
+	for _, r := range stp.rows {
+		clear(s.delta.Data[r*s.dim : (r+1)*s.dim])
+		stp.seen[r] = false
+	}
+	stp.rows = stp.rows[:0]
+	stp.a = s.delta.Data
+	if dcBase != nil {
+		copy(s.work.Data, dcBase.Data)
+		stp.a = s.work.Data
+	}
+	stp.rhs, stp.T, stp.Dt, stp.Gmin = s.rhs, st.t, st.dt, st.extraGmin
+	for _, d := range s.c.devices {
+		d.Load(stp, x)
+	}
+}
+
+// solveFull solves the iteration by a full factorisation into the reused
+// buffers. In a transient it first assembles s.work = A0 + Δ from f's A0 and
+// the delta rows; at DC (f nil) loadDevices already stamped s.work.
+func (s *solver) solveFull(f *mnaFactor) ([]float64, error) {
+	if f != nil {
+		copy(s.work.Data, f.a.Data)
+		for _, r := range s.stp.rows {
+			row := s.work.Data[r*s.dim : (r+1)*s.dim]
+			for j, d := range s.delta.Data[r*s.dim : (r+1)*s.dim] {
+				row[j] += d
+			}
+		}
+	}
+	s.stats.FullSolves++
+	if err := s.workLU.Refactor(s.work); err != nil {
+		return nil, err
+	}
+	return s.workLU.Solve(s.rhs)
+}
+
+// solveLowRank solves (A0 + E_R·Δ_R)·x = b, with R = s.stp.rows the k rows
+// the devices stamped and Δ_R those rows of s.delta, as a rank-k correction
+// of A0's cached factor (Sherman–Morrison–Woodbury):
+//
+//	y = A0⁻¹·b,  W = A0⁻¹·E_R,  S = I_k + Δ_R·W,  x = y − W·S⁻¹·(Δ_R·y).
+//
+// Δ_R may be non-zero outside the columns R (a MOSFET's gate column). It
+// returns nil, with the reason counted, when A0⁻¹ cannot be applied, S is
+// singular, or S's κ₁ estimate passes lowRankCondMax.
+func (s *solver) solveLowRank(f *mnaFactor) []float64 {
+	n, rows := s.dim, s.stp.rows
+	k := len(rows)
+	y, err := f.lu.Solve(s.rhs)
+	for _, r := range rows {
+		if err == nil && f.w[r] == nil {
+			e := make([]float64, n)
+			e[r] = 1
+			f.w[r], err = f.lu.Solve(e)
+		}
+	}
+	if err != nil {
+		s.stats.FallbackSingular++
+		return nil
+	}
+	if cap(s.capBuf) < k*k+k {
+		s.capBuf = make([]float64, k*k+k)
+	}
+	sm := &mat.Matrix{Rows: k, Cols: k, Data: s.capBuf[:k*k]}
+	t := s.capBuf[k*k : k*k+k]
+	clear(s.capBuf[:k*k+k])
+	for a, r := range rows {
+		sa := sm.Data[a*k : (a+1)*k]
+		for j, d := range s.delta.Data[r*n : (r+1)*n] {
+			if d == 0 {
+				continue
+			}
+			t[a] += d * y[j]
+			for b, rb := range rows {
+				sa[b] += d * f.w[rb][j]
+			}
+		}
+		sa[a]++
+	}
+	if s.capLU.Refactor(sm) != nil {
+		s.stats.FallbackSingular++
+		return nil
+	}
+	if s.capLU.Cond1Est() > lowRankCondMax {
+		s.stats.FallbackCond++
+		return nil
+	}
+	z, err := s.capLU.Solve(t)
+	if err != nil {
+		s.stats.FallbackSingular++
+		return nil
+	}
+	for b, rb := range rows {
+		for j, w := range f.w[rb] {
+			y[j] -= z[b] * w
+		}
+	}
+	s.stats.LowRankSolves++
+	s.stats.MaxRank = max(s.stats.MaxRank, k)
+	return y
+}
+
+// lowRankResidual is the relative residual ‖b − A·x‖∞/(‖A‖∞·‖x‖∞ + ‖b‖∞)
+// of a low-rank solution against the full assembled matrix A = A0 + Δ,
+// through the uncompensated kernel solveLinearStep uses. Only the rows in
+// R differ from A0, so only they are recomputed.
+func (s *solver) lowRankResidual(f *mnaFactor, x []float64) float64 {
+	n := s.dim
+	res, _ := mat.ResidualVecN(f.a, x, s.rhs, f.normA)
+	var normA float64
+	for i, sum := range f.rowAbs {
+		if !s.stp.seen[i] {
+			normA = math.Max(normA, sum)
+		}
+	}
+	for _, r := range s.stp.rows {
+		arow := f.a.Data[r*n : (r+1)*n]
+		var sum float64
+		for j, d := range s.delta.Data[r*n : (r+1)*n] {
+			sum += math.Abs(arow[j] + d)
+			res[r] -= d * x[j]
+		}
+		normA = math.Max(normA, sum)
+	}
+	den := normA*vecNormInf(x) + vecNormInf(s.rhs)
+	if den == 0 {
+		return 0
+	}
+	return vecNormInf(res) / den
+}
+
+// vecNormInf returns max_i |v_i|.
+func vecNormInf(v []float64) float64 {
+	var m float64
+	for _, x := range v {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
 }
 
 // allFinite reports whether every entry of v is finite.

@@ -78,24 +78,35 @@ func checkPivot(pmax float64, col int) error {
 // modified. Large factorisations use the blocked parallel path (see
 // luPanel/luBlockMin).
 func NewLU(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: LU requires a square matrix")
-	}
-	n := a.Rows
-	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1, norm1: Norm1(a)}
-	for i := range f.piv {
-		f.piv[i] = i
-	}
-	var err error
-	if n < luBlockMin {
-		err = luFactorPanel(f, 0, n)
-	} else {
-		err = luFactorBlocked(f)
-	}
-	if err != nil {
+	f := new(LU)
+	if err := f.Refactor(a); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// Refactor factors a into f, reusing f's storage when a has the size of the
+// matrix f last held, so a loop that factors many same-size matrices
+// allocates nothing. a is not modified. The factor is bitwise the one NewLU
+// computes; after an error f must not be used until a later Refactor
+// succeeds.
+func (f *LU) Refactor(a *Matrix) error {
+	if a.Rows != a.Cols {
+		return simerr.Tagf(simerr.ErrBadInput, "mat: LU requires a square matrix")
+	}
+	n := a.Rows
+	if f.lu == nil || f.lu.Rows != n {
+		f.lu, f.piv = New(n, n), make([]int, n)
+	}
+	copy(f.lu.Data, a.Data)
+	f.sign, f.norm1 = 1, Norm1(a)
+	for i := range f.piv {
+		f.piv[i] = i
+	}
+	if n < luBlockMin {
+		return luFactorPanel(f, 0, n)
+	}
+	return luFactorBlocked(f)
 }
 
 // luFactorPanel runs the classic right-looking elimination on columns

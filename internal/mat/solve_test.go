@@ -227,6 +227,36 @@ func TestTriSolveAllocationFree(t *testing.T) {
 	}
 }
 
+// TestLURefactorMatchesNewLU: one LU refactored across matrices, on both
+// sides of the blocked-factorisation gate, holds the bitwise factor NewLU
+// computes, and a same-size refactor allocates nothing.
+func TestLURefactorMatchesNewLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	var f LU
+	for _, n := range []int{7, luBlockMin + 3, luBlockMin + 3, 7} {
+		a := randMatrix(rng, n, n)
+		if err := f.Refactor(a); err != nil {
+			t.Fatal(err)
+		}
+		g, err := NewLU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.lu.Data {
+			if math.Float64bits(f.lu.Data[i]) != math.Float64bits(g.lu.Data[i]) {
+				t.Fatalf("n=%d: refactored factor differs from NewLU at %d", n, i)
+			}
+		}
+		if fmt.Sprint(f.piv, f.sign, f.norm1) != fmt.Sprint(g.piv, g.sign, g.norm1) {
+			t.Fatalf("n=%d: pivots, sign or norm differ", n)
+		}
+	}
+	a := randMatrix(rng, 7, 7)
+	if allocs := testing.AllocsPerRun(5, func() { _ = f.Refactor(a) }); allocs != 0 {
+		t.Fatalf("same-size Refactor allocated %v times per run", allocs)
+	}
+}
+
 // TestSolveEntryPointsRejectNonFiniteRHS: a NaN or Inf right-hand side is
 // bad input for every real solve entry point, Cholesky included, instead of
 // spreading through the substitutions.
