@@ -16,10 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"pdnsim/internal/bem"
 	"pdnsim/internal/circuit"
 	"pdnsim/internal/core"
 	"pdnsim/internal/experiments"
 	"pdnsim/internal/geom"
+	"pdnsim/internal/greens"
+	"pdnsim/internal/mesh"
 	"pdnsim/internal/pkgmodel"
 	"pdnsim/internal/ssn"
 )
@@ -235,6 +238,53 @@ func BenchmarkFosterMOR(b *testing.B) {
 	}
 }
 
+// largePlane is the 32×32-cell, 50×40 mm three-port plane of the
+// operator-path benchmarks, under the given operator mode.
+func largePlane(operator string) *core.BoardSpec {
+	return &core.BoardSpec{
+		Name:       "large plane " + operator,
+		Shape:      core.ShapeSpec{Type: "rect", W: 50, H: 40},
+		PlaneSepMM: 0.4,
+		EpsR:       4.5,
+		SheetRes:   0.0006,
+		Operator:   operator,
+		MeshNx:     32,
+		MeshNy:     32,
+		ExtraNodes: 8,
+		Ports: []core.PortSpec{
+			{Name: "U1", X: 40, Y: 30},
+			{Name: "U2", X: 12, Y: 8},
+			{Name: "VRM", X: 5, Y: 35},
+		},
+	}
+}
+
+// BenchmarkAssembleOperator — DESIGN.md §5l: the BEM assembly of
+// largePlane under toeplitz: the offset tables and the FFT operators built
+// from them. The dense P and L are not part of it; B/op shows that they
+// stay unbuilt. Short enough for the smoke gate.
+func BenchmarkAssembleOperator(b *testing.B) {
+	spec := largePlane("toeplitz")
+	m, err := mesh.Grid(spec.BuildShape(), spec.MeshNx, spec.MeshNy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k, err := greens.NewKernel(greens.OverGround, spec.PlaneSepMM*1e-3, spec.EpsR, spec.NImages)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := bem.DefaultOptions()
+	opts.Operator = bem.OpToeplitz
+	opts.SheetResistance, opts.ReturnSheetResistance = spec.SheetRes, spec.SheetRes
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := bem.AssembleCtx(context.Background(), m, k, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(m.Cells)), "cells")
+}
+
 // BenchmarkExtractLargeMesh — DESIGN.md §5l: the FFT-accelerated operator
 // solve path (Toeplitz matvec + projected CG) against the dense LU reduction
 // at a 32×32-cell plane, past the auto-mode crossover. The dense baseline is
@@ -246,24 +296,7 @@ func BenchmarkExtractLargeMesh(b *testing.B) {
 	if os.Getenv("BENCH_SMOKE") == "1" {
 		b.Skip("multi-second dense baseline; full bench runs only")
 	}
-	spec := func(operator string) *core.BoardSpec {
-		return &core.BoardSpec{
-			Name:       "large plane " + operator,
-			Shape:      core.ShapeSpec{Type: "rect", W: 50, H: 40},
-			PlaneSepMM: 0.4,
-			EpsR:       4.5,
-			SheetRes:   0.0006,
-			Operator:   operator,
-			MeshNx:     32,
-			MeshNy:     32,
-			ExtraNodes: 8,
-			Ports: []core.PortSpec{
-				{Name: "U1", X: 40, Y: 30},
-				{Name: "U2", X: 12, Y: 8},
-				{Name: "VRM", X: 5, Y: 35},
-			},
-		}
-	}
+	spec := largePlane
 	t0 := time.Now()
 	dense, err := spec("dense").ExtractCtx(context.Background())
 	if err != nil {

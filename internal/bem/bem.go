@@ -23,9 +23,11 @@
 // and each same-direction L block are functions of the integer grid offset
 // alone. One flat offset table per block holds one panel integral per
 // realised offset (Toeplitz caching: O(N) kernel evaluations instead of
-// O(N²)); it fills the dense matrix and backs the block's FFT-applied
-// ToeplitzOp. Options.Operator is the one knob that selects the path, and
-// OpDirect is the reference fill that integrates every entry.
+// O(N²)); it backs the block's FFT-applied ToeplitzOp, and the dense P and L
+// are copied from the tables only on demand (Assembly.P, Assembly.L), so
+// the operator path never forms them. Options.Operator is the one knob that
+// selects the path, and OpDirect is the reference fill that integrates
+// every entry into the dense matrices during assembly.
 package bem
 
 import (
@@ -33,6 +35,7 @@ import (
 
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"pdnsim/internal/diag"
@@ -61,9 +64,10 @@ func (s TestingScheme) String() string {
 	return "galerkin"
 }
 
-// OperatorMode selects the assembly path: whether P and L fill from the
+// OperatorMode selects the assembly path: whether P and L come from the
 // grid-offset tables, and whether those tables are also emitted as
-// structure-preserving Toeplitz operators alongside the dense matrices.
+// structure-preserving Toeplitz operators beside the on-demand dense
+// matrices.
 type OperatorMode int
 
 const (
@@ -124,9 +128,7 @@ type Assembly struct {
 	Kernel *greens.Kernel
 	Opts   Options
 
-	P *mat.Matrix // cells×cells potential coefficients (1/F)
-	L *mat.Matrix // links×links partial inductances (H)
-	R []float64   // per-link series resistance (Ω)
+	R []float64 // per-link series resistance (Ω)
 
 	// POp, when non-nil, is the block-Toeplitz form of P: the same matrix as
 	// an O(n log n) operator (emitted on validated uniform grids unless
@@ -149,11 +151,59 @@ type Assembly struct {
 	// gridNX, gridNY are the validated uniform-grid dimensions, which size
 	// the offset tables (0 on the OpDirect path).
 	gridNX, gridNY int
+
+	// p and l are the dense P and L behind the P and L methods.
+	p, l denseBlocks
 }
 
-// AssembleCtx fills P, L and R for the given mesh and Green's function
-// kernel. The panel-integral loops (the dominant cost on fine meshes) check
-// ctx periodically and abandon the run with a simerr.ErrCancelled-class
+// P returns the cells×cells potential-coefficient matrix (1/F). Off the
+// OpDirect path it is copied from the offset table on the first call and
+// cached; only the dense reductions call it, so the operator path never
+// builds it. Safe for concurrent use.
+func (a *Assembly) P() *mat.Matrix { return a.p.matrix() }
+
+// L returns the links×links partial-inductance matrix (H), built on the
+// first call like P.
+func (a *Assembly) L() *mat.Matrix { return a.l.matrix() }
+
+// denseBlocks is one of the dense matrices, materialised on first use: each
+// group's block is copied from its offset table and entries between groups
+// are zero. The copy is exactly symmetric, so unlike the direct fill it
+// needs no Symmetrize (which would leave every entry as it is). The
+// OpDirect path sets m during assembly instead.
+type denseBlocks struct {
+	once   sync.Once
+	n, nx  int           // matrix order; grid width indexing the tables
+	groups []offsetGroup // indexed like tables
+	tables [][]float64   // per group: its offset table, nil if it has no unknowns
+	m      *mat.Matrix
+}
+
+func (d *denseBlocks) matrix() *mat.Matrix {
+	d.once.Do(func() {
+		if d.m != nil {
+			return
+		}
+		m := mat.New(d.n, d.n)
+		for gi, table := range d.tables {
+			g := d.groups[gi]
+			for p, cp := range g.coords {
+				row := m.Data[g.idx[p]*d.n:]
+				for q, cq := range g.coords {
+					row[g.idx[q]] = table[abs(cp[1]-cq[1])*d.nx+abs(cp[0]-cq[0])]
+				}
+			}
+		}
+		d.m, d.groups, d.tables = m, nil, nil
+	})
+	return d.m
+}
+
+// AssembleCtx assembles P, L and R for the given mesh and Green's function
+// kernel: the offset tables and Toeplitz operators on a validated uniform
+// grid (dense P and L follow on demand), the dense matrices under OpDirect.
+// The panel-integral loops (the dominant cost on fine meshes) check ctx
+// periodically and abandon the run with a simerr.ErrCancelled-class
 // error when it is done. Internal panics from malformed meshes surface as
 // simerr.ErrBadInput instead of crashing.
 func AssembleCtx(ctx context.Context, m *mesh.Mesh, k *greens.Kernel, opts Options) (a *Assembly, err error) {
@@ -222,9 +272,7 @@ func (a *Assembly) assembleP(ctx context.Context) error {
 	for i, c := range cells {
 		g.idx[i], g.coords[i] = i, [2]int{c.IX, c.IY}
 	}
-	var ops []*mat.ToeplitzOp
-	var err error
-	a.P, ops, err = a.fill(ctx, "bem: assemble P", len(cells), []offsetGroup{g}, func(i, j int) float64 {
+	ops, err := a.fill(ctx, "bem: assemble P", &a.p, len(cells), []offsetGroup{g}, func(i, j int) float64 {
 		return a.scalarEntryNoCount(cells[i], cells[j])
 	})
 	if err != nil {
@@ -258,9 +306,7 @@ func (a *Assembly) assembleL(ctx context.Context) error {
 		g.idx = append(g.idx, i)
 		g.coords = append(g.coords, [2]int{c.IX, c.IY})
 	}
-	var ops []*mat.ToeplitzOp
-	var err error
-	a.L, ops, err = a.fill(ctx, "bem: assemble L", len(links), groups[:], func(i, j int) float64 {
+	ops, err := a.fill(ctx, "bem: assemble L", &a.l, len(links), groups[:], func(i, j int) float64 {
 		return a.vectorEntryNoCount(links[i], links[j])
 	})
 	if err != nil {
@@ -279,22 +325,28 @@ type offsetGroup struct {
 	coords [][2]int // grid coordinate of each unknown (a link's From cell)
 }
 
-// fill assembles the n×n matrix whose entry (i, j) is entry(i, j) when i and
-// j share a group and zero otherwise. Under OpDirect every entry is its own
-// panel integral (directFill). Otherwise the grid has been validated uniform
-// and each group's block is copied from its offset table (offsetTable), which
-// also becomes the group's ToeplitzOp unless Opts.Operator is OpDense. The
-// returned operators are indexed like groups, nil where none was built.
-func (a *Assembly) fill(ctx context.Context, stage string, n int, groups []offsetGroup, entry func(i, j int) float64) (*mat.Matrix, []*mat.ToeplitzOp, error) {
-	m := mat.New(n, n)
+// fill assembles the n×n matrix d whose entry (i, j) is entry(i, j) when i
+// and j share a group and zero otherwise. Under OpDirect every entry is its
+// own panel integral (directFill), written into the dense matrix at once.
+// Otherwise the grid has been validated uniform: each group gets its offset
+// table (offsetTable), which d keeps to build the dense matrix on demand
+// and which becomes the group's ToeplitzOp unless Opts.Operator is OpDense.
+// The returned operators are indexed like groups, nil where none was built.
+func (a *Assembly) fill(ctx context.Context, stage string, d *denseBlocks, n int, groups []offsetGroup, entry func(i, j int) float64) ([]*mat.ToeplitzOp, error) {
 	ops := make([]*mat.ToeplitzOp, len(groups))
+	var m *mat.Matrix
+	if a.Opts.Operator == OpDirect {
+		m = mat.New(n, n)
+	} else {
+		d.n, d.nx, d.groups, d.tables = n, a.gridNX, groups, make([][]float64, len(groups))
+	}
 	for gi, g := range groups {
 		if len(g.idx) == 0 {
 			continue
 		}
 		var table []float64
 		var evals int
-		if a.Opts.Operator == OpDirect {
+		if m != nil {
 			evals = directFill(ctx, m, g, entry)
 		} else {
 			table, evals = a.offsetTable(ctx, g, entry)
@@ -303,30 +355,28 @@ func (a *Assembly) fill(ctx context.Context, stage string, n int, groups []offse
 		// ablation numbers stay honest under timeout.
 		a.KernelEvals += evals
 		if err := simerr.CheckCtx(ctx, stage); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if table == nil {
 			continue
 		}
-		for p, cp := range g.coords {
-			row := m.Data[g.idx[p]*n:]
-			for q, cq := range g.coords {
-				row[g.idx[q]] = table[abs(cp[1]-cq[1])*a.gridNX+abs(cp[0]-cq[0])]
-			}
-		}
+		d.tables[gi] = table
 		if a.Opts.Operator != OpDense {
 			op, err := mat.NewToeplitzOp(a.gridNX, a.gridNY, table, g.coords)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			ops[gi] = op
 		}
 	}
-	// Collocation leaves the direct fill very slightly asymmetric; the
-	// physical operator is symmetric, so restore it before any SPD
-	// factorisation.
-	m.Symmetrize()
-	return m, ops, nil
+	if m != nil {
+		// Collocation leaves the direct fill very slightly asymmetric; the
+		// physical operator is symmetric, so restore it before any SPD
+		// factorisation.
+		m.Symmetrize()
+		d.m = m
+	}
+	return ops, nil
 }
 
 // directFill is the reference fill: one panel integral per entry of the
@@ -406,7 +456,7 @@ func (a *Assembly) CellCapacitance() (*mat.Matrix, error) {
 // ApplyCapacitance returns C·W = P⁻¹·W (cells×k) by one k-column solve
 // against the factorised potential-coefficient matrix.
 func (a *Assembly) ApplyCapacitance(w *mat.Matrix) (*mat.Matrix, error) {
-	cw, err := mat.SolveSPD(a.P, w)
+	cw, err := mat.SolveSPD(a.P(), w)
 	if err != nil {
 		return nil, fmt.Errorf("bem: potential-coefficient matrix not invertible: %w", err)
 	}
@@ -441,14 +491,14 @@ func (a *Assembly) TotalCapacitance() (float64, error) {
 // symmetric by construction.
 func (a *Assembly) InverseInductanceLaplacian() (*mat.Matrix, error) {
 	at := a.Mesh.Incidence().T() // links×cells
-	if ch, err := mat.NewCholesky(a.L); err == nil {
+	if ch, err := mat.NewCholesky(a.L()); err == nil {
 		y, err := ch.SolveLower(at)
 		if err != nil {
 			return nil, err
 		}
 		return mat.Gram(y), nil
 	}
-	lu, err := mat.NewLU(a.L)
+	lu, err := mat.NewLU(a.L())
 	if err != nil {
 		return nil, fmt.Errorf("bem: partial-inductance matrix not invertible: %w", err)
 	}

@@ -65,7 +65,7 @@ func TestPotentialMatrixProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := a.P
+	p := a.P()
 	if !p.IsSymmetric(1e-12) {
 		t.Fatal("P must be symmetric after assembly")
 	}
@@ -148,7 +148,7 @@ func TestInductanceMatrixProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := a.L
+	l := a.L()
 	if !l.IsSymmetric(1e-12) {
 		t.Fatal("L must be symmetric")
 	}
@@ -183,7 +183,7 @@ func TestGroundPlaneReducesInductance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range m.Links {
-		if ag.L.At(i, i) >= afs.L.At(i, i) {
+		if ag.L().At(i, i) >= afs.L().At(i, i) {
 			t.Fatalf("image must reduce self inductance of link %d", i)
 		}
 	}
@@ -341,13 +341,13 @@ func TestToeplitzCachingMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range fast.P.Data {
-				if math.Abs(fast.P.Data[i]-slow.P.Data[i]) > 1e-9*slow.P.MaxAbs() {
+			for i := range fast.P().Data {
+				if math.Abs(fast.P().Data[i]-slow.P().Data[i]) > 1e-9*slow.P().MaxAbs() {
 					t.Fatalf("%s/%v: P entry %d differs between cached and direct assembly", tc.name, ts, i)
 				}
 			}
-			for i := range fast.L.Data {
-				if math.Abs(fast.L.Data[i]-slow.L.Data[i]) > 1e-9*slow.L.MaxAbs() {
+			for i := range fast.L().Data {
+				if math.Abs(fast.L().Data[i]-slow.L().Data[i]) > 1e-9*slow.L().MaxAbs() {
 					t.Fatalf("%s/%v: L entry %d differs between cached and direct assembly", tc.name, ts, i)
 				}
 			}

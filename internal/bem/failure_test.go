@@ -71,14 +71,14 @@ func TestAssembleCtxMatchesAssemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a1.P.Data {
-		if a1.P.Data[i] != a2.P.Data[i] {
-			t.Fatalf("P mismatch at %d: %g vs %g", i, a1.P.Data[i], a2.P.Data[i])
+	for i := range a1.P().Data {
+		if a1.P().Data[i] != a2.P().Data[i] {
+			t.Fatalf("P mismatch at %d: %g vs %g", i, a1.P().Data[i], a2.P().Data[i])
 		}
 	}
-	for i := range a1.L.Data {
-		if a1.L.Data[i] != a2.L.Data[i] {
-			t.Fatalf("L mismatch at %d: %g vs %g", i, a1.L.Data[i], a2.L.Data[i])
+	for i := range a1.L().Data {
+		if a1.L().Data[i] != a2.L().Data[i] {
+			t.Fatalf("L mismatch at %d: %g vs %g", i, a1.L().Data[i], a2.L().Data[i])
 		}
 	}
 }

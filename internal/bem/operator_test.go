@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"pdnsim/internal/geom"
 	"pdnsim/internal/greens"
+	"pdnsim/internal/mat"
 	"pdnsim/internal/mesh"
 	"pdnsim/internal/simerr"
 )
@@ -63,14 +65,14 @@ func assertDirectFallback(t *testing.T, what string, build func() *mesh.Mesh, k 
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range at.P.Data {
-			if at.P.Data[i] != ad.P.Data[i] {
+		for i := range at.P().Data {
+			if at.P().Data[i] != ad.P().Data[i] {
 				t.Fatalf("%s (%v): fallback P differs from the direct fill at flat index %d: %g vs %g",
-					what, mode, i, at.P.Data[i], ad.P.Data[i])
+					what, mode, i, at.P().Data[i], ad.P().Data[i])
 			}
 		}
-		for i := range at.L.Data {
-			if at.L.Data[i] != ad.L.Data[i] {
+		for i := range at.L().Data {
+			if at.L().Data[i] != ad.L().Data[i] {
 				t.Fatalf("%s (%v): fallback L differs from the direct fill at flat index %d", what, mode, i)
 			}
 		}
@@ -175,7 +177,7 @@ func TestToeplitzOpsMatchDenseFill(t *testing.T) {
 			x[i] = math.Sin(float64(3*i + 1)) // deterministic non-trivial vector
 		}
 		got := a.POp.MulVec(x)
-		want := a.P.MulVec(x)
+		want := a.P().MulVec(x)
 		assertVecAgree(t, "P", got, want)
 
 		// Per-direction L blocks: apply the operator to the direction's
@@ -206,7 +208,7 @@ func TestToeplitzOpsMatchDenseFill(t *testing.T) {
 				full[li] = xb[i]
 			}
 			gotB := op.MulVec(xb)
-			wantFull := a.L.MulVec(full)
+			wantFull := a.L().MulVec(full)
 			wantB := make([]float64, len(idx))
 			for i, li := range idx {
 				wantB[i] = wantFull[li]
@@ -248,13 +250,13 @@ func TestAssemblyDeterministicSerialVsParallel(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	ser := build()
 	runtime.GOMAXPROCS(prev)
-	for i := range par.P.Data {
-		if par.P.Data[i] != ser.P.Data[i] {
+	for i := range par.P().Data {
+		if par.P().Data[i] != ser.P().Data[i] {
 			t.Fatalf("P not serial≡parallel deterministic at flat index %d", i)
 		}
 	}
-	for i := range par.L.Data {
-		if par.L.Data[i] != ser.L.Data[i] {
+	for i := range par.L().Data {
+		if par.L().Data[i] != ser.L().Data[i] {
 			t.Fatalf("L not serial≡parallel deterministic at flat index %d", i)
 		}
 	}
@@ -298,6 +300,84 @@ func TestKernelEvalsCountsOnlyCompleted(t *testing.T) {
 		}
 		if a.KernelEvals != 0 {
 			t.Fatalf("%v: cancelled assembleL claims %d kernel evals, want 0", mode, a.KernelEvals)
+		}
+	}
+}
+
+// TestDenseMatricesBuiltOnDemand: off the OpDirect path AssembleCtx keeps
+// only the offset tables and operators. P() and L() build the dense
+// matrices on first call, the same matrices an OpDense assembly gives
+// (itself built on demand from the same tables), and return that cached
+// matrix afterwards. Checked on a full grid and on an L-shaped plane.
+func TestDenseMatricesBuiltOnDemand(t *testing.T) {
+	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.2, 1)
+	for _, c := range []struct {
+		name  string
+		shape geom.Shape
+	}{
+		{"full 7x5", geom.RectShape(0, 0, 7e-3, 5e-3)},
+		{"L-shaped 8x8", geom.LShape(8e-3, 8e-3, 3e-3, 4e-3)},
+	} {
+		var asm [2]*Assembly
+		for i, mode := range []OperatorMode{OpAuto, OpDense} {
+			opts := DefaultOptions()
+			opts.Operator = mode
+			a, err := AssembleCtx(context.Background(), mustMesh(t, c.shape, 8, 8), k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.p.m != nil || a.l.m != nil {
+				t.Fatalf("%s (%v): assembly built the dense P or L before anyone asked", c.name, mode)
+			}
+			asm[i] = a
+		}
+		auto, dense := asm[0], asm[1]
+		if auto.POp == nil || dense.POp != nil {
+			t.Fatalf("%s: operators emitted under auto %v, under dense %v", c.name, auto.POp != nil, dense.POp != nil)
+		}
+		for _, m := range []struct {
+			what       string
+			auto, want func() *mat.Matrix
+		}{{"P", auto.P, dense.P}, {"L", auto.L, dense.L}} {
+			got, want := m.auto(), m.want()
+			if got.Rows != want.Rows || got.Cols != want.Cols {
+				t.Fatalf("%s %s: %d×%d, want %d×%d", c.name, m.what, got.Rows, got.Cols, want.Rows, want.Cols)
+			}
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%s %s differs from the OpDense fill at flat index %d: %g vs %g",
+						c.name, m.what, i, got.Data[i], want.Data[i])
+				}
+			}
+			if m.auto() != got {
+				t.Fatalf("%s %s: second call rebuilt the matrix instead of returning the cached one", c.name, m.what)
+			}
+		}
+	}
+}
+
+// TestDenseMatricesConcurrentFirstUse: several goroutines asking for P and
+// L at once all get the one cached matrix (run under -race).
+func TestDenseMatricesConcurrentFirstUse(t *testing.T) {
+	k := mustKernel(t, greens.OverGround, 0.4e-3, 4.2, 1)
+	a, err := AssembleCtx(context.Background(), mustMesh(t, geom.RectShape(0, 0, 6e-3, 6e-3), 6, 6), k, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	var ps, ls [workers]*mat.Matrix
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ps[w], ls[w] = a.P(), a.L()
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if ps[w] != ps[0] || ls[w] != ls[0] {
+			t.Fatalf("worker %d got a different P or L than worker 0", w)
 		}
 	}
 }

@@ -95,7 +95,8 @@ func AblationToeplitz(ctx context.Context, n int) (*AblationToeplitzResult, erro
 	if err != nil {
 		return nil, err
 	}
-	// One timed assembly per fill: offset tables (the default), then direct.
+	// One timed fill of the dense P and L per path: offset tables (the
+	// default, which copies them out on demand), then direct.
 	var asm [2]*bem.Assembly
 	var took [2]time.Duration
 	for i, mode := range []bem.OperatorMode{bem.OpAuto, bem.OpDirect} {
@@ -105,16 +106,18 @@ func AblationToeplitz(ctx context.Context, n int) (*AblationToeplitzResult, erro
 		if asm[i], err = bem.AssembleCtx(ctx, m, k, opts); err != nil {
 			return nil, err
 		}
+		asm[i].P()
+		asm[i].L()
 		took[i] = time.Since(t0)
 	}
-	af, as := asm[0], asm[1]
+	pf, ps := asm[0].P(), asm[1].P()
 	var maxErr float64
-	scale := as.P.MaxAbs()
-	for i := range af.P.Data {
-		maxErr = math.Max(maxErr, math.Abs(af.P.Data[i]-as.P.Data[i])/scale)
+	scale := ps.MaxAbs()
+	for i := range pf.Data {
+		maxErr = math.Max(maxErr, math.Abs(pf.Data[i]-ps.Data[i])/scale)
 	}
 	return &AblationToeplitzResult{
-		CachedEvals: af.KernelEvals, DirectEvals: as.KernelEvals,
+		CachedEvals: asm[0].KernelEvals, DirectEvals: asm[1].KernelEvals,
 		CachedT: took[0], DirectT: took[1], MaxEntryError: maxErr,
 	}, nil
 }

@@ -28,13 +28,13 @@ const reductionAgreeRelTol = 1e-9
 func legacyDenseReduce(t *testing.T, a *bem.Assembly, reg float64, keep, internal []int) (gammaRed, cRed, gRed *mat.Matrix) {
 	t.Helper()
 	inc := a.Mesh.Incidence()
-	linv, err := mat.InverseSPD(a.L)
+	linv, err := mat.InverseSPD(a.L())
 	if err != nil {
 		t.Fatal(err)
 	}
 	gamma := inc.Mul(linv).Mul(inc.T())
 	gamma.Symmetrize()
-	c, err := mat.InverseSPD(a.P)
+	c, err := mat.InverseSPD(a.P())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ package extract
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"pdnsim/internal/bem"
@@ -420,9 +421,23 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, k
 		return nil, nil, nil, 0, err
 	}
 	d.Infof("extract", "operator iterations", float64(projIters+capIters+scaleIters), 0,
-		"projected CG %d (max %d per column), capacitance CG %d (max %d per column), γ-scale CG %d, over %d kept nodes",
-		projIters, projMax, capIters, capMax, scaleIters, k)
+		"projected CG %d (max %d per column), capacitance CG %d (max %d per column), γ-scale CG %d, over %d kept nodes; padded FFT grids %s",
+		projIters, projMax, capIters, capMax, scaleIters, k, fftGrids(a))
 	return gammaRed, cRed, gRed, gammaScale, nil
+}
+
+// fftGrids names the padded FFT grid (px×py) of P's operator and of each L
+// block's: the transform size that sets the cost of every apply.
+func fftGrids(a *bem.Assembly) string {
+	px, py := a.POp.PaddedDims()
+	s := fmt.Sprintf("P %d×%d", px, py)
+	for dir, op := range a.LOps {
+		if op != nil {
+			px, py = op.PaddedDims()
+			s += fmt.Sprintf(", L%v %d×%d", mesh.Direction(dir), px, py)
+		}
+	}
+	return s
 }
 
 // reduceConductance Schur-reduces G = A·R⁻¹·Aᵀ onto the kept cells using a

@@ -3,7 +3,9 @@ package extract
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"pdnsim/internal/diag"
 	"pdnsim/internal/geom"
 	"pdnsim/internal/greens"
+	"pdnsim/internal/mat"
 	"pdnsim/internal/mesh"
 	"pdnsim/internal/simerr"
 )
@@ -159,6 +162,79 @@ func TestOperatorPathRegularizePinsDense(t *testing.T) {
 	}
 }
 
+// TestOperatorPathLeavesDenseMatricesUnbuilt: an operator-path extraction
+// of a 32×32 board allocates less than one dense L would take (links²·8
+// bytes), and leaves the dense P and L unbuilt, so asking for them
+// afterwards allocates each in full.
+func TestOperatorPathLeavesDenseMatricesUnbuilt(t *testing.T) {
+	a := buildPlaneOp(t, 32, bem.OpAuto)
+	cells, links := len(a.Mesh.Cells), len(a.Mesh.Links)
+	denseP, denseL := uint64(cells*cells*8), uint64(links*links*8)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var n *Network
+	var err error
+	got := allocated(func() { n, err = ExtractCtx(context.Background(), a, Options{ExtraNodes: 5}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	operator := false
+	for _, item := range n.Diag.Items() {
+		operator = operator || item.Check == "operator iterations"
+		if item.Check == "operator path" {
+			t.Fatalf("operator path fell back: %s", item.Message)
+		}
+	}
+	if !operator {
+		t.Fatal("a 1024-cell board under auto must take the operator path")
+	}
+	if got >= denseL {
+		t.Fatalf("operator-path extraction allocated %d bytes, at least one dense L (%d)", got, denseL)
+	}
+	if p := allocated(func() { a.P() }); p < denseP {
+		t.Fatalf("P() allocated %d bytes, less than a dense P (%d): the extraction had built it", p, denseP)
+	}
+	if l := allocated(func() { a.L() }); l < denseL {
+		t.Fatalf("L() allocated %d bytes, less than a dense L (%d): the extraction had built it", l, denseL)
+	}
+}
+
+// TestRegularizedExtractionIdenticalAcrossModes: Regularize pins the dense
+// path, which reads the on-demand P and L. Assemblies of one board under
+// auto, toeplitz (both carry operators) and dense must therefore reduce to
+// bitwise equal networks.
+func TestRegularizedExtractionIdenticalAcrossModes(t *testing.T) {
+	opts := Options{ExtraNodes: 4, Regularize: 1e-9}
+	modes := []bem.OperatorMode{bem.OpDense, bem.OpAuto, bem.OpToeplitz}
+	var want *Network
+	for _, mode := range modes {
+		n, err := ExtractCtx(context.Background(), buildPlaneOp(t, 10, mode), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = n
+			continue
+		}
+		for _, m := range []struct {
+			what      string
+			got, want *mat.Matrix
+		}{{"Γ", n.Gamma, want.Gamma}, {"C", n.C, want.C}, {"G", n.G, want.G}} {
+			for i := range m.want.Data {
+				if m.got.Data[i] != m.want.Data[i] {
+					t.Fatalf("%v: regularised %s differs from the dense assembly's at flat index %d: %g vs %g",
+						mode, m.what, i, m.got.Data[i], m.want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 // TestOperatorIterationsRecorded: a forced operator-path extraction reports
 // its CG iteration counts as one Info entry; the dense path has none to
 // report.
@@ -168,7 +244,8 @@ func TestOperatorIterationsRecorded(t *testing.T) {
 		mode bem.OperatorMode
 		want bool
 	}{{bem.OpToeplitz, true}, {bem.OpDense, false}} {
-		n, err := ExtractCtx(context.Background(), buildPlaneOp(t, 12, c.mode), opts)
+		a := buildPlaneOp(t, 12, c.mode)
+		n, err := ExtractCtx(context.Background(), a, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,6 +273,18 @@ func TestOperatorIterationsRecorded(t *testing.T) {
 		if !strings.Contains(it.Message, "projected CG") || !strings.Contains(it.Message, "capacitance CG") ||
 			!strings.Contains(it.Message, "γ-scale CG") {
 			t.Fatalf("%v: entry misses a stage: %s", c.mode, it.Message)
+		}
+		// The padded FFT grid of every operator, which sets the cost of
+		// each apply: a 12×12 grid pads to 32×32 for P and for both L blocks.
+		grids := []string{"P 32×32", "Lx 32×32", "Ly 32×32"}
+		for i, op := range []*mat.ToeplitzOp{a.POp, a.LOps[mesh.DirX], a.LOps[mesh.DirY]} {
+			px, py := op.PaddedDims()
+			if want := fmt.Sprintf("%s %d×%d", grids[i][:strings.IndexByte(grids[i], ' ')], px, py); want != grids[i] {
+				t.Fatalf("%v: operator %d pads to %d×%d, want %s", c.mode, i, px, py, grids[i])
+			}
+			if !strings.Contains(it.Message, grids[i]) {
+				t.Fatalf("%v: entry misses the padded FFT grid %q: %s", c.mode, grids[i], it.Message)
+			}
 		}
 	}
 }

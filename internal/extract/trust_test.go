@@ -134,7 +134,7 @@ func TestExtractNearSingularAssemblyEscalates(t *testing.T) {
 	a := buildPlane(t, 10e-3, 0.4e-3, 4.5, 5, []geom.Point{
 		{X: 2e-3, Y: 2e-3}, {X: 8e-3, Y: 8e-3},
 	}, []string{"P1", "P2"})
-	injectNearDuplicateRow(a.P, 0, 1, 1e-13)
+	injectNearDuplicateRow(a.P(), 0, 1, 1e-13)
 
 	_, err := ExtractCtx(context.Background(), a, Options{})
 	if err == nil {

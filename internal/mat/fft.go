@@ -7,22 +7,32 @@
 // deterministic (the serial≡parallel and resume contracts both lean on
 // this).
 //
+// The Toeplitz applies transform real data, so the 2-D transform is a
+// real-data one (fftPlan2D). Two real grid rows travel as one complex row:
+// row r in the real parts, row r+1 in the imaginary parts. One complex row
+// transform and a split by Hermitian symmetry (splitRows) give both rows'
+// half spectra, columns 0..w/2; the column pass then runs on those w/2+1
+// half-grid columns only, and mergeRows rebuilds a packed pair's full row
+// spectrum for one inverse complex row transform. On a 35×35 grid padded
+// to 128×128 an apply takes 166 length-128 transforms (18 row pairs each
+// way, 65 columns each way) where the complex 2-D FFT took 326.
+//
 // The 2-D transform does only the work its caller reads, and every entry it
 // computes goes through the same floating-point operations, in the same
-// order, as in a full row-column transform with a strided 1-D FFT per column
+// order, as in the plain real-data algorithm: every row pair packed, split
+// and merged, with a full strided 1-D FFT per row and per half-grid column
 // (the reference kept in toeplitz_test.go, which the results must equal):
 //
-//   - forward(data, rows) transforms only the first rows rows before the
-//     column pass. The Toeplitz scatter fills rows < ny of the padded py-row
-//     grid, and the rest hold +0. A butterfly on +0 inputs writes +0 back
-//     (w·0 is ±0, and +0 ± ±0 is +0), so a skipped row holds exactly what
-//     its transform would have left there.
-//   - inverse(data, cols, rows) computes only the leading cols×rows block:
-//     the gather reads columns < nx and rows < ny. Columns are independent in
-//     the column pass, so columns ≥ cols are skipped outright. The row pass
-//     and the column pass each compute only the low half of their last
-//     stage when the high half is unread (nx ≤ px/2 and ny ≤ py/2 always
-//     hold for the circulant embedding); no low output reads a high one.
+//   - Only the row pairs holding input rows (r < ny) are row transformed;
+//     the other half-grid rows are set to +0. A butterfly on +0 inputs
+//     writes +0 back (w·0 is ±0, and +0 ± ±0 is +0), and so does the split,
+//     so a skipped pair holds exactly what its transform would have left.
+//   - The inverse column pass and the inverse row transforms compute only
+//     the low half of their last stage when the high half is unread: the
+//     merge reads half-grid rows < ny rounded up to even, and the gather
+//     reads columns < nx (both at most half the padded size for the
+//     circulant embedding); no low output reads a high one. Only the row
+//     pairs holding output rows are merged and inverse transformed.
 //   - The column pass is row-blocked. Each butterfly acts on contiguous row
 //     segments, and the bit-reversal swaps whole row segments. Per entry
 //     this is the strided column transform, but memory is walked in order.
@@ -34,6 +44,10 @@
 //     part, so w·x equals x except possibly in the sign of a zero component;
 //     a signed zero cannot change a nonzero sum, so every output is == to
 //     the multiplied form.
+//
+// Against the full complex 2-D transform the real-data results differ at
+// roundoff (a few ulps of the largest output), and they are just as
+// deterministic.
 //
 // Only power-of-two sizes are supported; the circulant embedding in
 // toeplitz.go always pads to a power of two, so no general-size (Bluestein)
@@ -267,45 +281,81 @@ func twoStageRows1(x0, x1, x2, x3 []complex128, wc complex128) {
 	}
 }
 
-// fftPlan2D is a row-column 2D FFT over a h×w row-major complex grid (both
-// dimensions powers of two).
+// fftPlan2D is the real-data 2-D FFT over an h×w row-major grid of reals
+// (both dimensions powers of two). The spectrum of real data is Hermitian,
+// so the plan keeps only its half grid: h rows of hw = w/2+1 complex
+// entries, columns 0..w/2 of the full 2-D spectrum. Two real rows share
+// one complex row transform (row r in the real parts, row r+1 in the
+// imaginary parts); splitRows and mergeRows convert between such a packed
+// row pair and two half-grid rows, and the column pass runs on the hw
+// half-grid columns only.
 type fftPlan2D struct {
-	w, h     int
-	row, col *fftPlan // 1-D plans along a row (size w) and down a column (size h)
+	w, h, hw int
+	row, col *fftPlan     // 1-D plans along a row (size w) and down a column (size h)
+	zero     []complex128 // hw zeros: the partner of the unpaired row when h is 1
 }
 
 func newFFTPlan2D(w, h int) *fftPlan2D {
-	p := &fftPlan2D{w: w, h: h, row: newFFTPlan(w)}
+	p := &fftPlan2D{w: w, h: h, hw: w/2 + 1, row: newFFTPlan(w)}
 	if h == w {
 		p.col = p.row
 	} else {
 		p.col = newFFTPlan(h)
 	}
+	p.zero = make([]complex128, p.hw)
 	return p
 }
 
-// forward transforms the grid in place (rows then columns). Rows at and
-// beyond rows must hold +0; their row transforms are skipped.
+// splitRows takes z, the length-w FFT of a packed row pair (grid row r in
+// the real parts, row r+1 in the imaginary parts), and writes twice the
+// half spectrum of each row into half-grid rows r and r+1 — the caller
+// folds the factor 2 into its pointwise spectrum. With Z the packed
+// transform and m = (w−k) mod w, row r's spectrum is (Z[k] + conj(Z[m]))/2
+// and row r+1's is (Z[k] − conj(Z[m]))/(2i). Row r+1 is written only if
+// the grid has it.
 //
 //pdn:hot
-func (p *fftPlan2D) forward(data []complex128, rows int) {
-	for r := 0; r < rows; r++ {
-		p.row.transform(data[r*p.w:(r+1)*p.w], p.w, p.row.tw)
+func (p *fftPlan2D) splitRows(g, z []complex128, r int) {
+	hw, mask := p.hw, p.w-1
+	a := g[r*hw : (r+1)*hw]
+	for k := range a {
+		zk, zm := z[k], z[(p.w-k)&mask]
+		a[k] = complex(real(zk)+real(zm), imag(zk)-imag(zm))
 	}
-	p.col.columns(data, p.w, p.w, p.h, p.col.tw)
+	if r+1 >= p.h {
+		return
+	}
+	b := g[(r+1)*hw : (r+2)*hw]
+	for k := range b {
+		zk, zm := z[k], z[(p.w-k)&mask]
+		b[k] = complex(imag(zk)+imag(zm), real(zm)-real(zk))
+	}
 }
 
-// inverse transforms the grid in place (rows then columns) without the
-// 1/(w·h) scaling — the caller folds it into whatever pointwise factor it
-// applies in between. Only the leading cols×rows block of the result is
-// valid; the rest of the grid is left as scratch.
+// mergeRows is the inverse of splitRows: from half-grid rows r and r+1 (a
+// and b, the half spectra of two real rows) it builds the full length-w
+// spectrum of the packed pair, a + i·b on columns ≤ w/2 and conj(a) +
+// i·conj(b) on their mirrors. Columns 0 and w/2 are their own mirrors and
+// hold real spectra; their imaginary parts are roundoff, and only the real
+// parts are kept. When the grid has no row r+1 (h = 1), b is zero.
 //
 //pdn:hot
-func (p *fftPlan2D) inverse(data []complex128, cols, rows int) {
-	for r := 0; r < p.h; r++ {
-		p.row.transform(data[r*p.w:(r+1)*p.w], cols, p.row.itw)
+func (p *fftPlan2D) mergeRows(z, g []complex128, r int) {
+	w, hw := p.w, p.hw
+	a, b := g[r*hw:(r+1)*hw], p.zero
+	if r+1 < p.h {
+		b = g[(r+1)*hw : (r+2)*hw]
 	}
-	p.col.columns(data, p.w, cols, rows, p.col.itw)
+	b = b[:len(a)]
+	z[0] = complex(real(a[0]), real(b[0]))
+	for k := 1; k < w/2; k++ {
+		ak, bk := a[k], b[k]
+		z[k] = complex(real(ak)-imag(bk), imag(ak)+real(bk))
+		z[w-k] = complex(real(ak)+imag(bk), real(bk)-imag(ak))
+	}
+	if w > 1 {
+		z[w/2] = complex(real(a[w/2]), real(b[w/2]))
+	}
 }
 
 // nextPow2 returns the smallest power of two ≥ n (and ≥ 1).

@@ -7,53 +7,57 @@
 // that table and applies the matrix in O(n log n) by embedding it in a
 // circulant of padded power-of-two size and diagonalising the circulant
 // with the FFT (fft.go): scatter → FFT → pointwise spectrum multiply →
-// inverse FFT → gather. Elements need not fill the bounding grid — an
-// L-shaped plane scatters into the grid and gathers back, which is exactly
-// the principal-submatrix structure of its dense fill.
+// inverse FFT → gather. The input is real and the embedding is even in each
+// axis, so its spectrum is real and even: the operator keeps it on the
+// real-data transform's half grid (py rows of px/2+1 reals), and an apply
+// multiplies the input's half spectrum by it. Elements need not fill the
+// bounding grid — an L-shaped plane scatters into the grid and gathers
+// back, which is exactly the principal-submatrix structure of its dense
+// fill.
+//
+// MulVecTo and the circulant branch of PrecondTo equal the unpruned
+// real-data algorithm bitwise (TestToeplitzPrunedFFTMatchesReference), and
+// the full complex transform to a few ulps of the largest output.
 package mat
 
-import (
-	"math"
-	"math/cmplx"
-
-	"pdnsim/internal/simerr"
-)
+import "pdnsim/internal/simerr"
 
 // circulantPrecondMinRel is the positivity guard for the circulant
 // preconditioner: the embedded spectrum is used as a preconditioner only if
-// its smallest real part exceeds this fraction of the largest. The
-// embedding of a positive-definite Toeplitz matrix is not itself guaranteed
-// positive definite; a crossing or near-zero spectrum would make M⁻¹
-// indefinite and break CG, so such operators simply run unpreconditioned.
+// its smallest value exceeds this fraction of the largest. The embedding of
+// a positive-definite Toeplitz matrix is not itself guaranteed positive
+// definite; a crossing or near-zero spectrum would make M⁻¹ indefinite and
+// break CG, so such operators simply run unpreconditioned.
 const circulantPrecondMinRel = 1e-12
 
 // ToeplitzOp is a symmetric two-level (block) Toeplitz matrix applied via
 // FFT. Entry (i,j) equals table[|iy_i−iy_j|·nx + |ix_i−ix_j|] for the grid
 // coordinates registered per unknown. The operator is deterministic: for a
-// fixed size the matvec performs an identical floating-point sequence on
-// every call. MulVecTo reuses preplanned scratch and performs no
-// allocation; the scratch is shared, so a ToeplitzOp must not be used from
-// multiple goroutines concurrently (clone one per worker instead).
+// fixed size an apply performs an identical floating-point sequence on
+// every call. MulVecTo and PrecondTo reuse preplanned scratch and perform
+// no allocation; the scratch is shared, so a ToeplitzOp must not be used
+// from multiple goroutines concurrently (clone one per worker instead).
 type ToeplitzOp struct {
-	nx, ny  int   // bounding grid dims (= kernel table dims)
-	n       int   // number of unknowns (grid subset size)
-	scatter []int // per unknown: position in the padded grid
-	px, py  int   // padded circulant dims (powers of two)
+	nx, ny int     // bounding grid dims (= kernel table dims)
+	n      int     // number of unknowns (grid subset size)
+	slot   []int32 // per grid point iy·nx+ix: 1 + the unknown there, 0 if none
+	px, py int     // padded circulant dims (powers of two)
+	rows   int     // half-grid rows an apply's row pass writes: ny rounded up to even, at most py
 
-	table []float64    // kernel table, ny×nx row-major (retained for Dense/Clone)
-	spec  []complex128 // circulant spectrum pre-scaled by 1/(px·py)
+	table []float64 // kernel table, ny×nx row-major (diagonal for Jacobi; tests)
+	spec  []float64 // half-grid circulant spectrum, pre-scaled by 1/(2·px·py)
+	pinv  []float64 // half-grid inverse spectrum for the preconditioner, same scale; nil if unusable
 	plan  *fftPlan2D
-	work  []complex128
 
-	pinv  []complex128 // inverse-spectrum table for the preconditioner; nil if unusable
-	pwork []complex128
+	grid []complex128 // half-grid scratch, py rows of px/2+1
+	row  []complex128 // packed row-pair scratch, px long
 }
 
 // NewToeplitzOp builds the operator for the given bounding grid dims, the
 // ny×nx kernel table t (t[dy·nx+dx] is the entry for grid offset (dx,dy)),
 // and the grid coordinates of each unknown. Coordinates must lie in
 // [0,nx)×[0,ny) and be distinct (two unknowns on one grid point would share
-// a scatter slot); unknowns are addressed in the order given.
+// a grid slot); unknowns are addressed in the order given.
 func NewToeplitzOp(nx, ny int, table []float64, coords [][2]int) (*ToeplitzOp, error) {
 	if nx <= 0 || ny <= 0 || len(table) != nx*ny {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Toeplitz kernel table is %d entries, want %d×%d", len(table), nx, ny)
@@ -64,70 +68,79 @@ func NewToeplitzOp(nx, ny int, table []float64, coords [][2]int) (*ToeplitzOp, e
 	op := &ToeplitzOp{nx: nx, ny: ny, n: len(coords), table: append([]float64(nil), table...)}
 	op.px = nextPow2(2*nx - 1)
 	op.py = nextPow2(2*ny - 1)
-	op.scatter = make([]int, len(coords))
-	owner := make([]int32, op.px*op.py) // 1 + the unknown scattered to each padded-grid cell
+	op.rows = min(op.py, ny+ny%2)
+	op.slot = make([]int32, nx*ny)
 	for i, c := range coords {
 		ix, iy := c[0], c[1]
 		if ix < 0 || ix >= nx || iy < 0 || iy >= ny {
 			return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Toeplitz unknown %d at grid (%d,%d) outside %d×%d", i, ix, iy, nx, ny)
 		}
-		s := iy*op.px + ix
-		if o := owner[s]; o != 0 {
-			return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Toeplitz unknowns %d and %d share grid (%d,%d)", o-1, i, ix, iy)
+		s := &op.slot[iy*nx+ix]
+		if *s != 0 {
+			return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Toeplitz unknowns %d and %d share grid (%d,%d)", *s-1, i, ix, iy)
 		}
-		owner[s] = int32(i + 1)
-		op.scatter[i] = s
+		*s = int32(i + 1)
 	}
-	op.plan = newFFTPlan2D(op.px, op.py)
-	op.work = make([]complex128, op.px*op.py)
-	op.pwork = make([]complex128, op.px*op.py)
+	p := newFFTPlan2D(op.px, op.py)
+	op.plan = p
+	op.grid = make([]complex128, op.py*p.hw)
+	op.row = make([]complex128, op.px)
 
 	// Embed the symmetric kernel in a circulant: offset dx appears at
 	// padded index dx and (wrapping) px−dx, so circular convolution over the
 	// padding reproduces the linear two-level Toeplitz product exactly for
-	// indices inside the grid.
-	emb := make([]complex128, op.px*op.py)
-	for qy := 0; qy < op.py; qy++ {
-		dy, oky := wrapOffset(qy, op.py, ny)
-		if !oky {
-			continue
+	// indices inside the grid. The embedding is even in each axis, so its
+	// spectrum is real (and even); the imaginary parts the transform leaves
+	// are roundoff and are dropped.
+	g, z := op.grid, op.row
+	for qy := 0; qy < op.py; qy += 2 {
+		for qx := range z {
+			z[qx] = complex(op.embedded(qx, qy), op.embedded(qx, qy+1))
 		}
-		for qx := 0; qx < op.px; qx++ {
-			dx, okx := wrapOffset(qx, op.px, nx)
-			if !okx {
-				continue
-			}
-			emb[qy*op.px+qx] = complex(table[dy*nx+dx], 0)
-		}
+		p.row.transform(z, op.px, p.row.tw)
+		p.splitRows(g, z, qy)
 	}
-	op.plan.forward(emb, op.py)
-	scale := 1 / float64(op.px*op.py)
-	op.spec = emb
-	minRe, maxRe := real(op.spec[0]), real(op.spec[0])
-	for i := range op.spec {
-		if re := real(op.spec[i]); re < minRe {
-			minRe = re
-		} else if re > maxRe {
-			maxRe = re
-		}
+	p.col.columns(g, p.hw, p.hw, op.py, p.col.tw)
+	op.spec = make([]float64, len(g))
+	for i := range g {
+		op.spec[i] = real(g[i]) / 2 // splitRows leaves twice the spectrum
 	}
+	minS, maxS := op.spec[0], op.spec[0]
+	for _, s := range op.spec {
+		minS, maxS = min(minS, s), max(maxS, s)
+	}
+	// An apply's half grid holds twice the input's spectrum (splitRows) and
+	// its inverse transforms are unscaled; both factors fold into the
+	// pointwise multiply.
+	scale := 1 / float64(2*op.px*op.py)
 	// Inverse spectrum for the circulant preconditioner, only when the
 	// embedding is safely positive definite.
-	if minRe > circulantPrecondMinRel*maxRe {
-		op.pinv = make([]complex128, len(op.spec))
-		for i := range op.spec {
-			op.pinv[i] = complex(scale/real(op.spec[i]), 0)
+	if minS > circulantPrecondMinRel*maxS {
+		op.pinv = make([]float64, len(op.spec))
+		for i, s := range op.spec {
+			op.pinv[i] = scale / s
 		}
 	}
 	for i := range op.spec {
-		op.spec[i] *= complex(scale, 0)
+		op.spec[i] *= scale
 	}
 	return op, nil
 }
 
+// embedded returns entry (qx, qy) of the circulant embedding of the kernel
+// table, 0 in the padding and past the last padded row.
+func (op *ToeplitzOp) embedded(qx, qy int) float64 {
+	dx, okx := wrapOffset(qx, op.px, op.nx)
+	dy, oky := wrapOffset(qy, op.py, op.ny)
+	if !okx || !oky {
+		return 0
+	}
+	return op.table[dy*op.nx+dx]
+}
+
 // wrapOffset maps a padded circulant index q to the kernel offset it
 // represents: q itself for 0 ≤ q < dim, p−q for the wrapped negative
-// offsets, and "no entry" for the zero padding in between.
+// offsets, and "no entry" for the zero padding in between (and for q ≥ p).
 func wrapOffset(q, p, dim int) (int, bool) {
 	if q < dim {
 		return q, true
@@ -141,23 +154,20 @@ func wrapOffset(q, p, dim int) (int, bool) {
 // Size returns the number of unknowns.
 func (op *ToeplitzOp) Size() int { return op.n }
 
-// GridDims returns the bounding grid dimensions of the kernel table.
-func (op *ToeplitzOp) GridDims() (nx, ny int) { return op.nx, op.ny }
-
-// DiagValue returns the (constant) diagonal entry of the operator.
-func (op *ToeplitzOp) DiagValue() float64 { return op.table[0] }
+// PaddedDims returns the padded circulant grid (px×py) the FFT runs on.
+func (op *ToeplitzOp) PaddedDims() (px, py int) { return op.px, op.py }
 
 // HasPreconditioner reports whether the circulant-inverse preconditioner is
 // available (the embedded spectrum is safely positive).
 func (op *ToeplitzOp) HasPreconditioner() bool { return op.pinv != nil }
 
 // Clone returns an independent operator sharing the immutable tables
-// (spectrum, plan, scatter) but with private scratch, for use on another
+// (spectra, plan, slots) but with private scratch, for use on another
 // goroutine.
 func (op *ToeplitzOp) Clone() *ToeplitzOp {
 	cp := *op
-	cp.work = make([]complex128, len(op.work))
-	cp.pwork = make([]complex128, len(op.pwork))
+	cp.grid = make([]complex128, len(op.grid))
+	cp.row = make([]complex128, len(op.row))
 	return &cp
 }
 
@@ -169,7 +179,7 @@ func (op *ToeplitzOp) MulVecTo(dst, x []float64) {
 	if len(dst) != op.n || len(x) != op.n {
 		panic("mat: ToeplitzOp.MulVecTo dimension mismatch")
 	}
-	op.convolve(dst, x, op.spec, op.work)
+	op.convolve(dst, x, op.spec)
 }
 
 // MulVec returns T·x as a new vector.
@@ -193,68 +203,78 @@ func (op *ToeplitzOp) PrecondTo(dst, r []float64) {
 		}
 		return
 	}
-	op.convolve(dst, r, op.pinv, op.pwork)
+	op.convolve(dst, r, op.pinv)
 }
 
-// convolve computes dst = gather(IFFT(spec ⊙ FFT(scatter(x)))) in the
-// scratch grid w. Only the first ny rows of the scatter are nonzero and only
-// the leading nx×ny block is gathered, so the 2-D transforms skip the rest
-// (fft.go).
+// convolve computes dst = gather(IFFT(spec ⊙ FFT(scatter(x)))) with the
+// real-data transform (fft.go). Grid rows r and r+1 travel as one packed
+// complex row: rows < ny hold the input, so only their pairs are row
+// transformed, and the rest of the half grid is +0. The column passes run
+// on the px/2+1 half-grid columns; the inverse one keeps only the rows
+// the merge reads, and the inverse row transforms keep only columns < nx.
 //
 //pdn:hot
-func (op *ToeplitzOp) convolve(dst, x []float64, spec, w []complex128) {
-	clear(w)
-	for i, s := range op.scatter {
-		w[s] = complex(x[i], 0)
+func (op *ToeplitzOp) convolve(dst, x, spec []float64) {
+	p, g, z := op.plan, op.grid, op.row
+	for r := 0; r < op.ny; r += 2 {
+		op.pack(z, x, r)
+		p.row.transform(z, op.px, p.row.tw)
+		p.splitRows(g, z, r)
 	}
-	op.plan.forward(w, op.ny)
-	spec = spec[:len(w)]
-	for i := range w {
-		w[i] *= spec[i]
+	clear(g[op.rows*p.hw:])
+	p.col.columns(g, p.hw, p.hw, op.py, p.col.tw)
+	spec = spec[:len(g)]
+	for i, s := range spec {
+		g[i] = complex(real(g[i])*s, imag(g[i])*s)
 	}
-	op.plan.inverse(w, op.nx, op.ny)
-	for i, s := range op.scatter {
-		dst[i] = real(w[s])
+	p.col.columns(g, p.hw, p.hw, op.rows, p.col.itw)
+	for r := 0; r < op.ny; r += 2 {
+		p.mergeRows(z, g, r)
+		p.row.transform(z, op.nx, p.row.itw)
+		op.unpack(dst, z, r)
 	}
 }
 
-// Dense materialises the operator as a dense matrix (tests and the dense
-// fallback path; O(n²)).
-func (op *ToeplitzOp) Dense() *Matrix {
-	m := New(op.n, op.n)
-	for i := 0; i < op.n; i++ {
-		iy, ix := op.scatter[i]/op.px, op.scatter[i]%op.px
-		for j := 0; j < op.n; j++ {
-			jy, jx := op.scatter[j]/op.px, op.scatter[j]%op.px
-			dx, dy := ix-jx, iy-jy
-			if dx < 0 {
-				dx = -dx
+// pack loads grid rows r and r+1 of x into z as one complex row (row r in
+// the real parts, row r+1 in the imaginary parts; +0 where no unknown sits
+// and past column nx).
+//
+//pdn:hot
+func (op *ToeplitzOp) pack(z []complex128, x []float64, r int) {
+	nx := op.nx
+	for c, s := range op.slot[r*nx : (r+1)*nx] {
+		var v float64
+		if s != 0 {
+			v = x[s-1]
+		}
+		z[c] = complex(v, 0)
+	}
+	clear(z[nx:])
+	if r+1 < op.ny {
+		for c, s := range op.slot[(r+1)*nx : (r+2)*nx] {
+			if s != 0 {
+				z[c] = complex(real(z[c]), x[s-1])
 			}
-			if dy < 0 {
-				dy = -dy
-			}
-			m.Set(i, j, op.table[dy*op.nx+dx])
 		}
 	}
-	return m
 }
 
-// SpectrumCond returns the ratio of largest to smallest spectrum magnitude
-// of the circulant embedding — an inexpensive upper-bound style conditioning
-// indicator for diagnostics (the true Toeplitz κ is bounded by related
-// quantities; this is reported as a hint, not a guarantee).
-func (op *ToeplitzOp) SpectrumCond() float64 {
-	minA, maxA := cmplx.Abs(op.spec[0]), cmplx.Abs(op.spec[0])
-	for _, s := range op.spec {
-		a := cmplx.Abs(s)
-		if a < minA {
-			minA = a
-		} else if a > maxA {
-			maxA = a
+// unpack stores the real parts of z's first nx entries into the unknowns
+// of grid row r, and the imaginary parts into those of row r+1.
+//
+//pdn:hot
+func (op *ToeplitzOp) unpack(dst []float64, z []complex128, r int) {
+	nx := op.nx
+	for c, s := range op.slot[r*nx : (r+1)*nx] {
+		if s != 0 {
+			dst[s-1] = real(z[c])
 		}
 	}
-	if minA == 0 {
-		return math.Inf(1)
+	if r+1 < op.ny {
+		for c, s := range op.slot[(r+1)*nx : (r+2)*nx] {
+			if s != 0 {
+				dst[s-1] = imag(z[c])
+			}
+		}
 	}
-	return maxA / minA
 }

@@ -110,23 +110,109 @@ func refTransform2D(p *fftPlan2D, data []complex128, inverse bool) {
 	}
 }
 
-// refConvolve is the unpruned reference for MulVecTo (spec = op.spec) and
-// for the circulant branch of PrecondTo (spec = op.pinv).
-func refConvolve(op *ToeplitzOp, x []float64, spec []complex128) []float64 {
-	w := make([]complex128, op.px*op.py)
-	for i, s := range op.scatter {
-		w[s] = complex(x[i], 0)
+// gridValue returns the entry of x at point (c, r) of op's padded grid:
+// the value of the unknown there, or 0 where none sits.
+func gridValue(op *ToeplitzOp, x []float64, c, r int) float64 {
+	if c < op.nx && r < op.ny {
+		if s := op.slot[r*op.nx+c]; s != 0 {
+			return x[s-1]
+		}
 	}
-	refTransform2D(op.plan, w, false)
-	for i := range w {
-		w[i] *= spec[i]
-	}
-	refTransform2D(op.plan, w, true)
+	return 0
+}
+
+// gatherGrid stores grid point (c, r) of an apply's output, read through
+// at, into the unknown that sits there.
+func gatherGrid(op *ToeplitzOp, at func(c, r int) float64) []float64 {
 	dst := make([]float64, op.n)
-	for i, s := range op.scatter {
-		dst[i] = real(w[s])
+	for i, s := range op.slot {
+		if s != 0 {
+			dst[s-1] = at(i%op.nx, i/op.nx)
+		}
 	}
 	return dst
+}
+
+// refRealConvolve is the plain real-data algorithm behind MulVecTo (spec =
+// op.spec) and the circulant branch of PrecondTo (spec = op.pinv), with
+// nothing pruned or blocked: every row pair of the padded grid is packed
+// and row transformed, every half-grid column is transformed both ways, and
+// every row pair is merged and inverse transformed, all by refTransform.
+// The applies must reproduce it entry for entry.
+func refRealConvolve(op *ToeplitzOp, x, spec []float64) []float64 {
+	p := op.plan
+	g := make([]complex128, p.h*p.hw)
+	z := make([]complex128, p.w)
+	for r := 0; r < p.h; r += 2 {
+		for c := range z {
+			z[c] = complex(gridValue(op, x, c, r), gridValue(op, x, c, r+1))
+		}
+		refTransform(p.row, z, 0, 1, p.row.tw)
+		p.splitRows(g, z, r)
+	}
+	for c := 0; c < p.hw; c++ {
+		refTransform(p.col, g, c, p.hw, p.col.tw)
+	}
+	for i, s := range spec {
+		g[i] = complex(real(g[i])*s, imag(g[i])*s)
+	}
+	for c := 0; c < p.hw; c++ {
+		refTransform(p.col, g, c, p.hw, p.col.itw)
+	}
+	out := make([]float64, p.w*p.h)
+	for r := 0; r < p.h; r += 2 {
+		p.mergeRows(z, g, r)
+		refTransform(p.row, z, 0, 1, p.row.itw)
+		for c, v := range z {
+			out[r*p.w+c] = real(v)
+			if r+1 < p.h {
+				out[(r+1)*p.w+c] = imag(v)
+			}
+		}
+	}
+	return gatherGrid(op, func(c, r int) float64 { return out[r*p.w+c] })
+}
+
+// refConvolve is the full complex-data convolution the real-data applies
+// replaced: scatter into the whole padded grid, transform every row and
+// column, multiply by the full spectrum, transform back. The embedding is
+// even in each axis, so column kx of the full spectrum is column
+// min(kx, px−kx) of the half grid; the factor 2 undoes the packing factor
+// the half-grid spectra carry.
+func refConvolve(op *ToeplitzOp, x, half []float64) []float64 {
+	p := op.plan
+	w := make([]complex128, p.w*p.h)
+	for r := 0; r < p.h; r++ {
+		for c := 0; c < p.w; c++ {
+			w[r*p.w+c] = complex(gridValue(op, x, c, r), 0)
+		}
+	}
+	refTransform2D(p, w, false)
+	for r := 0; r < p.h; r++ {
+		for c := 0; c < p.w; c++ {
+			w[r*p.w+c] *= complex(2*half[r*p.hw+min(c, p.w-c)], 0)
+		}
+	}
+	refTransform2D(p, w, true)
+	return gatherGrid(op, func(c, r int) float64 { return real(w[r*p.w+c]) })
+}
+
+// Dense materialises the operator as a dense matrix straight from its
+// kernel table (O(n²)): the reference the FFT applies are checked against.
+func (op *ToeplitzOp) Dense() *Matrix {
+	coords := make([][2]int, op.n)
+	for i, s := range op.slot {
+		if s != 0 {
+			coords[s-1] = [2]int{i % op.nx, i / op.nx}
+		}
+	}
+	m := New(op.n, op.n)
+	for i, ci := range coords {
+		for j, cj := range coords {
+			m.Set(i, j, op.table[absInt(ci[1]-cj[1])*op.nx+absInt(ci[0]-cj[0])])
+		}
+	}
+	return m
 }
 
 func TestFFTStridedMatchesContiguous(t *testing.T) {
@@ -285,14 +371,15 @@ func TestToeplitzMulVecDeterministic(t *testing.T) {
 }
 
 func TestToeplitzPreconditionerIsSPDApproximation(t *testing.T) {
+	// A self-dominant kernel, whose embedding is positive; the 1/(1+r)
+	// table of randomKernelTable has no circulant preconditioner to check.
 	rng := rand.New(rand.NewSource(45))
-	tb := randomKernelTable(8, 8, rng)
-	op, err := NewToeplitzOp(8, 8, tb, fullGridCoords(8, 8))
+	op, err := NewToeplitzOp(8, 8, selfDominantTable(8, 8), fullGridCoords(8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !op.HasPreconditioner() {
-		t.Skip("embedding spectrum not positive for this kernel; preconditioner legitimately disabled")
+		t.Fatal("self-dominant kernel lost its circulant preconditioner")
 	}
 	// M⁻¹ must be symmetric positive definite: check xᵀM⁻¹x > 0 and
 	// symmetry via random vectors.
@@ -352,9 +439,20 @@ func subsetCoords(nx, ny int, keep func(ix, iy int) bool) [][2]int {
 	return coords
 }
 
-// TestToeplitzPrunedFFTMatchesReference holds the pruned, row-blocked 2-D
-// FFT to the unpruned strided one: MulVecTo and the circulant branch of
-// PrecondTo must give == results, not merely close ones.
+// realFFTMatchesComplexRelTol bounds, relative to the largest output, how
+// far the real-data applies may drift from the full complex transform they
+// replaced. Both are exact up to roundoff in the same O(log n)-stage
+// transforms, so the difference is a few ulps of the largest entry
+// (measured at most 4.1e-16 on the cases below); 1e-14 leaves headroom
+// without hiding a wrong spectrum entry or a mismatched row pair, which are
+// O(1) errors.
+const realFFTMatchesComplexRelTol = 1e-14
+
+// TestToeplitzPrunedFFTMatchesReference holds the pruned, row-blocked
+// real-data transform to the plain real-data algorithm: MulVecTo and the
+// circulant branch of PrecondTo must give == results, not merely close
+// ones. It also holds both to the full complex transform within
+// realFFTMatchesComplexRelTol.
 func TestToeplitzPrunedFFTMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	all := func(ix, iy int) bool { return true }
@@ -373,6 +471,8 @@ func TestToeplitzPrunedFFTMatchesReference(t *testing.T) {
 		{"39x35", 39, 35, all},
 		{"L 39x35", 39, 35, func(ix, iy int) bool { return ix < 26 || iy < 23 }},
 		{"holed 21x17", 21, 17, func(ix, iy int) bool { return rng.Float64() < 0.8 || (ix == 0 && iy == 0) }},
+		{"ny=1 holed 12x1", 12, 1, func(ix, iy int) bool { return ix%3 != 1 }},
+		{"unpaired last row 6x7", 6, 7, func(ix, iy int) bool { return iy < 6 || ix == 4 }},
 	}
 	for _, c := range cases {
 		coords := subsetCoords(c.nx, c.ny, c.keep)
@@ -392,17 +492,27 @@ func TestToeplitzPrunedFFTMatchesReference(t *testing.T) {
 		for _, apply := range []struct {
 			name string
 			fn   func(dst, x []float64)
-			spec []complex128
+			spec []float64
 		}{
 			{"MulVecTo", op.MulVecTo, op.spec},
 			{"PrecondTo", op.PrecondTo, op.pinv},
 		} {
 			apply.fn(got, x)
-			want := refConvolve(op, x, apply.spec)
+			want := refRealConvolve(op, x, apply.spec)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s %s[%d] = %.17g, reference %.17g", c.name, apply.name, i, got[i], want[i])
 				}
+			}
+			full := refConvolve(op, x, apply.spec)
+			var scale, worst float64
+			for i := range full {
+				scale = math.Max(scale, math.Abs(full[i]))
+				worst = math.Max(worst, math.Abs(got[i]-full[i]))
+			}
+			if worst > realFFTMatchesComplexRelTol*scale {
+				t.Fatalf("%s %s: real-data apply differs from the complex transform by %.3g of %.3g (> %g relative)",
+					c.name, apply.name, worst, scale, realFFTMatchesComplexRelTol)
 			}
 		}
 	}
