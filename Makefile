@@ -24,7 +24,8 @@ examples:
 bench:
 	./scripts/bench.sh
 
-# bench-smoke is the CI variant: one iteration per benchmark, gated against
+# bench-smoke is the CI variant: two timed iterations per benchmark after
+# Go's discarded warm-up call (as in the committed 3x runs), gated against
 # the committed trajectory — fails on a >2x ns/op regression of any shared
 # benchmark (the factor lives in cmd/benchjson).
 bench-smoke:

@@ -35,7 +35,7 @@ import (
 
 // regressionFactor is the gate for -baseline comparisons: a benchmark fails
 // the gate when its ns/op exceeds the baseline's by more than this factor.
-// 2× is deliberately loose — CI runs benchmarks once (-benchtime 1x) on
+// 2× is deliberately loose — CI times two iterations (-benchtime 2x) on
 // shared runners where 20–50% noise is routine, so the gate is tuned to
 // catch real regressions (an accidental O(n³) path, a lost parallel
 // dispatch) rather than scheduling jitter.

@@ -70,10 +70,9 @@ func main() {
 	stateDir := flag.String("state-dir", "", "directory for the operator cache, sweep snapshots and the job journal (empty = in-memory only)")
 	deadline := flag.Duration("deadline", 0, fmt.Sprintf("default per-job deadline (0 = %v)", serve.DefaultDeadline))
 	maxDeadline := flag.Duration("max-deadline", 0, fmt.Sprintf("cap on client-requested deadlines (0 = %v)", serve.MaxDeadline))
-	ckptEvery := flag.Int("checkpoint-every", 0, fmt.Sprintf("sweep points between resumable snapshots (0 = %d)", serve.DefaultCheckpointEvery))
 	maxJobs := flag.Int("max-jobs", 0, fmt.Sprintf("terminal job records retained for the status API (0 = %d)", serve.DefaultMaxJobs))
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long a drain lets in-flight jobs finish before cancelling them into snapshots")
-	shardPoints := flag.Int("shard-points", 0, "sweep points per dispatch shard (0 = checkpoint-every)")
+	shardPoints := flag.Int("shard-points", 0, fmt.Sprintf("sweep points per dispatch shard; each completed shard is snapshotted (0 = %d)", serve.DefaultShardPoints))
 	shardLease := flag.Duration("shard-lease", 0, fmt.Sprintf("per-shard lease: a dispatch exceeding it is cancelled and requeued (0 = %v)", serve.DefaultShardLease))
 	shardAttempts := flag.Int("shard-attempts", 0, fmt.Sprintf("dispatches per shard before quarantine (0 = %d)", serve.DefaultShardAttempts))
 	noRecover := flag.Bool("no-recover", false, "skip replaying the job journal on startup")
@@ -105,7 +104,6 @@ func main() {
 		StateDir:        *stateDir,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		CheckpointEvery: *ckptEvery,
 		MaxJobs:         *maxJobs,
 		ShardPoints:     *shardPoints,
 		ShardLease:      *shardLease,

@@ -325,7 +325,7 @@ func TestPartialSweepIs200WithPointDetail(t *testing.T) {
 func TestDrainSnapshotsInFlightAndFlushesQueue(t *testing.T) {
 	check := noLeaks(t)
 	dir := t.TempDir()
-	cfg := serve.Config{Workers: 1, QueueCap: 8, StateDir: dir, CheckpointEvery: 2}
+	cfg := serve.Config{Workers: 1, QueueCap: 8, StateDir: dir, ShardPoints: 2}
 	s := serve.New(cfg, serve.Hooks{Sweep: slowSweep(30 * time.Millisecond)})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -426,7 +426,7 @@ func TestDrainSnapshotsInFlightAndFlushesQueue(t *testing.T) {
 	// The snapshot resumes: a fresh daemon over the same state directory
 	// picks A's sweep back up and finishes it, restoring completed points
 	// instead of recomputing them.
-	s2 := startServer(t, serve.Config{Workers: 1, StateDir: dir, CheckpointEvery: 2}, serve.Hooks{})
+	s2 := startServer(t, serve.Config{Workers: 1, StateDir: dir, ShardPoints: 2}, serve.Hooks{})
 	idR, err := s2.Submit(context.Background(), sweepReq(80, stA.SnapshotPath))
 	if err != nil {
 		t.Fatal(err)

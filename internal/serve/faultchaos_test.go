@@ -81,7 +81,7 @@ func TestStorageFaultScheduleSweep(t *testing.T) {
 			installFaults(t, spec)
 			dir := t.TempDir()
 			s := startServer(t, serve.Config{
-				Workers: 2, StateDir: dir, CheckpointEvery: 2,
+				Workers: 2, StateDir: dir, ShardPoints: 2,
 				StoragePolicy: fastStorage, RearmProbe: 20 * time.Millisecond,
 			}, serve.Hooks{})
 			srv := httptest.NewServer(s.Handler())
@@ -248,14 +248,13 @@ func gatedExtract(gate <-chan struct{}) func(context.Context, *core.BoardSpec, s
 // every job non-terminal so a finish record cannot vouch for anyone.
 func TestRearmWindowSubmitStaysHonest(t *testing.T) {
 	check := noLeaks(t)
-	// Two appenders race for the eio faults: the first Submit's accept
-	// append and the worker's serve-start append for the same job. Each
-	// makes at most three attempts (fastStorage), so six faults guarantee
-	// one of them exhausts its retries and degrades durability whatever the
-	// interleaving; with only three, the two could split them and neither
-	// degrade. When the second append starts after the degrade it is
-	// skipped, and probe appends use up the faults it leaves over. The re-arm rewrite is stretched
-	// by 250 ms, spanning many submit-loop iterations.
+	// The first Submit's accept append is the only journal append before
+	// the degrade (the gated job cannot finish): its three attempts
+	// (fastStorage) take the first three eio faults, exhaust its retries and
+	// degrade durability. The re-arm probe's appends use up the other three,
+	// which keeps the daemon degraded for a few probe cycles while the loop
+	// below submits. The re-arm rewrite is stretched by 250 ms, spanning
+	// many submit-loop iterations.
 	installFaults(t, "journal.append:eio{times=6};journal.rewrite:latency{delay=250ms,times=4}")
 	dir := t.TempDir()
 	gate := make(chan struct{})
@@ -529,12 +528,12 @@ func TestDrainJournalsFlushedJobsWhileDegraded(t *testing.T) {
 // but their accept records are what re-admits them, so the rewrite must keep
 // them; dropping them would leave jobs durable:true with no record, and the
 // drain's catch-up only covers durable:false ones. Journal syncs, in order:
-// 1 A's accept, 2 A's serve-start (done once the extract hook is entered),
-// 3–4 B's and C's accepts, 5–7 D's accept failing three times (degrade),
-// 8 the probe's append, held for 500 ms while the drain flushes B, C and D.
+// 1 A's accept, 2–3 B's and C's accepts (submitted once A holds the worker
+// in the extract hook), 4–6 D's accept failing three times (degrade), 7 the
+// probe's append, held for 500 ms while the drain flushes B, C and D.
 func TestDrainDuringRearmKeepsFlushedJobs(t *testing.T) {
 	check := noLeaks(t)
-	in := installFaults(t, "journal.append:latency{after=7,times=1,delay=500ms};journal.append:eio{after=4,times=3}")
+	in := installFaults(t, "journal.append:latency{after=6,times=1,delay=500ms};journal.append:eio{after=3,times=3}")
 	dir := t.TempDir()
 	entered := make(chan struct{}, 1)
 	s := serve.New(serve.Config{
@@ -701,16 +700,16 @@ func mustSchedule(t *testing.T, spec string) *fault.Schedule {
 // whose storage is slow (latency injection on journal, snapshot fsync, and
 // directory barriers — widening every crash window) is SIGKILLed mid-sweep,
 // and recovery must still resume bitwise-identically. Latency-only on
-// purpose: error injection can degrade the helper's durability, which stops
-// shard-done journal records and starves the kill trigger; the eio/torn
-// crash paths are covered by the in-process tests above.
+// purpose: error injection can cost the helper its accept record or the
+// snapshot writes the kill trigger waits on, leaving nothing to recover;
+// the eio/torn crash paths are covered by the in-process tests above.
 func TestKill9WithFaultsStillRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
 	}
 	// Uninterrupted, fault-free reference.
 	refDir := t.TempDir()
-	ref := startServer(t, serve.Config{Workers: 2, StateDir: refDir, CheckpointEvery: 2}, serve.Hooks{})
+	ref := startServer(t, serve.Config{Workers: 2, StateDir: refDir, ShardPoints: 2}, serve.Hooks{})
 	refID, err := ref.Submit(context.Background(), sweepReq(60, ""))
 	if err != nil {
 		t.Fatal(err)
@@ -740,13 +739,7 @@ func TestKill9WithFaultsStillRecovers(t *testing.T) {
 			_, _ = cmd.Process.Wait()
 		}
 	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for countJournalKind(t, dir, "serve-shard-done") < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("helper daemon never journaled two completed shards")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitSnapshotShards(t, dir)
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
 	}
@@ -755,7 +748,7 @@ func TestKill9WithFaultsStillRecovers(t *testing.T) {
 
 	// Recovery runs on healthy storage (the disk got better; the crash
 	// damage is what persists).
-	s2 := startServer(t, serve.Config{Workers: 2, StateDir: dir, CheckpointEvery: 2}, serve.Hooks{})
+	s2 := startServer(t, serve.Config{Workers: 2, StateDir: dir, ShardPoints: 2}, serve.Hooks{})
 	rep, err := s2.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)

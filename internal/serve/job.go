@@ -180,8 +180,7 @@ type job struct {
 	rawBoard json.RawMessage
 	sweep    *SweepSpec
 	deadline time.Duration
-	// fingerprint is the board's content hash (operator-cache key and the
-	// idempotency key of journal records).
+	// fingerprint is the board's content hash, the operator-cache key.
 	fingerprint string
 	// recovered marks a job resubmitted by Recover after a crash: its sweep
 	// auto-resumes from the job's own snapshot when one survived.

@@ -23,65 +23,33 @@ import (
 // never correctness.
 const journalFile = "jobs.journal"
 
-// Journal record kinds. The replay logic needs only accept and finish to
-// compute the live set; start, lease and shard-done records are evidence for
-// operators and tests (which shard held a lease when the process died, how
-// far a sweep had progressed) and are dropped on compaction.
+// Journal record kinds: the journal holds only what Recover reads. An accept
+// without a finish is a live job; the re-arm probe's serve-probe record
+// (durability.go) proves the append path and is dropped on compaction.
+// Replay skips any other kind, so journals holding the serve-start,
+// serve-lease and serve-shard-done records of older daemons still replay,
+// and their first compaction drops those records.
 const (
-	journalKindAccept    = "serve-accept"
-	journalKindStart     = "serve-start"
-	journalKindLease     = "serve-lease"
-	journalKindShardDone = "serve-shard-done"
-	journalKindFinish    = "serve-finish"
+	journalKindAccept = "serve-accept"
+	journalKindFinish = "serve-finish"
 )
 
 // jobAcceptRec is the write-ahead accept record: the full request, so a
 // replay can resubmit the job without any other source of truth.
 type jobAcceptRec struct {
-	ID          string          `json:"id"`
-	Board       json.RawMessage `json:"board"`
-	Sweep       *SweepSpec      `json:"sweep,omitempty"`
-	DeadlineMS  int64           `json:"deadline_ms,omitempty"`
-	Fingerprint string          `json:"fingerprint,omitempty"`
-	Accepted    string          `json:"accepted,omitempty"`
+	ID         string          `json:"id"`
+	Board      json.RawMessage `json:"board"`
+	Sweep      *SweepSpec      `json:"sweep,omitempty"`
+	DeadlineMS int64           `json:"deadline_ms,omitempty"`
+	Accepted   string          `json:"accepted,omitempty"`
 }
 
 // acceptRecord renders jb's write-ahead accept record.
 func acceptRecord(jb *job) jobAcceptRec {
 	return jobAcceptRec{
 		ID: jb.id, Board: jb.rawBoard, Sweep: jb.sweep,
-		DeadlineMS: jb.deadline.Milliseconds(), Fingerprint: jb.fingerprint,
-		Accepted: stamp(jb.submitted),
+		DeadlineMS: jb.deadline.Milliseconds(), Accepted: stamp(jb.submitted),
 	}
-}
-
-// jobStartRec marks a worker picking the job up.
-type jobStartRec struct {
-	ID          string `json:"id"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
-// shardLeaseRec is written before a shard dispatch executes: the claim, its
-// attempt number, and when the lease expires.
-type shardLeaseRec struct {
-	ID          string `json:"id"`
-	Shard       int    `json:"shard"`
-	Lo          int    `json:"lo"`
-	Hi          int    `json:"hi"`
-	Attempt     int    `json:"attempt"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-	Expires     string `json:"expires,omitempty"`
-}
-
-// shardDoneRec marks a shard dispatch that completed and merged, after its
-// points were made durable in the job's sweep snapshot.
-type shardDoneRec struct {
-	ID          string `json:"id"`
-	Shard       int    `json:"shard"`
-	Lo          int    `json:"lo"`
-	Hi          int    `json:"hi"`
-	Points      int    `json:"points"`
-	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
 // jobFinishRec marks a job terminal. Replay treats a finished id as settled
@@ -90,7 +58,6 @@ type shardDoneRec struct {
 type jobFinishRec struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-	Class string `json:"class,omitempty"`
 }
 
 // journalAppend writes one record to the job journal under the storage

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pdnsim/internal/checkpoint"
+	"pdnsim/internal/core"
 	"pdnsim/internal/fault"
 	"pdnsim/internal/mat"
 	"pdnsim/internal/serve"
@@ -56,7 +57,7 @@ func TestHelperServeDaemon(t *testing.T) {
 		// No restore: the helper dies by SIGKILL, never by cleanup.
 		checkpoint.SetFS(fault.WrapFS(checkpoint.OS(), fault.NewInjector(sched)))
 	}
-	s := serve.New(serve.Config{Workers: 2, StateDir: dir, CheckpointEvery: 2},
+	s := serve.New(serve.Config{Workers: 2, StateDir: dir, ShardPoints: 2},
 		serve.Hooks{Sweep: slowSweep(50 * time.Millisecond)})
 	s.Start(context.Background())
 	if _, err := s.Submit(context.Background(), sweepReq(60, "")); err != nil {
@@ -67,21 +68,37 @@ func TestHelperServeDaemon(t *testing.T) {
 	time.Sleep(5 * time.Minute)
 }
 
-// countJournalKind replays the journal under dir and counts records of one
-// kind; missing or torn journals count what is readable.
-func countJournalKind(t *testing.T, dir, kind string) int {
-	t.Helper()
-	recs, _, err := checkpoint.ReplayJournal(filepath.Join(dir, "jobs.journal"))
+// snapshotDonePoints counts the completed points in the sweep snapshot of
+// job id, a sweepReq(nf, "") job, under dir; a missing, mid-rename or
+// unreadable snapshot counts zero.
+func snapshotDonePoints(dir, id string, nf int) int {
+	sw := sweepReq(nf, "").Sweep
+	done, _, err := sparam.LoadSweepCheckpoint(filepath.Join(dir, id+".sweep.ckpt"),
+		sparam.LinSpace(sw.FMin, sw.FMax, sw.NF), 50)
 	if err != nil {
 		return 0
 	}
 	n := 0
-	for _, r := range recs {
-		if r.Kind == kind {
+	for _, d := range done {
+		if d {
 			n++
 		}
 	}
 	return n
+}
+
+// awaitSnapshotShards polls until job j-000001 of a helper daemon (a
+// 60-point sweep in 2-point shards) has at least two shards' points in its
+// sweep snapshot: the crash-durable progress a resumed run must restore.
+func awaitSnapshotShards(t *testing.T, dir string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for snapshotDonePoints(dir, "j-000001", 60) < 2*2 {
+		if time.Now().After(deadline) {
+			t.Fatal("helper daemon never snapshotted two completed shards")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // journaledJobs replays the journal under dir and returns, by job id, the
@@ -121,7 +138,7 @@ func journaledJobs(t *testing.T, dir string) (accepts map[string]*serve.SweepSpe
 func TestKill9RecoveryResumesBitwiseIdentical(t *testing.T) {
 	// Uninterrupted reference on its own state directory.
 	refDir := t.TempDir()
-	ref := startServer(t, serve.Config{Workers: 2, StateDir: refDir, CheckpointEvery: 2}, serve.Hooks{})
+	ref := startServer(t, serve.Config{Workers: 2, StateDir: refDir, ShardPoints: 2}, serve.Hooks{})
 	refID, err := ref.Submit(context.Background(), sweepReq(60, ""))
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +152,9 @@ func TestKill9RecoveryResumesBitwiseIdentical(t *testing.T) {
 		t.Fatalf("reference touchstone: %v", err)
 	}
 
-	// Victim daemon in a subprocess, killed once at least two shards have
-	// committed (snapshot written, shard-done journaled) but long before the
-	// sweep could finish.
+	// Victim daemon in a subprocess, killed once at least two shards'
+	// points are in its sweep snapshot but long before the sweep could
+	// finish.
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run", "TestHelperServeDaemon$", "-test.v")
 	cmd.Env = append(os.Environ(), helperDaemonEnv+"="+dir)
@@ -151,13 +168,7 @@ func TestKill9RecoveryResumesBitwiseIdentical(t *testing.T) {
 			_, _ = cmd.Process.Wait()
 		}
 	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for countJournalKind(t, dir, "serve-shard-done") < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("helper daemon never journaled two completed shards")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitSnapshotShards(t, dir)
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
 	}
@@ -166,7 +177,7 @@ func TestKill9RecoveryResumesBitwiseIdentical(t *testing.T) {
 
 	// Restart over the same state directory: Recover must resubmit the job
 	// under its original id with no operator action beyond the call.
-	s2 := startServer(t, serve.Config{Workers: 2, StateDir: dir, CheckpointEvery: 2}, serve.Hooks{})
+	s2 := startServer(t, serve.Config{Workers: 2, StateDir: dir, ShardPoints: 2}, serve.Hooks{})
 	rep, err := s2.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -194,23 +205,28 @@ func TestKill9RecoveryResumesBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryRequeuesShard: a shard whose first dispatch hangs loses its
-// lease, frees the worker, and succeeds on the requeued dispatch — the job
-// completes clean, with the expiry on the books.
-func TestLeaseExpiryRequeuesShard(t *testing.T) {
-	check := noLeaks(t)
+// stallFirstDispatch is a sweep hook whose first shard dispatch hangs until
+// its lease cuts it off; every later dispatch runs the real shard sweep.
+func stallFirstDispatch() func(context.Context, []float64, int, int, []bool, sparam.SweepOptions, sparam.ZFunc) ([]*mat.CMatrix, []sparam.PointStatus, error) {
 	var stalled atomic.Bool
-	hook := func(ctx context.Context, freqs []float64, lo, hi int, skip []bool, opts sparam.SweepOptions, zAt sparam.ZFunc) ([]*mat.CMatrix, []sparam.PointStatus, error) {
+	return func(ctx context.Context, freqs []float64, lo, hi int, skip []bool, opts sparam.SweepOptions, zAt sparam.ZFunc) ([]*mat.CMatrix, []sparam.PointStatus, error) {
 		if stalled.CompareAndSwap(false, true) {
 			<-ctx.Done()
 			return nil, nil, &simerr.CancelledError{Op: "chaos: stalled shard", Err: ctx.Err()}
 		}
 		return sparam.SweepZShardSupervised(ctx, freqs, lo, hi, skip, opts, zAt)
 	}
+}
+
+// TestLeaseExpiryRequeuesShard: a shard whose first dispatch hangs loses its
+// lease, frees the worker, and succeeds on the requeued dispatch — the job
+// completes clean, with the expiry on the books.
+func TestLeaseExpiryRequeuesShard(t *testing.T) {
+	check := noLeaks(t)
 	s := startServer(t, serve.Config{
 		Workers: 2, ShardPoints: 2, ShardLease: 80 * time.Millisecond,
 		ShardAttempts: 3, Policy: noWaitPolicy,
-	}, serve.Hooks{Sweep: hook})
+	}, serve.Hooks{Sweep: stallFirstDispatch()})
 
 	id, err := s.Submit(context.Background(), sweepReq(4, ""))
 	if err != nil {
@@ -234,6 +250,132 @@ func TestLeaseExpiryRequeuesShard(t *testing.T) {
 	defer dcancel()
 	s.Drain(dctx)
 	check()
+}
+
+// TestJournalHoldsOnlyAcceptAndFinish: the journal holds what Recover reads
+// and nothing else. A sweep job whose shards ran under leases, one of them
+// dispatched twice after a lease expiry, leaves exactly one accept and one
+// finish record; shard dispatches and progress are journaled nowhere.
+func TestJournalHoldsOnlyAcceptAndFinish(t *testing.T) {
+	dir := t.TempDir()
+	s := startServer(t, serve.Config{
+		Workers: 2, StateDir: dir, ShardPoints: 2, ShardLease: 80 * time.Millisecond,
+		ShardAttempts: 3, Policy: noWaitPolicy,
+	}, serve.Hooks{Sweep: stallFirstDispatch()})
+	id, err := s.Submit(context.Background(), sweepReq(6, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, id, 30*time.Second); st.State != serve.StateDone || !st.Durable {
+		t.Fatalf("job = %q durable=%v (error %q), want done and durable", st.State, st.Durable, st.Error)
+	}
+	if stats := s.Stats(); stats.LeaseExpiries < 1 || stats.Shards < 4 {
+		t.Fatalf("stats = %+v, want ≥ 1 lease expiry and ≥ 4 dispatches (3 shards + 1 requeue)", stats)
+	}
+	// The finish record is appended after the job turns terminal; the drain
+	// waits for it.
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	s.Drain(dctx)
+
+	recs, _, err := checkpoint.ReplayJournal(filepath.Join(dir, "jobs.journal"))
+	if err != nil {
+		t.Fatalf("ReplayJournal: %v", err)
+	}
+	kinds := make(map[string]int)
+	for _, r := range recs {
+		var p struct {
+			ID string `json:"id"`
+		}
+		if json.Unmarshal(r.Payload, &p) != nil || p.ID != id {
+			t.Fatalf("journal record %s %s is not about job %s", r.Kind, r.Payload, id)
+		}
+		kinds[r.Kind]++
+	}
+	if len(kinds) != 2 || kinds["serve-accept"] != 1 || kinds["serve-finish"] != 1 {
+		t.Fatalf("journal records by kind = %v, want exactly one serve-accept and one serve-finish", kinds)
+	}
+}
+
+// TestRecoverDropsRetiredRecordKinds: a journal written by a daemon that
+// also journaled serve-start, serve-lease and serve-shard-done records (and
+// a fingerprint in each, a class in the finish) replays to the same live
+// set, and Recover's compaction leaves none of the retired records behind.
+func TestRecoverDropsRetiredRecordKinds(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := core.ParseBoard([]byte(testBoard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := spec.Fingerprint()
+	sweep := sweepReq(6, "").Sweep
+	type rec = struct {
+		kind    string
+		payload any
+	}
+	accept := func(id string, sw *serve.SweepSpec) rec {
+		return rec{"serve-accept", map[string]any{
+			"id": id, "board": json.RawMessage(testBoard), "sweep": sw, "deadline_ms": 600000,
+			"fingerprint": fp, "accepted": time.Now().UTC().Format(time.RFC3339Nano)}}
+	}
+	start := func(id string) rec {
+		return rec{"serve-start", map[string]any{"id": id, "fingerprint": fp}}
+	}
+	lease := func(id string, shard int) rec {
+		return rec{"serve-lease", map[string]any{
+			"id": id, "shard": shard, "lo": 2 * shard, "hi": 2*shard + 2, "attempt": 1,
+			"fingerprint": fp, "expires": time.Now().Add(time.Minute).UTC().Format(time.RFC3339Nano)}}
+	}
+	shardDone := func(id string, shard int) rec {
+		return rec{"serve-shard-done", map[string]any{
+			"id": id, "shard": shard, "lo": 2 * shard, "hi": 2*shard + 2, "points": 2, "fingerprint": fp}}
+	}
+	writeJournalRecords(t, dir,
+		// j-000001 finished; j-000002 died holding shard 1's lease;
+		// j-000003 was accepted but never started.
+		// Two workers interleave the two sweeps' records.
+		accept("j-000001", sweep), start("j-000001"), lease("j-000001", 0),
+		accept("j-000002", sweep), start("j-000002"), lease("j-000002", 0),
+		shardDone("j-000001", 0), lease("j-000001", 1),
+		shardDone("j-000002", 0), lease("j-000002", 1),
+		shardDone("j-000001", 1), lease("j-000001", 2), shardDone("j-000001", 2),
+		rec{"serve-finish", map[string]any{"id": "j-000001", "state": "failed", "class": "solve"}},
+		accept("j-000003", nil),
+	)
+
+	s := startServer(t, serve.Config{Workers: 1, StateDir: dir, ShardPoints: 2}, serve.Hooks{})
+	rep, err := s.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(rep.Resubmitted) != 2 || rep.Resubmitted[0] != "j-000002" || rep.Resubmitted[1] != "j-000003" || len(rep.Failed) != 0 {
+		t.Fatalf("recover report = %+v, want [j-000002 j-000003] resubmitted", rep)
+	}
+	for _, id := range rep.Resubmitted {
+		if st := waitTerminal(t, s, id, 60*time.Second); st.State != serve.StateDone || !st.Durable {
+			t.Fatalf("recovered job %s = %q durable=%v (error %q), want done and durable", id, st.State, st.Durable, st.Error)
+		}
+	}
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	s.Drain(dctx)
+
+	recs, _, err := checkpoint.ReplayJournal(filepath.Join(dir, "jobs.journal"))
+	if err != nil {
+		t.Fatalf("ReplayJournal: %v", err)
+	}
+	for _, r := range recs {
+		if r.Kind != "serve-accept" && r.Kind != "serve-finish" {
+			t.Fatalf("compacted journal still holds a %s record: %s", r.Kind, r.Payload)
+		}
+	}
+	accepts, finishes := journaledJobs(t, dir)
+	_, has3 := accepts["j-000003"]
+	if len(recs) != 4 || len(accepts) != 2 || accepts["j-000002"] == nil || !has3 ||
+		finishes["j-000002"] != "done" || finishes["j-000003"] != "done" {
+		t.Fatalf("compacted journal: %d records, accepts %v, finishes %v; want the two recovered jobs' accept and finish only",
+			len(recs), accepts, finishes)
+	}
 }
 
 // TestPoisonShardQuarantinesJobPartial: a shard that hangs on every dispatch
@@ -380,6 +522,18 @@ func TestRecoverReplaysDrainFlushedJobs(t *testing.T) {
 		t.Fatalf("post-recovery id = %s, want j-000004 (sequence restored)", id4)
 	}
 	waitTerminal(t, s2, id4, 30*time.Second)
+	// The finish record is appended just after the job turns terminal; the
+	// state is clean once it is on disk.
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		if _, finishes := journaledJobs(t, dir); finishes[id4] != "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never journaled its finish record", id4)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// A second Recover over the now-clean state is a no-op.
 	rrep2, err := s2.Recover()

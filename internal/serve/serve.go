@@ -26,16 +26,16 @@
 //     0. No accepted job is silently dropped — every one ends in a
 //     terminal state a client can query.
 //   - Crash safety, not just graceful degradation: sweep jobs are split
-//     into shards dispatched to the shared pool under per-shard leases, a
+//     into shards dispatched to the shared pool under per-shard leases,
+//     every completed shard lands in the job's sweep snapshot, a
 //     write-ahead journal (jobs.journal, on the checkpoint envelope)
-//     records accept/start/lease/shard-done/finish transitions, and
-//     Recover replays the journal on restart so a daemon
-//     killed with SIGKILL mid-burst resumes every incomplete job from its
-//     last completed shard — bitwise-identical to an uninterrupted run. A
-//     shard whose lease expires is requeued with jittered backoff and
-//     bounded attempts; one that exhausts them is quarantined as a poison
-//     shard and its job completes "partial" with per-point detail instead
-//     of hanging or dying.
+//     records each job's accept and finish, and Recover replays the
+//     journal on restart so a daemon killed with SIGKILL mid-burst resumes
+//     every incomplete job from its snapshot — bitwise-identical to an
+//     uninterrupted run. A shard whose lease expires is requeued with
+//     jittered backoff and bounded attempts; one that exhausts them is
+//     quarantined as a poison shard and its job completes "partial" with
+//     per-point detail instead of hanging or dying.
 //
 // The package is the library half; cmd/pdnserve wires it to flags, signals
 // and an http.Server, and cmd/pdnload drives it for latency baselines.
@@ -91,21 +91,23 @@ const (
 	// MaxDeadline caps client-requested deadlines so one job cannot pin a
 	// worker for an afternoon.
 	MaxDeadline = 10 * time.Minute
-	// DefaultCheckpointEvery is the sweep snapshot cadence for daemon jobs.
-	// Service jobs are much smaller than batch runs (checkpoint.DefaultEvery
-	// is tuned for million-step transients), and a drained job should lose
-	// at most a few points of work.
-	DefaultCheckpointEvery = 8
+	// DefaultShardPoints is the number of sweep points per shard. Every
+	// completed shard persists its points in the job's sweep snapshot, so
+	// the shard is also the snapshot cadence: service jobs are much smaller
+	// than batch runs (checkpoint.DefaultEvery is tuned for million-step
+	// transients), and a crashed or drained job should lose at most a few
+	// points of work.
+	DefaultShardPoints = 8
 	// DefaultMaxJobs bounds the terminal-job history retained for the
 	// status API; the oldest terminal records are pruned past it so a
 	// long-lived daemon's memory stays flat.
 	DefaultMaxJobs = 1000
 	// DefaultShardLease bounds one dispatch of one sweep shard. 30 s is two
 	// orders of magnitude above a shard of the heaviest committed benchmark
-	// board (DefaultShardPoints ≈ checkpoint-cadence points at ~100 ms each),
-	// so it fires only on a genuinely hung solve — and long before the job
-	// deadline would, which is the point: the lease frees the worker and
-	// requeues the shard while the job keeps its other shards' progress.
+	// board (DefaultShardPoints points at ~100 ms each), so it fires only on
+	// a genuinely hung solve — and long before the job deadline would,
+	// which is the point: the lease frees the worker and requeues the shard
+	// while the job keeps its other shards' progress.
 	DefaultShardLease = 30 * time.Second
 	// DefaultShardAttempts bounds dispatches of one shard (first try plus
 	// requeues after lease expiry or a panic). Three mirrors the supervise
@@ -138,9 +140,6 @@ type Config struct {
 	// cache, per-job sweep snapshots, and the write-ahead job journal all
 	// live here. Empty serves from memory (no cache, drain cannot snapshot).
 	StateDir string
-	// CheckpointEvery is the sweep snapshot cadence (points between
-	// snapshots) for daemon jobs. Zero selects DefaultCheckpointEvery.
-	CheckpointEvery int
 	// MaxJobs bounds retained terminal job records. Zero selects
 	// DefaultMaxJobs.
 	MaxJobs int
@@ -148,10 +147,10 @@ type Config struct {
 	// applies the package supervise defaults. Its backoff schedule (with
 	// full jitter) also paces shard requeues after lease expiry.
 	Policy supervise.Policy
-	// ShardPoints is the number of sweep points per shard. Zero selects
-	// CheckpointEvery, aligning the unit of dispatch with the snapshot
-	// cadence: every completed shard persists its points, so a crash loses
-	// at most the shards in flight.
+	// ShardPoints is the number of sweep points per shard, the unit of both
+	// dispatch and snapshot: every completed shard persists its points, so a
+	// crash loses at most the shards in flight. Zero selects
+	// DefaultShardPoints.
 	ShardPoints int
 	// ShardLease bounds one dispatch of one shard; an expired lease cancels
 	// the shard's solve (freeing the worker) and requeues it. Zero selects
@@ -302,9 +301,6 @@ func New(cfg Config, hooks Hooks) *Server {
 	if cfg.MaxDeadline <= 0 {
 		cfg.MaxDeadline = MaxDeadline
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = DefaultCheckpointEvery
-	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = DefaultMaxJobs
 	}
@@ -317,7 +313,7 @@ func New(cfg Config, hooks Hooks) *Server {
 		hooks.Sweep = sparam.SweepZShardSupervised
 	}
 	if cfg.ShardPoints <= 0 {
-		cfg.ShardPoints = cfg.CheckpointEvery
+		cfg.ShardPoints = DefaultShardPoints
 	}
 	if cfg.ShardLease <= 0 {
 		cfg.ShardLease = DefaultShardLease
@@ -720,8 +716,6 @@ func (s *Server) runJob(ctx context.Context, jb *job) {
 	jb.ctx = jctx
 	s.mu.Unlock()
 
-	s.journalAppend(jb, journalKindStart, jobStartRec{ID: jb.id, Fingerprint: jb.fingerprint})
-
 	err := s.extract(jctx, jb)
 	if err != nil || jb.sweep == nil {
 		s.finalize(jb, err)
@@ -782,8 +776,7 @@ func (s *Server) finalize(jb *job, err error) {
 	if cancel != nil {
 		cancel()
 	}
-	finOK := s.journalAppend(jb, journalKindFinish, jobFinishRec{
-		ID: jb.id, State: string(state), Class: cli.ErrClass(err)})
+	finOK := s.journalAppend(jb, journalKindFinish, jobFinishRec{ID: jb.id, State: string(state)})
 	// The job's durability claim is final only after the finish record's
 	// fate is known: a failed append strips it (in journalAppend), and a
 	// durable finish record establishes it on its own — replay treats a

@@ -115,11 +115,12 @@ func (s *Server) beginSweep(jb *job) error {
 	return nil
 }
 
-// runShard executes one dispatch of one shard under its lease: journal the
-// lease (write-ahead: the claim is on disk before the work starts), solve
-// the shard's missing points under a context that expires with the lease,
-// merge whatever completed, and triage the outcome — done, job-cancelled,
-// requeued with jittered backoff, or quarantined.
+// runShard executes one dispatch of one shard under its lease: solve the
+// shard's missing points under a context that expires with the lease, merge
+// whatever completed, and triage the outcome — done, job-cancelled,
+// requeued with jittered backoff, or quarantined. The lease lives in memory
+// only: after a crash the recovered job re-dispatches every shard its
+// snapshot does not cover.
 func (s *Server) runShard(ctx context.Context, t *shardTask) {
 	jb := t.jb
 	s.mu.Lock()
@@ -136,13 +137,7 @@ func (s *Server) runShard(ctx context.Context, t *shardTask) {
 	s.mu.Lock()
 	s.stats.Shards++
 	s.mu.Unlock()
-	lease := time.Now().Add(s.cfg.ShardLease)
-	s.journalAppend(jb, journalKindLease, shardLeaseRec{
-		ID: jb.id, Shard: t.idx, Lo: t.lo, Hi: t.hi, Attempt: t.attempts,
-		Fingerprint: jb.fingerprint, Expires: stamp(lease),
-	})
-
-	sctx, cancel := context.WithDeadline(jctx, lease)
+	sctx, cancel := context.WithTimeout(jctx, s.cfg.ShardLease)
 	results, statuses, err := s.solveShard(sctx, jb, t)
 	cancel()
 
@@ -150,14 +145,10 @@ func (s *Server) runShard(ctx context.Context, t *shardTask) {
 	// attempt keeps its finished points, so the retry recomputes only the
 	// remainder — and the snapshot write inside the merge is what makes a
 	// completed point crash-durable.
-	merged := s.mergeShard(jb, t, results, statuses)
+	s.mergeShard(jb, t, results, statuses)
 
 	switch {
 	case err == nil:
-		s.journalAppend(jb, journalKindShardDone, shardDoneRec{
-			ID: jb.id, Shard: t.idx, Lo: t.lo, Hi: t.hi,
-			Points: merged, Fingerprint: jb.fingerprint,
-		})
 		s.resolveShard(t, false)
 	case jctx.Err() != nil:
 		// Job-level cancellation (deadline or drain), not a lease expiry:
@@ -184,18 +175,17 @@ func (s *Server) solveShard(ctx context.Context, jb *job, t *shardTask) (results
 
 // mergeShard folds one dispatch's results into the job — results/done under
 // sweepMu, statuses under s.mu — then flushes a snapshot so the completed
-// points become crash-durable before the shard-done record can be journaled.
-// Returns how many new points completed.
-func (s *Server) mergeShard(jb *job, t *shardTask, results []*mat.CMatrix, statuses []sparam.PointStatus) int {
+// points are crash-durable before the shard resolves.
+func (s *Server) mergeShard(jb *job, t *shardTask, results []*mat.CMatrix, statuses []sparam.PointStatus) {
 	if results == nil && statuses == nil {
-		return 0
+		return
 	}
 	type statusUpdate struct {
 		i  int
 		st sparam.PointStatus
 	}
 	var updates []statusUpdate
-	merged := 0
+	merged := false
 	gen := 0
 	jb.sweepMu.Lock()
 	for k := range results {
@@ -203,7 +193,7 @@ func (s *Server) mergeShard(jb *job, t *shardTask, results []*mat.CMatrix, statu
 		if results[k] != nil && !jb.done[i] {
 			jb.results[i] = results[k]
 			jb.done[i] = true
-			merged++
+			merged = true
 		}
 	}
 	for k := range statuses {
@@ -219,7 +209,7 @@ func (s *Server) mergeShard(jb *job, t *shardTask, results []*mat.CMatrix, statu
 			updates = append(updates, statusUpdate{i: i, st: st})
 		}
 	}
-	if merged > 0 {
+	if merged {
 		jb.snapGen++
 		gen = jb.snapGen
 	}
@@ -230,10 +220,9 @@ func (s *Server) mergeShard(jb *job, t *shardTask, results []*mat.CMatrix, statu
 		jb.points[u.i] = u.st
 	}
 	s.mu.Unlock()
-	if merged > 0 {
+	if merged {
 		s.flushSweepSnapshot(jb, fmt.Sprintf("shard %d", t.idx), gen)
 	}
-	return merged
 }
 
 // flushSweepSnapshot makes sweep generation gen durable and returns. The

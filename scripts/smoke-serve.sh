@@ -52,7 +52,7 @@ sweep='{"fmin_hz":1e8,"fmax_hz":1e10,"nf":240'
 
 start_daemon() {
   "$tmp/pdnserve" -addr "$addr" -state-dir "$state" -workers 1 \
-    -checkpoint-every 4 -drain-grace 1s 2>> "$tmp/serve.err" &
+    -shard-points 4 -drain-grace 1s 2>> "$tmp/serve.err" &
   pid=$!
   for _ in $(seq 1 100); do
     if curl -sf "$base/healthz" > /dev/null 2>&1; then return 0; fi
