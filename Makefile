@@ -27,7 +27,9 @@ bench:
 # bench-smoke is the CI variant: two timed iterations per benchmark after
 # Go's discarded warm-up call (as in the committed 3x runs), gated against
 # the committed trajectory — fails on a >2x ns/op regression of any shared
-# benchmark (the factor lives in cmd/benchjson).
+# benchmark (the factor lives in cmd/benchjson). A benchmark that trips the
+# gate is re-run up to twice; it fails only if its fastest re-run still
+# trips, so one noisy run on a shared host does not fail the target.
 bench-smoke:
 	BENCH_SMOKE=1 BENCH_BASELINE=$(BENCH_BASELINE) ./scripts/bench.sh
 

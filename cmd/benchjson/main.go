@@ -18,7 +18,10 @@
 // the file): any benchmark whose ns/op grew by more than the regression
 // factor fails the invocation with a non-zero exit, which is how CI's
 // bench-smoke step catches order-of-magnitude performance regressions
-// without being tripped by shared-runner noise.
+// without being tripped by shared-runner noise. -tripped FILE lists the
+// benchmarks that failed the gate, one per line, so a caller can re-run just
+// those. A benchmark that appears more than once on stdin (re-runs fed in
+// together) keeps its fastest result.
 package main
 
 import (
@@ -70,6 +73,7 @@ func main() {
 	out := flag.String("out", "", "output trajectory file (default: stdout)")
 	appendRuns := flag.Bool("append", false, "keep existing runs in -out and append this one")
 	baseline := flag.String("baseline", "", "trajectory file[:label] to enforce the regression gate against")
+	tripped := flag.String("tripped", "", "write the names of the benchmarks that fail the -baseline gate to this file")
 	flag.Parse()
 
 	run, err := parseRun(*label)
@@ -113,7 +117,17 @@ func main() {
 	}
 
 	if base != nil {
-		if err := checkRegression(*base, run); err != nil {
+		names, err := checkRegression(*base, run)
+		if *tripped != "" {
+			list := strings.Join(names, "\n")
+			if list != "" {
+				list += "\n"
+			}
+			if werr := os.WriteFile(*tripped, []byte(list), 0o644); werr != nil {
+				fatal(werr)
+			}
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
@@ -143,7 +157,8 @@ func loadFile(path string) (*File, error) {
 //	BenchmarkName-8   	 3	 9986151 ns/op	 1290672 B/op	 17 allocs/op	 2.563 RMS_%
 //
 // i.e. name, iteration count, then value/unit pairs. Non-benchmark lines
-// (package headers, PASS/ok) are ignored.
+// (package headers, PASS/ok) are ignored. A benchmark that appears more
+// than once keeps only its lowest-ns/op result.
 func parseRun(label string) (Run, error) {
 	run := Run{
 		Label:      label,
@@ -151,6 +166,7 @@ func parseRun(label string) (Run, error) {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
+	seen := make(map[string]int) // benchmark name → index in run.Benchmarks
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -191,6 +207,13 @@ func parseRun(label string) (Run, error) {
 				b.Metrics[unit] = val
 			}
 		}
+		if i, ok := seen[b.Name]; ok {
+			if b.NsPerOp < run.Benchmarks[i].NsPerOp {
+				run.Benchmarks[i] = b
+			}
+			continue
+		}
+		seen[b.Name] = len(run.Benchmarks)
 		run.Benchmarks = append(run.Benchmarks, b)
 	}
 	return run, sc.Err()
@@ -227,30 +250,32 @@ func resolveBaseline(spec string) (*Run, error) {
 }
 
 // checkRegression reports every benchmark whose ns/op exceeds
-// baseline·regressionFactor. Benchmarks present on only one side are
-// skipped: the gate guards shared benchmarks, not coverage.
-func checkRegression(base Run, run Run) error {
+// baseline·regressionFactor, and returns their names. Benchmarks present on
+// only one side are skipped: the gate guards shared benchmarks, not
+// coverage.
+func checkRegression(base Run, run Run) ([]string, error) {
 	baseNs := make(map[string]float64, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseNs[b.Name] = b.NsPerOp
 	}
-	var failures []string
+	var names, failures []string
 	for _, b := range run.Benchmarks {
 		ref, ok := baseNs[b.Name]
 		if !ok || ref <= 0 {
 			continue
 		}
 		if b.NsPerOp > ref*regressionFactor {
+			names = append(names, b.Name)
 			failures = append(failures,
 				fmt.Sprintf("%s: %.3g ns/op vs baseline %.3g (%.2fx > %gx gate)",
 					b.Name, b.NsPerOp, ref, b.NsPerOp/ref, regressionFactor))
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("performance regression vs baseline %s:\n  %s",
+		return names, fmt.Errorf("performance regression vs baseline %s:\n  %s",
 			base.Label, strings.Join(failures, "\n  "))
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks within %gx of baseline %s\n",
 		len(run.Benchmarks), regressionFactor, base.Label)
-	return nil
+	return nil, nil
 }

@@ -403,18 +403,26 @@ func directFill(ctx context.Context, m *mat.Matrix, g offsetGroup, entry func(i,
 // symmetric in each axis, so one integral per offset suffices. A row-major
 // (i, j) scan takes the first pair that realises each offset as its
 // representative, and the representatives are evaluated across workers.
-// Offsets no pair realises (a partial plane does not fill its bounding grid)
-// are never evaluated and stay zero: no entry between two unknowns reads
-// them. Returns the table and the number of integrals completed.
+// The scan stops once it has found every offset the occupancy grid
+// realises (realisableOffsets): on a full plane the first corner cell
+// realises them all. Offsets no pair realises (a partial plane does not
+// fill its bounding grid) are never evaluated and stay zero: no entry
+// between two unknowns reads them. Returns the table and the number of
+// integrals completed.
 func (a *Assembly) offsetTable(ctx context.Context, g offsetGroup, entry func(i, j int) float64) ([]float64, int) {
 	nx, n := a.gridNX, len(g.idx)
 	rep := make([]int, nx*a.gridNY) // 1 + p·n + q of the representative pair; 0 while unrealised
+	want := realisableOffsets(g.coords, nx, a.gridNY)
 	var offs []int
+scan:
 	for p, cp := range g.coords {
 		for q, cq := range g.coords {
 			if o := abs(cp[1]-cq[1])*nx + abs(cp[0]-cq[0]); rep[o] == 0 {
 				rep[o] = 1 + p*n + q
 				offs = append(offs, o)
+				if len(offs) == want {
+					break scan
+				}
 			}
 		}
 	}
@@ -429,6 +437,63 @@ func (a *Assembly) offsetTable(ctx context.Context, g offsetGroup, entry func(i,
 		done.Add(1)
 	})
 	return table, int(done.Load())
+}
+
+// realisableOffsets counts the distinct offsets (|Δix|, |Δiy|) between two
+// of coords (a coordinate and itself included) on an nx×ny grid, from its
+// occupancy alone: each grid row is a few runs of occupied columns, and two
+// runs in rows |Δiy| apart realise one or two intervals of |Δix|, which a
+// difference array per |Δiy| accumulates.
+func realisableOffsets(coords [][2]int, nx, ny int) int {
+	occ := make([]bool, nx*ny)
+	for _, c := range coords {
+		occ[c[1]*nx+c[0]] = true
+	}
+	type run struct{ lo, hi int }
+	runs := make([][]run, ny)
+	for y := range runs {
+		row := occ[y*nx : (y+1)*nx]
+		for x := 0; x < nx; x++ {
+			if row[x] {
+				lo := x
+				for x+1 < nx && row[x+1] {
+					x++
+				}
+				runs[y] = append(runs[y], run{lo, x})
+			}
+		}
+	}
+	diff := make([]int, ny*(nx+1)) // per |Δiy|: +1 where an interval of |Δix| starts, −1 past its end
+	for y1 := range runs {
+		for y2 := y1; y2 < ny; y2++ {
+			d := diff[(y2-y1)*(nx+1) : (y2-y1+1)*(nx+1)]
+			for _, r1 := range runs[y1] {
+				for _, r2 := range runs[y2] {
+					// Δix = x2 − x1 covers [lo, hi]; |Δix| covers its
+					// non-negative part and the mirror of its negative part.
+					lo, hi := r2.lo-r1.hi, r2.hi-r1.lo
+					if hi >= 0 {
+						d[max(lo, 0)]++
+						d[hi+1]--
+					}
+					if lo < 0 {
+						d[max(-hi, 0)]++
+						d[-lo+1]--
+					}
+				}
+			}
+		}
+	}
+	count := 0
+	for dy := 0; dy < ny; dy++ {
+		cover := 0
+		for _, v := range diff[dy*(nx+1) : dy*(nx+1)+nx] {
+			if cover += v; cover > 0 {
+				count++
+			}
+		}
+	}
+	return count
 }
 
 func (a *Assembly) assembleR() {

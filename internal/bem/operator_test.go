@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -378,6 +379,37 @@ func TestDenseMatricesConcurrentFirstUse(t *testing.T) {
 	for w := 1; w < workers; w++ {
 		if ps[w] != ps[0] || ls[w] != ls[0] {
 			t.Fatalf("worker %d got a different P or L than worker 0", w)
+		}
+	}
+}
+
+// TestRealisableOffsetsMatchPairScan holds the occupancy-grid count that
+// stops offsetTable's scan to the set of offsets an all-pairs scan finds,
+// on random grids with random holes: an undercount would stop the scan
+// before some offset had its representative, and its table entry would
+// stay zero.
+func TestRealisableOffsetsMatchPairScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		nx, ny := 1+rng.Intn(20), 1+rng.Intn(20)
+		fill := []float64{0.05, 0.3, 0.7, 0.95, 1}[trial%5]
+		var coords [][2]int
+		for iy := 0; iy < ny; iy++ {
+			for ix := 0; ix < nx; ix++ {
+				if rng.Float64() < fill {
+					coords = append(coords, [2]int{ix, iy})
+				}
+			}
+		}
+		seen := make(map[[2]int]bool)
+		for _, p := range coords {
+			for _, q := range coords {
+				seen[[2]int{abs(p[0] - q[0]), abs(p[1] - q[1])}] = true
+			}
+		}
+		if got := realisableOffsets(coords, nx, ny); got != len(seen) {
+			t.Fatalf("trial %d, %d×%d grid with %d unknowns: %d realisable offsets, pair scan finds %d",
+				trial, nx, ny, len(coords), got, len(seen))
 		}
 	}
 }

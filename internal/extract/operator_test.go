@@ -275,8 +275,9 @@ func TestOperatorIterationsRecorded(t *testing.T) {
 			t.Fatalf("%v: entry misses a stage: %s", c.mode, it.Message)
 		}
 		// The padded FFT grid of every operator, which sets the cost of
-		// each apply: a 12×12 grid pads to 32×32 for P and for both L blocks.
-		grids := []string{"P 32×32", "Lx 32×32", "Ly 32×32"}
+		// each apply: a 12×12 grid pads to 24×24 (the smallest even 2ᵃ·3ᵇ ≥
+		// 2·12−1) for P and for both L blocks.
+		grids := []string{"P 24×24", "Lx 24×24", "Ly 24×24"}
 		for i, op := range []*mat.ToeplitzOp{a.POp, a.LOps[mesh.DirX], a.LOps[mesh.DirY]} {
 			px, py := op.PaddedDims()
 			if want := fmt.Sprintf("%s %d×%d", grids[i][:strings.IndexByte(grids[i], ' ')], px, py); want != grids[i] {

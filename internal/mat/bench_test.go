@@ -127,8 +127,8 @@ func BenchmarkToeplitzMatvec(b *testing.B) {
 
 // lShapedToeplitz builds the operator the Toeplitz micro-benchmarks share:
 // a 39×35 grid with a 13×12 corner notched out (an L-shaped plane of 1209
-// cells — the size class of the extract-operator boards, padded to the same
-// 128×128 circulant). The kernel is 1/r with a dominant self term, like a
+// cells — the size class of the extract-operator boards, padded to a 96×72
+// circulant). The kernel is 1/r with a dominant self term, like a
 // BEM potential table, so its circulant preconditioner is usable.
 func lShapedToeplitz(b *testing.B) *ToeplitzOp {
 	const nx, ny = 39, 35

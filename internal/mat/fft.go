@@ -1,11 +1,13 @@
-// Iterative radix-2 complex FFT used by the block-Toeplitz fast matvec
-// (toeplitz.go). The transform is preplanned: twiddle factors and the
-// bit-reversal permutation are computed once per size, so the hot transform
-// itself performs no allocation, no trigonometry, and no data-dependent
-// branching — for a fixed size the sequence of floating-point operations is
-// identical on every call, which makes the Toeplitz matvec bitwise
-// deterministic (the serial≡parallel and resume contracts both lean on
-// this).
+// Iterative mixed-radix complex FFT used by the block-Toeplitz fast matvec
+// (toeplitz.go), for any size 2ᵃ·3ᵇ with a ≥ 1. The transform is
+// preplanned: twiddle factors and the digit-reversal order are computed
+// once per size, so the hot transform itself performs no allocation, no
+// trigonometry, and no data-dependent branching — for a fixed size the
+// sequence of floating-point operations is identical on every call, which
+// makes the Toeplitz matvec bitwise deterministic (the serial≡parallel and
+// resume contracts both lean on this). At a power-of-two size the stages
+// are exactly the radix-2 ones this transform had when it supported only
+// those sizes, so such a transform performs the same operations as before.
 //
 // The Toeplitz applies transform real data, so the 2-D transform is a
 // real-data one (fftPlan2D). Two real grid rows travel as one complex row:
@@ -14,8 +16,9 @@
 // half spectra, columns 0..w/2; the column pass then runs on those w/2+1
 // half-grid columns only, and mergeRows rebuilds a packed pair's full row
 // spectrum for one inverse complex row transform. On a 35×35 grid padded
-// to 128×128 an apply takes 166 length-128 transforms (18 row pairs each
-// way, 65 columns each way) where the complex 2-D FFT took 326.
+// to 72×72 an apply takes 110 length-72 transforms (18 row pairs each way,
+// 37 columns each way); padded to 128×128, as a power-of-two plan had to,
+// it took 166 length-128 transforms.
 //
 // The 2-D transform does only the work its caller reads, and every entry it
 // computes goes through the same floating-point operations, in the same
@@ -28,102 +31,159 @@
 //     writes +0 back (w·0 is ±0, and +0 ± ±0 is +0), and so does the split,
 //     so a skipped pair holds exactly what its transform would have left.
 //   - The inverse column pass and the inverse row transforms compute only
-//     the low half of their last stage when the high half is unread: the
-//     merge reads half-grid rows < ny rounded up to even, and the gather
-//     reads columns < nx (both at most half the padded size for the
-//     circulant embedding); no low output reads a high one. Only the row
-//     pairs holding output rows are merged and inverse transformed.
+//     the low half of their last stage, which is always radix-2, when the
+//     high half is unread: the merge reads half-grid rows < ny rounded up to
+//     even, and the gather reads columns < nx (both at most half the padded
+//     size for the circulant embedding); no low output reads a high one.
+//     Only the row pairs holding output rows are merged and inverse
+//     transformed.
+//   - No pass is a permutation. Each transform's input is written straight
+//     to its digit-reversed position by the step that produces it: pack and
+//     mergeRows within a row, splitRows and the spectrum product by picking
+//     the half-grid row.
 //   - The column pass is row-blocked. Each butterfly acts on contiguous row
-//     segments, and the bit-reversal swaps whole row segments. Per entry
-//     this is the strided column transform, but memory is walked in order.
-//   - Stages run in pairs where they can (h and 2h over a block of 4h), so
-//     an entry is loaded and stored once per two stages; the per-entry
-//     sequence of operations is that of the two stages run in turn.
-//   - The first two stages, whose twiddles are all 1 but one, skip the
-//     multiplies by 1. Such a twiddle is exactly 1 with a zero imaginary
-//     part, so w·x equals x except possibly in the sign of a zero component;
-//     a signed zero cannot change a nonzero sum, so every output is == to
-//     the multiplied form.
+//     segments: per entry this is the strided column transform, but memory
+//     is walked in order.
+//   - Radix-2 stages run in pairs where they can (h and 2h over a block of
+//     4h), so an entry is loaded and stored once per two stages; the
+//     per-entry sequence of operations is that of the two stages run in
+//     turn.
+//   - The first stage, radix-3 or (at a power-of-two size of 8 or more) the
+//     first two radix-2 stages, skips its multiplies by 1. Such a twiddle is
+//     exactly 1 with a zero imaginary part, so w·x equals x except possibly
+//     in the sign of a zero component; a signed zero cannot change a nonzero
+//     sum, so every output is == to the multiplied form.
 //
 // Against the full complex 2-D transform the real-data results differ at
 // roundoff (a few ulps of the largest output), and they are just as
 // deterministic.
 //
-// Only power-of-two sizes are supported; the circulant embedding in
-// toeplitz.go always pads to a power of two, so no general-size (Bluestein)
-// fallback is needed.
+// The sizes are 2ᵃ·3ᵇ because the circulant embedding in toeplitz.go pads
+// each axis to the smallest even such size ≥ 2n−1 (fftSize), which for
+// n ≥ 2 stays within 4/3 of 2n−1 where a power of two could nearly double
+// it; no general-size (Bluestein) fallback is needed. The size is even so
+// that the last stage is radix-2 and rows pair up for the real-data split.
 package mat
 
 import "math"
 
-// fftPlan holds the precomputed tables for a radix-2 complex FFT of one
-// fixed power-of-two size.
+// fftPlan holds the precomputed tables for a mixed-radix complex FFT of one
+// fixed size n = 2ᵃ·3ᵇ, a ≥ 1. The transform is decimation in time: the
+// input is put in digit-reversed order, then the radix-3 stages run (spans
+// 1, 3, …, m/3 with m = 3ᵇ), then the radix-2 stages (spans m, 2m, …, n/2).
+// The last stage is always radix-2, which is what lets it be pruned.
+//
+// The transforms take their input already digit-reversed: index i at
+// position at[i]. Every caller scatters its input anyway (a packed row
+// pair, a split row, a spectrum product), so it writes each entry straight
+// to its permuted position and no pass of the transform is a permutation.
 type fftPlan struct {
-	n   int          // transform size, power of two
-	rev []int32      // bit-reversal permutation
-	tw  []complex128 // forward twiddles, grouped by stage (n-1 entries)
-	itw []complex128 // inverse twiddles (conjugates, same layout)
+	n, m     int
+	at       []int32 // digit-reversed position of each input index
+	fwd, inv fftTwiddles
 }
 
-// newFFTPlan builds the tables for size n (must be a power of two ≥ 1).
+// fftTwiddles holds one direction's twiddles and radix-3 rotation.
+type fftTwiddles struct {
+	r2 []complex128 // radix-2 stage of span h: r2[h-m : 2h-m], roots exp(∓πi·j/h)
+	r3 []complex128 // radix-3 stage of span h ≥ 3: r3[h-3 : 3h-3], pairs exp(∓2πi·j/3h), exp(∓2πi·2j/3h)
+	c3 float64      // ±√3/2: the sine of the radix-3 rotation, + forward
+}
+
+// newFFTPlan builds the tables for size n, which must be 2ᵃ·3ᵇ with a ≥ 1.
 func newFFTPlan(n int) *fftPlan {
-	if n <= 0 || n&(n-1) != 0 {
-		panic("mat: FFT size must be a power of two")
+	m, a := 1, n
+	for a%3 == 0 {
+		a /= 3
+		m *= 3
 	}
-	p := &fftPlan{n: n}
-	p.rev = make([]int32, n)
-	logn := 0
-	for 1<<logn < n {
-		logn++
+	if n < 2 || n%2 != 0 || a&(a-1) != 0 {
+		panic("mat: FFT size must be 2^a·3^b with a ≥ 1")
 	}
-	for i := 0; i < n; i++ {
-		r := 0
-		for b := 0; b < logn; b++ {
-			r = r<<1 | (i>>b)&1
+	p := &fftPlan{n: n, m: m}
+	// Digit reversal: the stage radices, first to last, are the digits of a
+	// position (least significant first) and of its input index (most
+	// significant first). At a power-of-two size this is bit reversal.
+	var radices []int
+	for k := 1; k < m; k *= 3 {
+		radices = append(radices, 3)
+	}
+	for k := m; k < n; k *= 2 {
+		radices = append(radices, 2)
+	}
+	p.at = make([]int32, n)
+	for pos := range p.at {
+		q, i := pos, 0
+		for _, r := range radices {
+			i = i*r + q%r
+			q /= r
 		}
-		p.rev[i] = int32(r)
+		p.at[i] = int32(pos)
 	}
-	// Twiddles stage by stage: stage with half-size h uses h roots
-	// exp(-2πi·j/(2h)), j = 0..h-1, laid out contiguously.
-	p.tw = make([]complex128, 0, n)
-	p.itw = make([]complex128, 0, n)
-	for h := 1; h < n; h <<= 1 {
+	// root(j, k) = exp(−2πi·j/k). For k = 2h its angle rounds exactly as
+	// −π·j/h does (scaling by 2 is exact), the radix-2 roots of the
+	// power-of-two plan.
+	root := func(j, k int) complex128 {
+		ang := -2 * math.Pi * float64(j) / float64(k)
+		return complex(math.Cos(ang), math.Sin(ang))
+	}
+	for h := 3; h < m; h *= 3 {
 		for j := 0; j < h; j++ {
-			ang := -math.Pi * float64(j) / float64(h)
-			w := complex(math.Cos(ang), math.Sin(ang))
-			p.tw = append(p.tw, w)
-			p.itw = append(p.itw, complex(real(w), -imag(w)))
+			p.fwd.r3 = append(p.fwd.r3, root(j, 3*h), root(2*j, 3*h))
 		}
 	}
+	for h := m; h < n; h <<= 1 {
+		for j := 0; j < h; j++ {
+			p.fwd.r2 = append(p.fwd.r2, root(j, 2*h))
+		}
+	}
+	p.inv.r2, p.inv.r3 = conjugates(p.fwd.r2), conjugates(p.fwd.r3)
+	p.fwd.c3, p.inv.c3 = math.Sqrt(3)/2, -math.Sqrt(3)/2
 	return p
 }
 
-// transform runs the in-place decimation-in-time FFT over the contiguous
-// x[0:n] with the given twiddle table (tw for forward, itw for inverse).
-// Only outputs x[0:keep] are needed: when keep ≤ n/2 the last stage computes
-// just those. The caller scales an inverse transform by 1/n itself — the
-// Toeplitz matvec folds that factor into its spectrum so the hot path never
-// needs a separate normalisation pass.
+// conjugates returns the complex conjugates of w: the inverse twiddles.
+func conjugates(w []complex128) []complex128 {
+	c := make([]complex128, len(w))
+	for i, v := range w {
+		c[i] = complex(real(v), -imag(v))
+	}
+	return c
+}
+
+// transform runs the in-place FFT over the contiguous x[0:n] in direction d
+// (&p.fwd or &p.inv); x holds the input in digit-reversed order (index i at
+// x[at[i]]) and receives the output in natural order. Only outputs
+// x[0:keep] are needed: when keep ≤ n/2 the last stage computes just those.
+// The caller scales an inverse transform by 1/n itself — the Toeplitz
+// matvec folds that factor into its spectrum so the hot path never needs a
+// separate normalisation pass.
 //
-// Stages run two at a time (stages h and 2h over blocks of 4h); the last
-// stage always runs on its own so that it can be pruned. Stage h's twiddles
-// start at tw[h-1].
+// Radix-2 stages run two at a time (stages h and 2h over blocks of 4h); the
+// last stage always runs on its own so that it can be pruned.
 //
 //pdn:hot
-func (p *fftPlan) transform(x []complex128, keep int, tw []complex128) {
-	n := p.n
+func (p *fftPlan) transform(x []complex128, keep int, d *fftTwiddles) {
+	n, m := p.n, p.m
 	x = x[:n]
-	for i, r := range p.rev {
-		if j := int(r); i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
 	h := 1
-	if n >= 8 {
+	switch {
+	case m > 1:
+		for s := 0; s < n; s += 3 {
+			q := x[s : s+3]
+			q[0], q[1], q[2] = radix3(q[0], q[1], q[2], d.c3)
+		}
+		for h = 3; h < m; h *= 3 {
+			w := d.r3[h-3 : 3*h-3]
+			for s := 0; s < n; s += 3 * h {
+				radix3Stage(x[s:s+h], x[s+h:s+2*h], x[s+2*h:s+3*h], w, d.c3)
+			}
+		}
+	case n >= 8:
 		// Stages 1 and 2 inline: a call per block of four would cost more
-		// than the block's butterflies, whose twiddles are 1, 1, 1 and tw[2]
-		// (the multiplies by 1 are skipped).
-		w := tw[2]
+		// than the block's butterflies, whose twiddles are 1, 1, 1 and the
+		// stage-2 root r2[2] (the multiplies by 1 are skipped).
+		w := d.r2[2]
 		for s := 0; s < n; s += 4 {
 			q := x[s : s+4]
 			a0, a1 := q[0]+q[1], q[0]-q[1]
@@ -133,14 +193,16 @@ func (p *fftPlan) transform(x []complex128, keep int, tw []complex128) {
 		}
 		h = 4
 	}
+	tw := d.r2
 	for ; 4*h < n; h <<= 2 {
-		wa, wb, wc := tw[h-1:2*h-1], tw[2*h-1:3*h-1], tw[3*h-1:4*h-1]
+		o := h - m
+		wa, wb, wc := tw[o:o+h], tw[o+h:o+2*h], tw[o+2*h:o+3*h]
 		for s := 0; s < n; s += 4 * h {
 			twoStages(x[s:s+h], x[s+h:s+2*h], x[s+2*h:s+3*h], x[s+3*h:s+4*h], wa, wb, wc)
 		}
 	}
 	for ; h < n; h <<= 1 {
-		w := tw[h-1 : 2*h-1]
+		w := tw[h-m : 2*h-m]
 		if 2*h == n && keep <= h {
 			lo, hi := x[:keep], x[h:h+keep]
 			w = w[:len(lo)]
@@ -161,10 +223,24 @@ func (p *fftPlan) transform(x []complex128, keep int, tw []complex128) {
 	}
 }
 
-// twoStages applies stages h and 2h to one block of 4h entries, given as
-// its quarters x0..x3 (each h long): stage h pairs x0/x1 and x2/x3 with
-// twiddles wa, stage 2h pairs x0/x2 with wb and x1/x3 with wc. Per entry
-// these are the operations of the two stages run one after the other.
+// radix3 is the length-3 DFT of (a0, a1, a2), already twiddled, with c the
+// direction's c3: y0 = a0+a1+a2 and y1, y2 = a0 − (a1+a2)/2 ∓ i·c·(a1−a2).
+func radix3(a0, a1, a2 complex128, c float64) (y0, y1, y2 complex128) {
+	s, d := a1+a2, a1-a2
+	mr, mi := real(a0)-0.5*real(s), imag(a0)-0.5*imag(s)
+	dr, di := c*real(d), c*imag(d)
+	return a0 + s, complex(mr+di, mi-dr), complex(mr-di, mi+dr)
+}
+
+// radix3Stage applies one radix-3 stage of span h = len(x0) to one block of
+// 3h entries, given as its thirds x0..x2, with w the stage's twiddle pairs.
+func radix3Stage(x0, x1, x2, w []complex128, c float64) {
+	x1, x2, w = x1[:len(x0)], x2[:len(x0)], w[:2*len(x0)]
+	for j := range x0 {
+		x0[j], x1[j], x2[j] = radix3(x0[j], w[2*j]*x1[j], w[2*j+1]*x2[j], c)
+	}
+}
+
 func twoStages(x0, x1, x2, x3, wa, wb, wc []complex128) {
 	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
 	wa, wb, wc = wa[:len(x0)], wb[:len(x0)], wc[:len(x0)]
@@ -182,44 +258,57 @@ func twoStages(x0, x1, x2, x3, wa, wb, wc []complex128) {
 }
 
 // columns runs the same transform down the first cols columns of a grid of
-// n rows with row stride stride, keeping output rows [0, keep). It is
+// n rows with row stride stride, keeping output rows [0, keep); input row r
+// sits at row at[r], as for transform. It is
 // row-blocked: each butterfly combines contiguous row segments, so the
 // pass streams through memory instead of striding by a row per access.
 //
 //pdn:hot
-func (p *fftPlan) columns(data []complex128, stride, cols, keep int, tw []complex128) {
-	n := p.n
+func (p *fftPlan) columns(data []complex128, stride, cols, keep int, d *fftTwiddles) {
+	n, m := p.n, p.m
 	row := func(r int) []complex128 { return data[r*stride : r*stride+cols] }
-	for i, r := range p.rev {
-		if j := int(r); i < j {
-			swapRows(row(i), row(j))
-		}
-	}
 	h := 1
-	if n >= 8 {
+	switch {
+	case m > 1:
+		for s := 0; s < n; s += 3 {
+			radix3Rows1(row(s), row(s+1), row(s+2), d.c3)
+		}
+		for h = 3; h < m; h *= 3 {
+			w := d.r3[h-3 : 3*h-3]
+			for s := 0; s < n; s += 3 * h {
+				for j := 0; j < h; j++ {
+					r := s + j
+					radix3Rows(row(r), row(r+h), row(r+2*h), w[2*j], w[2*j+1], d.c3)
+				}
+			}
+		}
+	case n >= 8:
 		for s := 0; s < n; s += 4 {
-			twoStageRows1(row(s), row(s+1), row(s+2), row(s+3), tw[2])
+			twoStageRows1(row(s), row(s+1), row(s+2), row(s+3), d.r2[2])
 		}
 		h = 4
 	}
+	tw := d.r2
 	for ; 4*h < n; h <<= 2 {
+		o := h - m
 		for s := 0; s < n; s += 4 * h {
 			for j := 0; j < h; j++ {
 				r := s + j
-				twoStageRows(row(r), row(r+h), row(r+2*h), row(r+3*h), tw[h-1+j], tw[2*h-1+j], tw[3*h-1+j])
+				twoStageRows(row(r), row(r+h), row(r+2*h), row(r+3*h), tw[o+j], tw[o+h+j], tw[o+2*h+j])
 			}
 		}
 	}
 	for ; h < n; h <<= 1 {
+		o := h - m
 		if 2*h == n && keep <= h {
 			for j := 0; j < keep; j++ {
-				accumulate(row(j), row(j+h), tw[h-1+j])
+				accumulate(row(j), row(j+h), tw[o+j])
 			}
 			return
 		}
 		for s := 0; s < n; s += 2 * h {
 			for j := 0; j < h; j++ {
-				butterfly(row(s+j), row(s+j+h), tw[h-1+j])
+				butterfly(row(s+j), row(s+j+h), tw[o+j])
 			}
 		}
 	}
@@ -228,15 +317,10 @@ func (p *fftPlan) columns(data []complex128, stride, cols, keep int, tw []comple
 // The row-segment kernels of the column pass apply one butterfly, or two
 // stages' worth, with the same twiddles to every column of the segments.
 // accumulate is the low half of a butterfly only; twoStageRows1 is
-// twoStageRows for the first two stages, whose twiddles are 1, 1 and wc.
+// twoStageRows for the first two stages, whose twiddles are 1, 1 and wc;
+// radix3Rows1 is radix3Rows for the first radix-3 stage, whose twiddles
+// are all 1.
 // They are small leaf functions so that the loop state stays in registers.
-
-func swapRows(a, b []complex128) {
-	b = b[:len(a)]
-	for c := range a {
-		a[c], b[c] = b[c], a[c]
-	}
-}
 
 func butterfly(lo, hi []complex128, w complex128) {
 	hi = hi[:len(lo)]
@@ -251,6 +335,20 @@ func accumulate(lo, hi []complex128, w complex128) {
 	hi = hi[:len(lo)]
 	for c := range lo {
 		lo[c] += w * hi[c]
+	}
+}
+
+func radix3Rows(x0, x1, x2 []complex128, w1, w2 complex128, c float64) {
+	x1, x2 = x1[:len(x0)], x2[:len(x0)]
+	for k := range x0 {
+		x0[k], x1[k], x2[k] = radix3(x0[k], w1*x1[k], w2*x2[k], c)
+	}
+}
+
+func radix3Rows1(x0, x1, x2 []complex128, c float64) {
+	x1, x2 = x1[:len(x0)], x2[:len(x0)]
+	for k := range x0 {
+		x0[k], x1[k], x2[k] = radix3(x0[k], x1[k], x2[k], c)
 	}
 }
 
@@ -282,17 +380,16 @@ func twoStageRows1(x0, x1, x2, x3 []complex128, wc complex128) {
 }
 
 // fftPlan2D is the real-data 2-D FFT over an h×w row-major grid of reals
-// (both dimensions powers of two). The spectrum of real data is Hermitian,
-// so the plan keeps only its half grid: h rows of hw = w/2+1 complex
-// entries, columns 0..w/2 of the full 2-D spectrum. Two real rows share
-// one complex row transform (row r in the real parts, row r+1 in the
+// (both dimensions plan sizes, so even). The spectrum of real data is
+// Hermitian, so the plan keeps only its half grid: h rows of hw = w/2+1
+// complex entries, columns 0..w/2 of the full 2-D spectrum. Two real rows
+// share one complex row transform (row r in the real parts, row r+1 in the
 // imaginary parts); splitRows and mergeRows convert between such a packed
 // row pair and two half-grid rows, and the column pass runs on the hw
 // half-grid columns only.
 type fftPlan2D struct {
 	w, h, hw int
-	row, col *fftPlan     // 1-D plans along a row (size w) and down a column (size h)
-	zero     []complex128 // hw zeros: the partner of the unpaired row when h is 1
+	row, col *fftPlan // 1-D plans along a row (size w) and down a column (size h)
 }
 
 func newFFTPlan2D(w, h int) *fftPlan2D {
@@ -302,67 +399,69 @@ func newFFTPlan2D(w, h int) *fftPlan2D {
 	} else {
 		p.col = newFFTPlan(h)
 	}
-	p.zero = make([]complex128, p.hw)
 	return p
+}
+
+// line returns half-grid row r of g.
+func (p *fftPlan2D) line(g []complex128, r int) []complex128 {
+	return g[r*p.hw : (r+1)*p.hw]
 }
 
 // splitRows takes z, the length-w FFT of a packed row pair (grid row r in
 // the real parts, row r+1 in the imaginary parts), and writes twice the
-// half spectrum of each row into half-grid rows r and r+1 — the caller
-// folds the factor 2 into its pointwise spectrum. With Z the packed
+// half spectrum of each row into a and b (half-grid rows, hw long) — the
+// caller folds the factor 2 into its pointwise spectrum. With Z the packed
 // transform and m = (w−k) mod w, row r's spectrum is (Z[k] + conj(Z[m]))/2
-// and row r+1's is (Z[k] − conj(Z[m]))/(2i). Row r+1 is written only if
-// the grid has it.
+// and row r+1's is (Z[k] − conj(Z[m]))/(2i).
 //
 //pdn:hot
-func (p *fftPlan2D) splitRows(g, z []complex128, r int) {
-	hw, mask := p.hw, p.w-1
-	a := g[r*hw : (r+1)*hw]
+func (p *fftPlan2D) splitRows(a, b, z []complex128) {
+	w := p.w
+	a, b = a[:p.hw], b[:p.hw]
 	for k := range a {
-		zk, zm := z[k], z[(p.w-k)&mask]
+		zk, zm := z[k], z[0]
+		if k > 0 {
+			zm = z[w-k]
+		}
 		a[k] = complex(real(zk)+real(zm), imag(zk)-imag(zm))
-	}
-	if r+1 >= p.h {
-		return
-	}
-	b := g[(r+1)*hw : (r+2)*hw]
-	for k := range b {
-		zk, zm := z[k], z[(p.w-k)&mask]
 		b[k] = complex(imag(zk)+imag(zm), real(zm)-real(zk))
 	}
 }
 
-// mergeRows is the inverse of splitRows: from half-grid rows r and r+1 (a
-// and b, the half spectra of two real rows) it builds the full length-w
-// spectrum of the packed pair, a + i·b on columns ≤ w/2 and conj(a) +
-// i·conj(b) on their mirrors. Columns 0 and w/2 are their own mirrors and
-// hold real spectra; their imaginary parts are roundoff, and only the real
-// parts are kept. When the grid has no row r+1 (h = 1), b is zero.
+// mergeRows is the inverse of splitRows: from half-grid rows a and b (the
+// half spectra of two real rows) it builds the full length-w spectrum of
+// the packed pair, a + i·b on columns ≤ w/2 and conj(a) + i·conj(b) on
+// their mirrors, and stores column k at z[at[k]] (the row plan's at, to
+// feed its transform; the identity for natural order). Columns 0 and w/2
+// are their own mirrors and hold real spectra; their imaginary parts are
+// roundoff, and only the real parts are kept.
 //
 //pdn:hot
-func (p *fftPlan2D) mergeRows(z, g []complex128, r int) {
-	w, hw := p.w, p.hw
-	a, b := g[r*hw:(r+1)*hw], p.zero
-	if r+1 < p.h {
-		b = g[(r+1)*hw : (r+2)*hw]
-	}
-	b = b[:len(a)]
-	z[0] = complex(real(a[0]), real(b[0]))
+func (p *fftPlan2D) mergeRows(z, a, b []complex128, at []int32) {
+	w := p.w
+	a, b, at = a[:p.hw], b[:p.hw], at[:w]
+	z[at[0]] = complex(real(a[0]), real(b[0]))
 	for k := 1; k < w/2; k++ {
 		ak, bk := a[k], b[k]
-		z[k] = complex(real(ak)-imag(bk), imag(ak)+real(bk))
-		z[w-k] = complex(real(ak)+imag(bk), real(bk)-imag(ak))
+		z[at[k]] = complex(real(ak)-imag(bk), imag(ak)+real(bk))
+		z[at[w-k]] = complex(real(ak)+imag(bk), real(bk)-imag(ak))
 	}
-	if w > 1 {
-		z[w/2] = complex(real(a[w/2]), real(b[w/2]))
-	}
+	z[at[w/2]] = complex(real(a[w/2]), real(b[w/2]))
 }
 
-// nextPow2 returns the smallest power of two ≥ n (and ≥ 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
+// fftSize returns the smallest plan size ≥ n: the smallest even 2ᵃ·3ᵇ.
+func fftSize(n int) int {
+	best := 0
+	for p3 := 2; ; p3 *= 3 {
+		p := p3
+		for p < n {
+			p <<= 1
+		}
+		if best == 0 || p < best {
+			best = p
+		}
+		if p3 >= n {
+			return best
+		}
 	}
-	return p
 }

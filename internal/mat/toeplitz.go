@@ -5,15 +5,17 @@
 // partial-inductance matrix L) is a two-level symmetric Toeplitz matrix,
 // fully described by one kernel table of nx·ny numbers. ToeplitzOp stores
 // that table and applies the matrix in O(n log n) by embedding it in a
-// circulant of padded power-of-two size and diagonalising the circulant
-// with the FFT (fft.go): scatter → FFT → pointwise spectrum multiply →
-// inverse FFT → gather. The input is real and the embedding is even in each
-// axis, so its spectrum is real and even: the operator keeps it on the
-// real-data transform's half grid (py rows of px/2+1 reals), and an apply
-// multiplies the input's half spectrum by it. Elements need not fill the
-// bounding grid — an L-shaped plane scatters into the grid and gathers
-// back, which is exactly the principal-submatrix structure of its dense
-// fill.
+// circulant and diagonalising the circulant with the FFT (fft.go): scatter
+// → FFT → pointwise spectrum multiply → inverse FFT → gather. Each axis of
+// n grid points is padded to the smallest even 2ᵃ·3ᵇ ≥ 2n−1, the least
+// the embedding needs that the FFT supports: a 39×35 grid pads to 96×72,
+// where the next power of two would make it 128×128. The input is real and
+// the embedding is even in each axis, so its spectrum is real and even: the
+// operator keeps it on the real-data transform's half grid (py rows of
+// px/2+1 reals), and an apply multiplies the input's half spectrum by it.
+// Elements need not fill the bounding grid — an L-shaped plane scatters
+// into the grid and gathers back, which is exactly the principal-submatrix
+// structure of its dense fill.
 //
 // MulVecTo and the circulant branch of PrecondTo equal the unpruned
 // real-data algorithm bitwise (TestToeplitzPrunedFFTMatchesReference), and
@@ -41,7 +43,7 @@ type ToeplitzOp struct {
 	nx, ny int     // bounding grid dims (= kernel table dims)
 	n      int     // number of unknowns (grid subset size)
 	slot   []int32 // per grid point iy·nx+ix: 1 + the unknown there, 0 if none
-	px, py int     // padded circulant dims (powers of two)
+	px, py int     // padded circulant dims (fftSize(2n−1) per axis)
 	rows   int     // half-grid rows an apply's row pass writes: ny rounded up to even, at most py
 
 	table []float64 // kernel table, ny×nx row-major (diagonal for Jacobi; tests)
@@ -49,7 +51,8 @@ type ToeplitzOp struct {
 	pinv  []float64 // half-grid inverse spectrum for the preconditioner, same scale; nil if unusable
 	plan  *fftPlan2D
 
-	grid []complex128 // half-grid scratch, py rows of px/2+1
+	grid []complex128 // half-grid scratch, py rows of px/2+1: the forward column pass
+	prod []complex128 // the same for the spectrum product and the inverse column pass
 	row  []complex128 // packed row-pair scratch, px long
 }
 
@@ -66,8 +69,8 @@ func NewToeplitzOp(nx, ny int, table []float64, coords [][2]int) (*ToeplitzOp, e
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: Toeplitz operator needs at least one unknown")
 	}
 	op := &ToeplitzOp{nx: nx, ny: ny, n: len(coords), table: append([]float64(nil), table...)}
-	op.px = nextPow2(2*nx - 1)
-	op.py = nextPow2(2*ny - 1)
+	op.px = fftSize(2*nx - 1)
+	op.py = fftSize(2*ny - 1)
 	op.rows = min(op.py, ny+ny%2)
 	op.slot = make([]int32, nx*ny)
 	for i, c := range coords {
@@ -84,6 +87,7 @@ func NewToeplitzOp(nx, ny int, table []float64, coords [][2]int) (*ToeplitzOp, e
 	p := newFFTPlan2D(op.px, op.py)
 	op.plan = p
 	op.grid = make([]complex128, op.py*p.hw)
+	op.prod = make([]complex128, len(op.grid))
 	op.row = make([]complex128, op.px)
 
 	// Embed the symmetric kernel in a circulant: offset dx appears at
@@ -94,13 +98,13 @@ func NewToeplitzOp(nx, ny int, table []float64, coords [][2]int) (*ToeplitzOp, e
 	// are roundoff and are dropped.
 	g, z := op.grid, op.row
 	for qy := 0; qy < op.py; qy += 2 {
-		for qx := range z {
-			z[qx] = complex(op.embedded(qx, qy), op.embedded(qx, qy+1))
+		for qx, k := range p.row.at {
+			z[k] = complex(op.embedded(qx, qy), op.embedded(qx, qy+1))
 		}
-		p.row.transform(z, op.px, p.row.tw)
-		p.splitRows(g, z, qy)
+		p.row.transform(z, op.px, &p.row.fwd)
+		p.splitRows(p.line(g, int(p.col.at[qy])), p.line(g, int(p.col.at[qy+1])), z)
 	}
-	p.col.columns(g, p.hw, p.hw, op.py, p.col.tw)
+	p.col.columns(g, p.hw, p.hw, op.py, &p.col.fwd)
 	op.spec = make([]float64, len(g))
 	for i := range g {
 		op.spec[i] = real(g[i]) / 2 // splitRows leaves twice the spectrum
@@ -167,6 +171,7 @@ func (op *ToeplitzOp) HasPreconditioner() bool { return op.pinv != nil }
 func (op *ToeplitzOp) Clone() *ToeplitzOp {
 	cp := *op
 	cp.grid = make([]complex128, len(op.grid))
+	cp.prod = make([]complex128, len(op.prod))
 	cp.row = make([]complex128, len(op.row))
 	return &cp
 }
@@ -212,48 +217,61 @@ func (op *ToeplitzOp) PrecondTo(dst, r []float64) {
 // transformed, and the rest of the half grid is +0. The column passes run
 // on the px/2+1 half-grid columns; the inverse one keeps only the rows
 // the merge reads, and the inverse row transforms keep only columns < nx.
+// Every transform's input is written in its plan's digit-reversed order:
+// pack and mergeRows scatter within a row, splitRows and the spectrum
+// product pick the half-grid row.
 //
 //pdn:hot
 func (op *ToeplitzOp) convolve(dst, x, spec []float64) {
 	p, g, z := op.plan, op.grid, op.row
+	at := p.col.at
 	for r := 0; r < op.ny; r += 2 {
 		op.pack(z, x, r)
-		p.row.transform(z, op.px, p.row.tw)
-		p.splitRows(g, z, r)
+		p.row.transform(z, op.px, &p.row.fwd)
+		p.splitRows(p.line(g, int(at[r])), p.line(g, int(at[r+1])), z)
 	}
-	clear(g[op.rows*p.hw:])
-	p.col.columns(g, p.hw, p.hw, op.py, p.col.tw)
-	spec = spec[:len(g)]
-	for i, s := range spec {
-		g[i] = complex(real(g[i])*s, imag(g[i])*s)
+	for r := op.rows; r < op.py; r++ {
+		clear(p.line(g, int(at[r])))
 	}
-	p.col.columns(g, p.hw, p.hw, op.rows, p.col.itw)
+	p.col.columns(g, p.hw, p.hw, op.py, &p.col.fwd)
+	for r := 0; r < op.py; r++ {
+		multiplyRow(p.line(op.prod, int(at[r])), p.line(g, r), spec[r*p.hw:(r+1)*p.hw])
+	}
+	p.col.columns(op.prod, p.hw, p.hw, op.rows, &p.col.inv)
 	for r := 0; r < op.ny; r += 2 {
-		p.mergeRows(z, g, r)
-		p.row.transform(z, op.nx, p.row.itw)
+		p.mergeRows(z, p.line(op.prod, r), p.line(op.prod, r+1), p.row.at)
+		p.row.transform(z, op.nx, &p.row.inv)
 		op.unpack(dst, z, r)
+	}
+}
+
+// multiplyRow sets dst = src ⊙ s for one half-grid row and its real
+// spectrum.
+func multiplyRow(dst, src []complex128, s []float64) {
+	src, s = src[:len(dst)], s[:len(dst)]
+	for i, v := range src {
+		dst[i] = complex(real(v)*s[i], imag(v)*s[i])
 	}
 }
 
 // pack loads grid rows r and r+1 of x into z as one complex row (row r in
 // the real parts, row r+1 in the imaginary parts; +0 where no unknown sits
-// and past column nx).
+// and past column nx), column c at the row plan's digit-reversed position.
 //
 //pdn:hot
 func (op *ToeplitzOp) pack(z []complex128, x []float64, r int) {
-	nx := op.nx
+	nx, at := op.nx, op.plan.row.at[:op.nx]
+	clear(z)
 	for c, s := range op.slot[r*nx : (r+1)*nx] {
-		var v float64
 		if s != 0 {
-			v = x[s-1]
+			z[at[c]] = complex(x[s-1], 0)
 		}
-		z[c] = complex(v, 0)
 	}
-	clear(z[nx:])
 	if r+1 < op.ny {
 		for c, s := range op.slot[(r+1)*nx : (r+2)*nx] {
 			if s != 0 {
-				z[c] = complex(real(z[c]), x[s-1])
+				k := at[c]
+				z[k] = complex(real(z[k]), x[s-1])
 			}
 		}
 	}

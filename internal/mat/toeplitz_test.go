@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -35,14 +36,14 @@ func naiveDFT(x []complex128, inverse bool) []complex128 {
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 4, 8, 32, 128} {
+	for _, n := range []int{2, 4, 6, 8, 12, 18, 24, 32, 48, 54, 72, 96, 128, 144} {
 		p := newFFTPlan(n)
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		got := append([]complex128(nil), x...)
-		p.transform(got, n, p.tw)
+		got := digitReversed(p, x)
+		p.transform(got, n, &p.fwd)
 		want := naiveDFT(x, false)
 		var scale float64
 		for _, w := range want {
@@ -56,7 +57,8 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 			}
 		}
 		// Inverse (unscaled) round-trips to n·x.
-		p.transform(got, n, p.itw)
+		got = digitReversed(p, got)
+		p.transform(got, n, &p.inv)
 		for i := range got {
 			if cmplx.Abs(got[i]-complex(float64(n), 0)*x[i]) > fftAgainstDFTTol*float64(n)*(1+cmplx.Abs(x[i])) {
 				t.Fatalf("n=%d: inverse round-trip[%d]=%v, want %v", n, i, got[i], complex(float64(n), 0)*x[i])
@@ -65,42 +67,90 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-// refTransform is the plain strided radix-2 FFT: every butterfly multiplies
-// by its twiddle (j = 0 included), one stage at a time, and a column is
-// walked one stride at a time. The pruned, row-blocked 2-D transform must
-// reproduce it entry for entry.
-func refTransform(p *fftPlan, data []complex128, off, stride int, tw []complex128) {
-	n := p.n
-	for i := 0; i < n; i++ {
-		j := int(p.rev[i])
-		if i < j {
-			ii, jj := off+i*stride, off+j*stride
-			data[ii], data[jj] = data[jj], data[ii]
-		}
+// digitReversed returns x in the input order of p's transforms.
+func digitReversed(p *fftPlan, x []complex128) []complex128 {
+	y := make([]complex128, len(x))
+	for i, v := range x {
+		y[p.at[i]] = v
 	}
-	twBase := 0
-	for h := 1; h < n; h <<= 1 {
-		for s := 0; s < n; s += 2 * h {
-			base := off + s*stride
+	return y
+}
+
+// refTransform is the plain strided mixed-radix FFT: the digit reversal
+// (digitReversal) out of place, then every radix-3 and every radix-2 stage
+// one at a time, each butterfly multiplying by its twiddle (j = 0 and the
+// span-1 stage included), a column walked one stride at a time. The
+// pruned, row-blocked 2-D transform must reproduce it entry for entry.
+func refTransform(p *fftPlan, data []complex128, off, stride int, d *fftTwiddles) {
+	n, m := p.n, p.m
+	at := func(i int) *complex128 { return &data[off+i*stride] }
+	src := make([]complex128, n)
+	for i := range src {
+		src[i] = *at(i)
+	}
+	for pos, i := range digitReversal(n) {
+		*at(pos) = src[i]
+	}
+	for h := 1; h < m; h *= 3 {
+		for s := 0; s < n; s += 3 * h {
 			for j := 0; j < h; j++ {
-				w := tw[twBase+j]
-				lo := base + j*stride
-				hi := lo + h*stride
-				t := w * data[hi]
-				data[hi] = data[lo] - t
-				data[lo] += t
+				w1, w2 := complex(1, 0), complex(1, 0)
+				if h > 1 {
+					w1, w2 = d.r3[h-3+2*j], d.r3[h-3+2*j+1]
+				}
+				x0, x1, x2 := at(s+j), at(s+j+h), at(s+j+2*h)
+				a0, a1, a2 := *x0, w1**x1, w2**x2
+				sr, si := real(a1)+real(a2), imag(a1)+imag(a2)
+				dr, di := d.c3*(real(a1)-real(a2)), d.c3*(imag(a1)-imag(a2))
+				mr, mi := real(a0)-0.5*sr, imag(a0)-0.5*si
+				*x0 = complex(real(a0)+sr, imag(a0)+si)
+				*x1 = complex(mr+di, mi-dr)
+				*x2 = complex(mr-di, mi+dr)
 			}
 		}
-		twBase += h
 	}
+	for h := m; h < n; h <<= 1 {
+		for s := 0; s < n; s += 2 * h {
+			for j := 0; j < h; j++ {
+				lo, hi := at(s+j), at(s+j+h)
+				t := d.r2[h-m+j] * *hi
+				*hi = *lo - t
+				*lo += t
+			}
+		}
+	}
+}
+
+// digitReversal returns the input order of a decimation-in-time FFT of size
+// n = 2ᵃ·3ᵇ whose radix-3 stages run first: position pos of the permuted
+// array holds input index rev[pos]. It is built recursively: the last
+// stage (radix 2) combines the transforms of the even and the odd inputs,
+// each laid out in its own half; once only 3ᵇ inputs are left, the radix-3
+// stages split them the same way by residue mod 3.
+func digitReversal(n int) []int {
+	if n == 1 {
+		return []int{0}
+	}
+	r := 2
+	if n%2 != 0 {
+		r = 3
+	}
+	sub := digitReversal(n / r)
+	rev := make([]int, 0, n)
+	for q := 0; q < r; q++ {
+		for _, i := range sub {
+			rev = append(rev, q+r*i)
+		}
+	}
+	return rev
 }
 
 // refTransform2D runs refTransform over every row, then every column, of
 // the full grid: no row, column or stage is skipped.
 func refTransform2D(p *fftPlan2D, data []complex128, inverse bool) {
-	rtw, ctw := p.row.tw, p.col.tw
+	rtw, ctw := &p.row.fwd, &p.col.fwd
 	if inverse {
-		rtw, ctw = p.row.itw, p.col.itw
+		rtw, ctw = &p.row.inv, &p.col.inv
 	}
 	for r := 0; r < p.h; r++ {
 		refTransform(p.row, data, r*p.w, 1, rtw)
@@ -147,27 +197,29 @@ func refRealConvolve(op *ToeplitzOp, x, spec []float64) []float64 {
 		for c := range z {
 			z[c] = complex(gridValue(op, x, c, r), gridValue(op, x, c, r+1))
 		}
-		refTransform(p.row, z, 0, 1, p.row.tw)
-		p.splitRows(g, z, r)
+		refTransform(p.row, z, 0, 1, &p.row.fwd)
+		p.splitRows(p.line(g, r), p.line(g, r+1), z)
 	}
 	for c := 0; c < p.hw; c++ {
-		refTransform(p.col, g, c, p.hw, p.col.tw)
+		refTransform(p.col, g, c, p.hw, &p.col.fwd)
 	}
 	for i, s := range spec {
 		g[i] = complex(real(g[i])*s, imag(g[i])*s)
 	}
 	for c := 0; c < p.hw; c++ {
-		refTransform(p.col, g, c, p.hw, p.col.itw)
+		refTransform(p.col, g, c, p.hw, &p.col.inv)
 	}
 	out := make([]float64, p.w*p.h)
+	natural := make([]int32, p.w)
+	for c := range natural {
+		natural[c] = int32(c)
+	}
 	for r := 0; r < p.h; r += 2 {
-		p.mergeRows(z, g, r)
-		refTransform(p.row, z, 0, 1, p.row.itw)
+		p.mergeRows(z, p.line(g, r), p.line(g, r+1), natural)
+		refTransform(p.row, z, 0, 1, &p.row.inv)
 		for c, v := range z {
 			out[r*p.w+c] = real(v)
-			if r+1 < p.h {
-				out[(r+1)*p.w+c] = imag(v)
-			}
+			out[(r+1)*p.w+c] = imag(v)
 		}
 	}
 	return gatherGrid(op, func(c, r int) float64 { return out[r*p.w+c] })
@@ -223,13 +275,13 @@ func TestFFTStridedMatchesContiguous(t *testing.T) {
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	cont := append([]complex128(nil), x...)
-	p.transform(cont, n, p.tw)
+	cont := digitReversed(p, x)
+	p.transform(cont, n, &p.fwd)
 	spread := make([]complex128, n*stride+2)
 	for i := range x {
 		spread[1+i*stride] = x[i]
 	}
-	refTransform(p, spread, 1, stride, p.tw)
+	refTransform(p, spread, 1, stride, &p.fwd)
 	for i := range x {
 		if spread[1+i*stride] != cont[i] {
 			t.Fatalf("strided FFT differs at %d: %v vs %v", i, spread[1+i*stride], cont[i])
@@ -569,5 +621,98 @@ func TestToeplitzRejectsRepeatedCoordinates(t *testing.T) {
 	_, err := NewToeplitzOp(2, 2, []float64{4, 1, 1, 0.5}, [][2]int{{0, 0}, {1, 0}, {0, 0}})
 	if !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("repeated coordinate: err = %v, want ErrBadInput", err)
+	}
+}
+
+// smallestPlanSize is the padded-size rule by brute force: the smallest
+// even m ≥ n with no prime factor but 2 and 3.
+func smallestPlanSize(n int) int {
+	for m := max(n, 2); ; m++ {
+		r := m
+		for r%2 == 0 {
+			r /= 2
+		}
+		for r%3 == 0 {
+			r /= 3
+		}
+		if m%2 == 0 && r == 1 {
+			return m
+		}
+	}
+}
+
+// TestToeplitzAppliesMatchGeneratedOracle draws random grids (nx, ny in
+// [1, 50]) with random holes and random 1/r-like kernel tables, and holds
+// every apply to an oracle that shares nothing with it: MulVecTo to the
+// direct table product within toeplitzMulVecRelTol, the circulant branch of
+// PrecondTo to the full complex transform within
+// realFFTMatchesComplexRelTol (the Jacobi branch to diagonal scaling), and
+// each padded axis to the smallest even 2ᵃ·3ᵇ ≥ 2n−1.
+func TestToeplitzAppliesMatchGeneratedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	circulant := 0
+	defer func() {
+		if !t.Failed() && circulant < 10 {
+			t.Errorf("only %d of 30 trials exercised the circulant preconditioner", circulant)
+		}
+	}()
+	for trial := 0; trial < 30; trial++ {
+		nx, ny := 1+rng.Intn(50), 1+rng.Intn(50)
+		fill := []float64{1, 0.9, 0.6, 0.3}[trial%4]
+		coords := subsetCoords(nx, ny, func(ix, iy int) bool { return rng.Float64() < fill })
+		if len(coords) == 0 {
+			coords = [][2]int{{rng.Intn(nx), rng.Intn(ny)}}
+		}
+		tb := make([]float64, nx*ny)
+		tb[0] = 2 + 6*rng.Float64()
+		for i := 1; i < len(tb); i++ {
+			tb[i] = (1 + 0.1*rng.Float64()) / math.Hypot(float64(i%nx), float64(i/nx))
+		}
+		op, err := NewToeplitzOp(nx, ny, tb, coords)
+		if err != nil {
+			t.Fatalf("trial %d (%d×%d): %v", trial, nx, ny, err)
+		}
+		name := func() string { return fmt.Sprintf("trial %d (%d×%d, %d unknowns)", trial, nx, ny, len(coords)) }
+		if px, py := op.PaddedDims(); px != smallestPlanSize(2*nx-1) || py != smallestPlanSize(2*ny-1) {
+			t.Fatalf("%s: padded to %d×%d, want %d×%d", name(), px, py, smallestPlanSize(2*nx-1), smallestPlanSize(2*ny-1))
+		}
+		x := make([]float64, len(coords))
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		got := make([]float64, len(coords))
+		op.MulVecTo(got, x)
+		var scale, worst float64
+		for i, ci := range coords {
+			var s float64
+			for j, cj := range coords {
+				s += tb[absInt(ci[1]-cj[1])*nx+absInt(ci[0]-cj[0])] * x[j]
+			}
+			scale = math.Max(scale, math.Abs(s))
+			worst = math.Max(worst, math.Abs(got[i]-s))
+		}
+		if worst > toeplitzMulVecRelTol*scale {
+			t.Fatalf("%s: MulVecTo differs from the table product by %.3g of %.3g", name(), worst, scale)
+		}
+		op.PrecondTo(got, x)
+		if !op.HasPreconditioner() {
+			d := 1 / tb[0]
+			for i := range x {
+				if got[i] != d*x[i] {
+					t.Fatalf("%s: Jacobi PrecondTo[%d] = %g, want %g", name(), i, got[i], d*x[i])
+				}
+			}
+			continue
+		}
+		circulant++
+		full := refConvolve(op, x, op.pinv)
+		scale, worst = 0, 0
+		for i := range full {
+			scale = math.Max(scale, math.Abs(full[i]))
+			worst = math.Max(worst, math.Abs(got[i]-full[i]))
+		}
+		if worst > realFFTMatchesComplexRelTol*scale {
+			t.Fatalf("%s: PrecondTo differs from the complex transform by %.3g of %.3g", name(), worst, scale)
+		}
 	}
 }

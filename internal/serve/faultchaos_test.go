@@ -772,3 +772,44 @@ func TestKill9WithFaultsStillRecovers(t *testing.T) {
 			len(ts), len(refTS))
 	}
 }
+
+// TestJobTurnsTerminalOnlyOnceFinishIsDurable holds the finish record's
+// fsync for 300 ms through the fault FS (the accept record's is the first
+// journal fsync and passes). The job must not read terminal before that
+// fsync returns: a client that saw it finish must be able to rely on a
+// restart not running it again.
+func TestJobTurnsTerminalOnlyOnceFinishIsDurable(t *testing.T) {
+	const hold = 300 * time.Millisecond
+	in := installFaults(t, "journal.append:latency{after=1,times=1,delay=300ms}")
+	dir := t.TempDir()
+	extracted := make(chan time.Time, 1)
+	s := startServer(t, serve.Config{Workers: 1, StateDir: dir, StoragePolicy: fastStorage},
+		serve.Hooks{Extract: func(ctx context.Context, spec *core.BoardSpec, pol supervise.Policy) (*core.Result, supervise.Status, error) {
+			res, st, err := spec.ExtractSupervisedCtx(ctx, pol)
+			extracted <- time.Now()
+			return res, st, err
+		}})
+	id, err := s.Submit(context.Background(), &serve.JobRequest{Board: []byte(testBoard)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workEnded := <-extracted
+	st := waitTerminal(t, s, id, 30*time.Second)
+	if held := time.Since(workEnded); held < hold {
+		t.Fatalf("job turned %q %v after its work ended, inside the %v hold on its finish record's fsync", st.State, held, hold)
+	}
+	if _, finishes := journaledJobs(t, dir); finishes[id] != string(serve.StateDone) || st.State != serve.StateDone || !st.Durable {
+		t.Fatalf("job %s = %q durable=%v, journaled finish %q; want done, durable, with a done record", id, st.State, st.Durable, finishes[id])
+	}
+	if n := in.Injected()["journal.sync"]; n != 1 {
+		t.Fatalf("latency injected on %d journal fsyncs, want exactly the finish record's", n)
+	}
+	// finished is stamped when the work ended, not when the record landed.
+	fin, err := time.Parse(time.RFC3339Nano, st.Finished)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lag := fin.Sub(workEnded); lag >= hold {
+		t.Fatalf("finished stamped %v after the work ended, want it before the %v finish-record hold", lag, hold)
+	}
+}

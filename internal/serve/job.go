@@ -203,9 +203,10 @@ type job struct {
 	ctotal       float64
 	netlist      string
 	touchstone   string
-	network      *extract.Network // extracted network; set once before shards dispatch
+	network      *extract.Network // extracted network; set once before shards dispatch, released by finalize
 
-	points       []sparam.PointStatus
+	points       []sparam.PointStatus // per-point status while the sweep runs; nil once terminal
+	report       *SweepReport         // the terminal sweep report, rendered once by finalize
 	snapshotPath string
 	diag         *diag.Diagnostics
 
@@ -228,6 +229,8 @@ type job struct {
 	// merges write results while the status API holds Server.mu, and the
 	// two must not serialise against each other.
 	// Lock order: sweepMu strictly before Server.mu, never the reverse.
+	// finalize releases freqs, results and done once the last shard has
+	// resolved.
 	sweepMu sync.Mutex
 	freqs   []float64
 	results []*mat.CMatrix

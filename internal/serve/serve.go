@@ -592,28 +592,34 @@ func (s *Server) statusLocked(jb *job) JobStatus {
 		st.ShardsDone = jb.shardsDone
 		st.Quarantined = jb.shardsQuarantined
 	}
-	// The per-point report is rendered once the job is terminal: mid-run the
+	// The per-point report exists once the job is terminal: mid-run the
 	// statuses are still being merged shard by shard (the shard counters
 	// above are the live progress signal).
-	if len(jb.points) > 0 && jb.state.Terminal() {
-		rep := &SweepReport{Points: len(jb.points)}
-		for _, p := range jb.points {
-			switch {
-			case p.Err != nil:
-				rep.Failed++
-				rep.Abnormal = append(rep.Abnormal, PointReport{
-					FreqHz: p.Freq, Attempts: p.Attempts, PerturbRel: p.PerturbRel, Error: p.Err.Error()})
-			case p.Attempts > 1:
-				rep.Retried++
-				rep.Abnormal = append(rep.Abnormal, PointReport{
-					FreqHz: p.Freq, Attempts: p.Attempts, PerturbRel: p.PerturbRel})
-			case p.Attempts == 0:
-				rep.Restored++
-			}
-		}
-		st.Sweep = rep
+	if jb.report != nil {
+		rep := *jb.report
+		st.Sweep = &rep
 	}
 	return st
+}
+
+// sweepReport renders the terminal per-point report of a sweep.
+func sweepReport(points []sparam.PointStatus) *SweepReport {
+	rep := &SweepReport{Points: len(points)}
+	for _, p := range points {
+		switch {
+		case p.Err != nil:
+			rep.Failed++
+			rep.Abnormal = append(rep.Abnormal, PointReport{
+				FreqHz: p.Freq, Attempts: p.Attempts, PerturbRel: p.PerturbRel, Error: p.Err.Error()})
+		case p.Attempts > 1:
+			rep.Retried++
+			rep.Abnormal = append(rep.Abnormal, PointReport{
+				FreqHz: p.Freq, Attempts: p.Attempts, PerturbRel: p.PerturbRel})
+		case p.Attempts == 0:
+			rep.Restored++
+		}
+	}
+	return rep
 }
 
 // pruneLocked drops the oldest terminal job records past cfg.MaxJobs so a
@@ -726,42 +732,50 @@ func (s *Server) runJob(ctx context.Context, jb *job) {
 	}
 }
 
-// finalize lands a job in its terminal state, updates the pool accounting
-// and the drain report, releases the deadline timer, and journals the finish
-// record. It runs exactly once per started job — from runJob for extraction
-// jobs and sweep-setup failures, from the worker resolving the last shard
-// otherwise.
+// finalize journals the finish record, then lands the job in its terminal
+// state (finished stamped when the work ended), drops the solve state a
+// terminal job no longer reads, updates the pool accounting and the drain
+// report, and releases the deadline timer. It runs exactly once per started
+// job — from runJob for extraction jobs and sweep-setup failures, from the
+// worker resolving the last shard otherwise.
 func (s *Server) finalize(jb *job, err error) {
+	finished := time.Now()
+	s.mu.Lock()
+	state := terminalState(err, jb.snapshotPath != "")
+	s.mu.Unlock()
+	// The finish record goes to the journal before the state is published:
+	// once a client sees the job terminal, a crash cannot replay it.
+	finOK := s.journalAppend(jb, journalKindFinish, jobFinishRec{ID: jb.id, State: string(state)})
+
+	// The last shard has resolved, so nothing reads the solve state again:
+	// release it rather than hold the network and every point's S matrix
+	// for as long as the job record is retained.
+	jb.sweepMu.Lock()
+	jb.freqs, jb.results, jb.done = nil, nil, nil
+	jb.sweepMu.Unlock()
+
 	s.mu.Lock()
 	cancel := jb.cancel
 	jb.cancel = nil
 	jb.ctx = nil
-	jb.finished = time.Now()
+	jb.finished = finished
 	jb.err = err
+	jb.state = state
+	jb.network = nil
+	if len(jb.points) > 0 {
+		jb.report = sweepReport(jb.points)
+		jb.points = nil
+	}
 	s.running--
 	s.stats.Completed++
-	dur := float64(jb.finished.Sub(jb.started))
+	dur := float64(finished.Sub(jb.started))
 	if s.ewmaNs <= 0 {
 		s.ewmaNs = dur
 	} else {
 		s.ewmaNs = ewmaAlpha*dur + (1-ewmaAlpha)*s.ewmaNs
 	}
-	switch {
-	case err == nil:
-		jb.state = StateDone
-	case errors.Is(err, simerr.ErrPartial):
-		jb.state = StatePartial
-	case errors.Is(err, simerr.ErrCancelled):
-		if jb.snapshotPath != "" {
-			jb.state = StateSnapshotted
-		} else {
-			jb.state = StateCancelled
-		}
-	default:
-		jb.state = StateFailed
-	}
 	if s.draining {
-		switch jb.state {
+		switch state {
 		case StateSnapshotted:
 			s.report.Snapshotted++
 		case StateCancelled:
@@ -770,27 +784,41 @@ func (s *Server) finalize(jb *job, err error) {
 			s.report.Finished++
 		}
 	}
-	state := jb.state
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	finOK := s.journalAppend(jb, journalKindFinish, jobFinishRec{ID: jb.id, State: string(state)})
-	// The job's durability claim is final only after the finish record's
-	// fate is known: a failed append strips it (in journalAppend), and a
-	// durable finish record establishes it on its own — replay treats a
-	// finished id as settled regardless of record order, so a fast worker
-	// finalising before Submit's accept append returns must not report the
-	// job non-durable over a claim the accept path simply has not made yet.
-	s.mu.Lock()
+	// The job's durability claim is settled by the finish record: a failed
+	// append stripped it (in journalAppend), and a durable finish record
+	// establishes it on its own — replay treats a finished id as settled
+	// regardless of record order, so a fast worker finalising before
+	// Submit's accept append returns must not report the job non-durable
+	// over a claim the accept path simply has not made yet.
 	if finOK && jb.lastErr == "" {
 		jb.durable = true
 	}
 	if s.durState != DurabilityDisabled && !jb.durable {
 		s.stats.NonDurable++
 	}
+	s.cond.Broadcast()
 	s.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
+
+// terminalState maps a finished job's outcome to its terminal state: a
+// cancelled job that flushed a snapshot is snapshotted.
+func terminalState(err error, snapshotted bool) JobState {
+	switch {
+	case err == nil:
+		return StateDone
+	case errors.Is(err, simerr.ErrPartial):
+		return StatePartial
+	case errors.Is(err, simerr.ErrCancelled):
+		if snapshotted {
+			return StateSnapshotted
+		}
+		return StateCancelled
+	default:
+		return StateFailed
+	}
 }
 
 // extract runs the cache-aware extraction half of a job and stores the

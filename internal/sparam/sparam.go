@@ -260,7 +260,12 @@ func (sw *Sweep) Touchstone(comment string) (string, error) {
 		return "", simerr.Tagf(simerr.ErrBadInput, "sparam: empty sweep")
 	}
 	n := sw.Points[0].S.Rows
+	// Every %.9e field takes at most 17 bytes ("-d.ddddddddde+ddd"). Sizing
+	// the builder for that up front keeps the returned string's backing
+	// array within a few per cent of its length: String does not trim the
+	// slack that growing by doubling would leave.
 	var b strings.Builder
+	b.Grow(len(comment) + 64 + len(sw.Points)*(17+n*n*2*18+1))
 	if comment != "" {
 		fmt.Fprintf(&b, "! %s\n", comment)
 	}
