@@ -19,8 +19,9 @@ examples:
 		"$$ex" > /dev/null || { echo "example $$(basename "$$ex") failed"; exit 1; }; \
 	done
 
-# bench runs the paper-figure and dense-kernel benchmarks and records them
-# into the BENCH_<date>.json trajectory (scripts/bench.sh, cmd/benchjson).
+# bench runs the paper-figure and dense-kernel benchmarks three times each
+# and records the fastest of each into the BENCH_<date>.json trajectory
+# (scripts/bench.sh, cmd/benchjson).
 bench:
 	./scripts/bench.sh
 
@@ -28,8 +29,9 @@ bench:
 # Go's discarded warm-up call (as in the committed 3x runs), gated against
 # the committed trajectory — fails on a >2x ns/op regression of any shared
 # benchmark (the factor lives in cmd/benchjson). A benchmark that trips the
-# gate is re-run up to twice; it fails only if its fastest re-run still
-# trips, so one noisy run on a shared host does not fail the target.
+# gate is re-run up to twice, three times per re-run like the recorded
+# baseline; it fails only if its fastest re-run still trips, so one noisy
+# run on a shared host does not fail the target.
 bench-smoke:
 	BENCH_SMOKE=1 BENCH_BASELINE=$(BENCH_BASELINE) ./scripts/bench.sh
 
@@ -46,10 +48,12 @@ perfbench-check:
 # pdnlint is the project's own static analyser (cmd/pdnlint): it enforces
 # the solver's safety contracts — typed errors, cancellation in hot loops,
 # no float equality, named tolerances, race-safe fan-out, lock-hold and
-# lock-order discipline, accounted goroutines, durable-write envelopes, and
-# allocation-free //pdn:hot kernels. The roster comes from lint.Analyzers;
-# adding an analyzer there is all it takes for this target (and CI) to
-# enforce it. Zero findings is the contract; suppressions need a
+# lock-order discipline, accounted goroutines, durable-write envelopes,
+# allocation-free //pdn:hot kernels, and no dead API (deadapi: every
+# exported internal/ identifier and every unexported function is referenced
+# by non-test code somewhere in the module). The roster comes from
+# lint.Analyzers; adding an analyzer there is all it takes for this target
+# (and CI) to enforce it. Zero findings is the contract; suppressions need a
 # //pdnlint:ignore with a reason.
 pdnlint:
 	$(GO) run ./cmd/pdnlint ./...

@@ -111,12 +111,27 @@ func TestHotalloc(t *testing.T) {
 	RunFixture(t, Hotalloc, "hotalloc", "pdnsim/internal/hotallocfix")
 }
 
+func TestDeadapi(t *testing.T) {
+	// The fixture's user package sits outside internal/ and imports the
+	// fixture under its synthetic path, so the fixture is loaded first;
+	// the user's references count because the loader holds it.
+	l := sharedLoader(t)
+	if _, err := l.LoadDir("testdata/src/deadapi", "pdnsim/internal/deadapifix"); err != nil {
+		t.Fatalf("load fixture: %v", err)
+	}
+	if _, err := l.LoadDir("testdata/src/deadapi/user", "pdnsim/deadapiuser"); err != nil {
+		t.Fatalf("load user: %v", err)
+	}
+	RunFixture(t, Deadapi, "deadapi", "pdnsim/internal/deadapifix")
+}
+
 func TestAnalyzerRosterHasNine(t *testing.T) {
-	// The acceptance gate on the roster itself: nine analyzers with
-	// distinct names, so every consumer deriving its set from
-	// lint.Analyzers (CLI, Makefile lint, SARIF rules) sees all of them.
-	if len(Analyzers) != 9 {
-		t.Fatalf("lint.Analyzers has %d entries, want 9", len(Analyzers))
+	// The acceptance gate on the roster itself: the nine per-package
+	// analyzers plus the module-wide deadapi, with distinct names, so every
+	// consumer deriving its set from lint.Analyzers (CLI, Makefile lint,
+	// SARIF rules) sees all of them.
+	if len(Analyzers) != 10 {
+		t.Fatalf("lint.Analyzers has %d entries, want 10", len(Analyzers))
 	}
 	seen := map[string]bool{}
 	for _, a := range Analyzers {
@@ -128,7 +143,7 @@ func TestAnalyzerRosterHasNine(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	for _, name := range []string{"lockhold", "goleak", "durable", "hotalloc"} {
+	for _, name := range []string{"lockhold", "goleak", "durable", "hotalloc", "deadapi"} {
 		if !seen[name] {
 			t.Fatalf("roster is missing %q", name)
 		}
@@ -171,7 +186,13 @@ func TestWholeModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	l := sharedLoader(t)
+	// A fresh loader, not the shared one: deadapi counts uses from every
+	// loaded package, and the fixtures the shared loader holds reference
+	// module code the module itself may not.
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
 	pkgs, err := l.LoadModule()
 	if err != nil {
 		t.Fatalf("load module: %v", err)

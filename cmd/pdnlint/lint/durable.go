@@ -86,12 +86,11 @@ func runDurable(p *Package) []RawFinding {
 	return out
 }
 
-// Rule 3's anchors: the filesystem seam's rename, and the two spellings of
-// a directory barrier that make it durable.
+// Rule 3's anchors: the filesystem seam's rename, and the directory
+// barrier that makes it durable.
 const (
-	fsRenameFull   = "(pdnsim/internal/checkpoint.FS).Rename"
-	fsSyncDirFull  = "(pdnsim/internal/checkpoint.FS).SyncDir"
-	pkgSyncDirFull = "pdnsim/internal/checkpoint.SyncDir"
+	fsRenameFull  = "(pdnsim/internal/checkpoint.FS).Rename"
+	fsSyncDirFull = "(pdnsim/internal/checkpoint.FS).SyncDir"
 )
 
 // checkSeamRenames enforces rule 3: every (checkpoint.FS).Rename must be
@@ -114,7 +113,7 @@ func checkSeamRenames(p *Package, fd *ast.FuncDecl) []RawFinding {
 		switch fn.FullName() {
 		case fsRenameFull:
 			renames = append(renames, call)
-		case fsSyncDirFull, pkgSyncDirFull:
+		case fsSyncDirFull:
 			syncDirs = append(syncDirs, call)
 		}
 		return true

@@ -10,9 +10,12 @@
 // long-running loops, tolerance-based floating-point comparison, auditable
 // tolerance constants, partitioned writes in parallel fills, lock-holding
 // discipline and acquisition order, goroutine lifecycle accounting,
-// checkpoint durability routing, and allocation-free //pdn:hot kernels.
-// See the Analyzers variable for the roster and DESIGN.md §5e/§5j for the
-// rationale of each.
+// checkpoint durability routing, allocation-free //pdn:hot kernels, and no
+// dead API. See the Analyzers variable for the roster and DESIGN.md
+// §5e/§5j for the rationale of each.
+//
+// Analyzers run per package; one whose contract spans packages (deadapi)
+// reads the rest of the module through Package.Loaded.
 package lint
 
 import (
@@ -44,7 +47,7 @@ type Analyzer struct {
 // the CLI, `make lint`, the SARIF rules table, TestWholeModuleIsClean —
 // derives its analyzer set from this variable, so adding an analyzer here
 // is the whole registration.
-var Analyzers = []*Analyzer{Errwrap, Ctxflow, Floateq, Magictol, Paraloop, Lockhold, Goleak, Durable, Hotalloc}
+var Analyzers = []*Analyzer{Errwrap, Ctxflow, Floateq, Magictol, Paraloop, Lockhold, Goleak, Durable, Hotalloc, Deadapi}
 
 // Finding is a resolved diagnostic, ready for text or JSON output. File is
 // relative to the module root when the engine can make it so.
@@ -71,6 +74,23 @@ type Package struct {
 	Info  *types.Info
 
 	directives []directive
+	loader     *Loader // nil for a Package not built by a Loader
+}
+
+// Loaded returns every package type-checked by the loader that built p,
+// sorted by import path — the module-wide view for an analyzer whose
+// contract spans packages (deadapi counts uses from all of them, even when
+// only a subset is analyzed). A Package built by hand sees only itself.
+func (p *Package) Loaded() []*Package {
+	if p.loader == nil {
+		return []*Package{p}
+	}
+	out := make([]*Package, 0, len(p.loader.pkgs))
+	for _, q := range p.loader.pkgs {
+		out = append(out, q)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
 }
 
 // directive is one parsed //pdnlint:ignore comment. It suppresses findings

@@ -27,6 +27,9 @@ type Loader struct {
 	typed   map[string]*types.Package // import path → type info (module + std)
 	pkgs    map[string]*Package       // import path → analyzed module package
 	loading map[string]bool           // cycle guard for module packages
+
+	uses   map[types.Object]bool // deadapi's module-wide use set (moduleUses)
+	usesOf int                   // len(pkgs) when uses was built
 }
 
 // NewLoader builds a loader rooted at the directory containing go.mod,
@@ -156,7 +159,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	p := &Package{
 		Path: importPath, Dir: dir, Fset: l.Fset,
-		Files: files, Types: tp, Info: info,
+		Files: files, Types: tp, Info: info, loader: l,
 	}
 	p.scanDirectives()
 	l.typed[importPath] = tp

@@ -36,14 +36,6 @@ func goodSeamRename(fsys checkpoint.FS, tmp, dst string) error {
 	return fsys.SyncDir(filepath.Dir(dst))
 }
 
-// Accepted: the package-level SyncDir helper is the same barrier.
-func goodHelperSync(fsys checkpoint.FS, tmp, dst string) error {
-	if err := fsys.Rename(tmp, dst); err != nil {
-		return err
-	}
-	return checkpoint.SyncDir(filepath.Dir(dst))
-}
-
 // Flagged: the following SyncDir targets an *unrelated* directory — it
 // cannot make this rename's publication durable, so it must not silence
 // the rule.

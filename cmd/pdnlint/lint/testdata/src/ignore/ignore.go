@@ -9,6 +9,9 @@ import "math"
 // tinyFloor documents the accepted pattern for completeness.
 const tinyFloor = 1e-300
 
+// The cases are referenced so that only the directives under test report.
+var _ = []any{sameLine, lineAbove, wholeFunc, wrongAnalyzer, noReason}
+
 // Accepted: same-line documented ignore.
 func sameLine(v float64) bool {
 	return v < 1e-9 //pdnlint:ignore magictol fixture demonstrates a documented same-line waiver

@@ -1,4 +1,4 @@
-// Command pdnlint is the project's static-analysis suite: nine analyzers
+// Command pdnlint is the project's static-analysis suite: ten analyzers
 // that mechanically enforce the solver's and daemon's safety contracts
 // (see DESIGN.md §5e and §5j):
 //
@@ -16,13 +16,16 @@
 //	           internal/checkpoint envelope; no rename without fsync
 //	hotalloc — no allocation, boxing, defer, or map access in //pdn:hot
 //	           annotated kernel loops
+//	deadapi  — exported internal/ identifiers and unexported functions
+//	           are referenced by non-test code (uses count module-wide)
 //
 // Usage:
 //
 //	pdnlint [-json | -sarif] [packages]
 //
 // With no arguments (or "./...") the whole module containing the current
-// directory is analyzed. Specific package directories can be named instead.
+// directory is analyzed. Specific package directories can be named instead;
+// the whole module is still loaded, so deadapi counts uses from all of it.
 // Findings go to stdout, one per line (file:line:col: [analyzer] message),
 // as a JSON array with -json, or as a SARIF 2.1.0 report with -sarif for
 // code-scanning upload. A site may opt out with a trailing or preceding

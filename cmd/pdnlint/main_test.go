@@ -83,3 +83,15 @@ func TestRunSARIFOverOnePackage(t *testing.T) {
 		t.Fatalf("rule table has %d entries, want %d", len(log.Runs[0].Tool.Driver.Rules), len(lint.Analyzers)+1)
 	}
 }
+
+func TestRunOnSubsetCountsUsesFromWholeModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	// geom's exported API is used only by other packages (mesh, bem, the
+	// facade); analysing geom alone must still see those uses.
+	var out, errb bytes.Buffer
+	if code := run([]string{"../../internal/geom/..."}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr: %s\nstdout: %s", code, errb.String(), out.String())
+	}
+}

@@ -81,9 +81,6 @@ func sinc(x float64) float64 {
 	return math.Sin(x) / x
 }
 
-// NumPorts returns the registered port count.
-func (m *Model) NumPorts() int { return len(m.ports) }
-
 // Z returns the port impedance matrix at angular frequency omega.
 func (m *Model) Z(omega float64) (*mat.CMatrix, error) {
 	n := len(m.ports)
@@ -148,10 +145,4 @@ func (m *Model) Z(omega float64) (*mat.CMatrix, error) {
 		}
 	}
 	return z, nil
-}
-
-// ResonantFrequency returns the analytic cavity mode frequency f_mn.
-func (m *Model) ResonantFrequency(mi, ni int) float64 {
-	v := greens.C0 / math.Sqrt(m.EpsR)
-	return v / 2 * math.Hypot(float64(mi)/m.A, float64(ni)/m.B)
 }

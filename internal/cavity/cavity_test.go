@@ -34,7 +34,7 @@ func TestPortValidation(t *testing.T) {
 	if _, err := m.Z(-1); err == nil {
 		t.Fatal("negative omega must error")
 	}
-	if m.NumPorts() != 1 {
+	if len(m.ports) != 1 {
 		t.Fatal("port count")
 	}
 }
@@ -177,4 +177,10 @@ func TestMatchesPlateCapacitanceOfBEM(t *testing.T) {
 	if e := math.Abs(cCavity-cPlate) / cPlate; e > 1e-3 {
 		t.Fatalf("cavity C = %g vs plate %g", cCavity, cPlate)
 	}
+}
+
+// ResonantFrequency returns the analytic cavity mode frequency f_mn.
+func (m *Model) ResonantFrequency(mi, ni int) float64 {
+	v := greens.C0 / math.Sqrt(m.EpsR)
+	return v / 2 * math.Hypot(float64(mi)/m.A, float64(ni)/m.B)
 }

@@ -62,6 +62,8 @@ const DefaultEvery = 1000
 // bitwise identical; the tolerance budgets only for future schema additions
 // that may legitimately re-derive cached values. Fault-injection tests
 // enforce it.
+//
+//pdnlint:ignore deadapi documented resume-determinism contract; the circuit, fdtd and sparam resume tests enforce it
 const ResumeRelTol = 1e-12
 
 // Policy configures periodic checkpointing of a long run. The zero value

@@ -110,11 +110,3 @@ func filesystem() FS {
 	}
 	return osFS{}
 }
-
-// SyncDir fsyncs dir through the active filesystem. Exported so callers
-// outside this package that publish files by rename can apply the same
-// rename-then-sync-parent discipline Save and Journal.Rewrite use (the
-// durable analyzer's rename-without-dir-sync rule checks for it).
-func SyncDir(dir string) error {
-	return filesystem().SyncDir(dir)
-}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"pdnsim/internal/checkpoint"
 	"pdnsim/internal/diag"
@@ -668,6 +667,3 @@ func stampPortYBlockC(a *mat.CMatrix, dim int, rowNodes []int, rowRef int,
 		add(rr, cr, rowSum)
 	}
 }
-
-// MagDB converts a complex ratio to decibels.
-func MagDB(v complex128) float64 { return 20 * math.Log10(cmplx.Abs(v)) }

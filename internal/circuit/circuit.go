@@ -74,7 +74,7 @@ func (c *Circuit) AddResistor(name string, a, b int, r float64) (*Resistor, erro
 	if r <= 0 {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "circuit: resistor %s must be positive, got %g", name, r)
 	}
-	el := &Resistor{name: name, A: a, B: b, R: r}
+	el := &Resistor{A: a, B: b, R: r}
 	c.resistors = append(c.resistors, el)
 	return el, nil
 }
@@ -84,7 +84,7 @@ func (c *Circuit) AddCapacitor(name string, a, b int, f float64) (*Capacitor, er
 	if f <= 0 {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "circuit: capacitor %s must be positive, got %g", name, f)
 	}
-	el := &Capacitor{name: name, A: a, B: b, C: f}
+	el := &Capacitor{A: a, B: b, C: f}
 	c.capacitors = append(c.capacitors, el)
 	return el, nil
 }
@@ -109,7 +109,7 @@ func (c *Circuit) AddMutual(name string, l1, l2 *Inductor, m float64) (*Mutual, 
 	if m*m > l1.L*l2.L {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "circuit: mutual %s exceeds √(L1·L2)", name)
 	}
-	el := &Mutual{name: name, L1: l1, L2: l2, M: m}
+	el := &Mutual{L1: l1, L2: l2, M: m}
 	c.mutuals = append(c.mutuals, el)
 	return el, nil
 }
@@ -130,7 +130,7 @@ func (c *Circuit) AddISource(name string, a, b int, w Waveform) (*ISource, error
 	if w == nil {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "circuit: source %s needs a waveform", name)
 	}
-	el := &ISource{name: name, A: a, B: b, W: w}
+	el := &ISource{A: a, B: b, W: w}
 	c.isources = append(c.isources, el)
 	return el, nil
 }
@@ -143,7 +143,7 @@ func (c *Circuit) AddSwitch(name string, a, b int, ron, roff float64, ctrl func(
 	if ctrl == nil {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "circuit: switch %s needs a control function", name)
 	}
-	el := &Switch{name: name, A: a, B: b, Ron: ron, Roff: roff, Ctrl: ctrl}
+	el := &Switch{A: a, B: b, Ron: ron, Roff: roff, Ctrl: ctrl}
 	c.switches = append(c.switches, el)
 	return el, nil
 }
@@ -199,7 +199,7 @@ func (c *Circuit) addMTL(m *MTL) (*MTL, error) {
 // AddVCCS adds a voltage-controlled current source: gm·(v(cp) − v(cn))
 // amperes flow from a through the source into b.
 func (c *Circuit) AddVCCS(name string, a, b, cp, cn int, gm float64) (*VCCS, error) {
-	el := &VCCS{name: name, A: a, B: b, CP: cp, CN: cn, Gm: gm}
+	el := &VCCS{A: a, B: b, CP: cp, CN: cn, Gm: gm}
 	c.vccs = append(c.vccs, el)
 	return el, nil
 }

@@ -291,7 +291,7 @@ func TestTranLCOscillator(t *testing.T) {
 	n := c.Node("tank")
 	l := mustL(t, c, "L1", n, Ground, 1e-6)
 	mustC(t, c, "C1", n, Ground, 1e-9)
-	l.SetIC(1e-3)
+	l.IC = 1e-3
 	f0 := 1 / (2 * math.Pi * math.Sqrt(1e-6*1e-9)) // 5.03 MHz
 	res, err := c.Tran(TranOptions{Dt: 1e-9, Tstop: 3 / f0, Method: Trapezoidal, UIC: true})
 	if err != nil {

@@ -2,23 +2,15 @@ package circuit
 
 // Resistor is a linear two-terminal resistance.
 type Resistor struct {
-	name string
 	A, B int
 	R    float64
 }
 
-// Name returns the element name.
-func (r *Resistor) Name() string { return r.name }
-
 // Capacitor is a linear two-terminal capacitance.
 type Capacitor struct {
-	name string
 	A, B int
 	C    float64
 }
-
-// Name returns the element name.
-func (c *Capacitor) Name() string { return c.name }
 
 // Inductor is a linear two-terminal inductance; its branch current is an MNA
 // unknown (group-2 element), so it can be mutually coupled and L may be 0.
@@ -30,21 +22,11 @@ type Inductor struct {
 	branch int     // assigned by the solver
 }
 
-// Name returns the element name.
-func (l *Inductor) Name() string { return l.name }
-
-// SetIC sets the initial inductor current for UIC transients.
-func (l *Inductor) SetIC(i float64) { l.IC = i }
-
 // Mutual couples two inductors with mutual inductance M (H).
 type Mutual struct {
-	name   string
 	L1, L2 *Inductor
 	M      float64
 }
-
-// Name returns the element name.
-func (m *Mutual) Name() string { return m.name }
 
 // VSource is an independent voltage source (group-2 element).
 type VSource struct {
@@ -54,31 +36,20 @@ type VSource struct {
 	branch int
 }
 
-// Name returns the element name.
-func (v *VSource) Name() string { return v.name }
-
 // ISource is an independent current source pushing W(t) amperes from node A
 // through itself into node B.
 type ISource struct {
-	name string
 	A, B int
 	W    Waveform
 }
 
-// Name returns the element name.
-func (i *ISource) Name() string { return i.name }
-
 // Switch is a time-controlled resistor: Ron when Ctrl(t) is true, Roff
 // otherwise. It is the building block of behavioural (ramp) drivers.
 type Switch struct {
-	name      string
 	A, B      int
 	Ron, Roff float64
 	Ctrl      func(t float64) bool
 }
-
-// Name returns the element name.
-func (s *Switch) Name() string { return s.name }
 
 // Conductance returns the switch conductance at time t.
 func (s *Switch) Conductance(t float64) float64 {
@@ -91,14 +62,10 @@ func (s *Switch) Conductance(t float64) float64 {
 // VCCS is a voltage-controlled current source: Gm·(v(CP) − v(CN)) amperes
 // flow from A through the source into B.
 type VCCS struct {
-	name   string
 	A, B   int
 	CP, CN int
 	Gm     float64
 }
-
-// Name returns the element name.
-func (g *VCCS) Name() string { return g.name }
 
 // VCVS is a voltage-controlled voltage source: v(A) − v(B) =
 // Gain·(v(CP) − v(CN)). Its branch current is an MNA unknown.
@@ -109,9 +76,6 @@ type VCVS struct {
 	Gain   float64
 	branch int
 }
-
-// Name returns the element name.
-func (e *VCVS) Name() string { return e.name }
 
 // Device is a nonlinear element solved by Newton-Raphson. Load is called
 // once per Newton iteration with the current solution estimate; it must

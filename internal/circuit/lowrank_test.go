@@ -66,7 +66,11 @@ func TestLowRankSolveMatchesDense(t *testing.T) {
 		if x == nil {
 			t.Fatalf("trial %d (n=%d k=%d): well-conditioned correction fell back: %+v", trial, n, k, s.stats)
 		}
-		want, err := mat.Solve(full, b)
+		lu, err := mat.NewLU(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := lu.Solve(b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,17 +37,6 @@ type Diode struct {
 	vPrev float64
 }
 
-// NewDiode constructs a diode; defaults: Is = 1e-14 A, N = 1.
-func NewDiode(name string, anode, cathode int, is, n float64) *Diode {
-	if is <= 0 {
-		is = 1e-14
-	}
-	if n <= 0 {
-		n = 1
-	}
-	return &Diode{name: name, A: anode, K: cathode, Is: is, N: n}
-}
-
 // Name returns the element name.
 func (d *Diode) Name() string { return d.name }
 

@@ -248,3 +248,14 @@ func TestCMOSDriverGroundBounce(t *testing.T) {
 		t.Fatalf("implausible ground bounce: %g", peak)
 	}
 }
+
+// NewDiode constructs a diode; defaults: Is = 1e-14 A, N = 1.
+func NewDiode(name string, anode, cathode int, is, n float64) *Diode {
+	if is <= 0 {
+		is = 1e-14
+	}
+	if n <= 0 {
+		n = 1
+	}
+	return &Diode{name: name, A: anode, K: cathode, Is: is, N: n}
+}

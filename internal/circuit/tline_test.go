@@ -222,7 +222,7 @@ func TestACRCLowPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db := MagDB(res2.V(out)); math.Abs(db+40) > 0.1 {
+	if db := 20 * math.Log10(cmplx.Abs(res2.V(out))); math.Abs(db+40) > 0.1 {
 		t.Fatalf("stopband = %g dB want −40", db)
 	}
 }

@@ -28,7 +28,7 @@ func TestTranCarriesTrustDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Diag == nil || res.Diag.Len() == 0 {
+	if res.Diag == nil || len(res.Diag.Items()) == 0 {
 		t.Fatal("transient result must carry its trust trail")
 	}
 	if w, _ := res.Diag.Worst(); w >= diag.Error {

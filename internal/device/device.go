@@ -241,21 +241,6 @@ func ramp01(x float64) float64 {
 	return x
 }
 
-// Receiver attaches a simple input stage at node in: input capacitance plus
-// optional rail clamp diodes (vdd/vss referenced), as in an IBIS input model.
-func Receiver(c *circuit.Circuit, name string, in, vdd, vss int, cin float64, clamps bool) error {
-	if cin > 0 {
-		if _, err := c.AddCapacitor(name+"_cin", in, circuit.Ground, cin); err != nil {
-			return err
-		}
-	}
-	if clamps {
-		c.AddDevice(circuit.NewDiode(name+"_dclamp_hi", in, vdd, 1e-14, 1))
-		c.AddDevice(circuit.NewDiode(name+"_dclamp_lo", vss, in, 1e-14, 1))
-	}
-	return nil
-}
-
 // TypicalPullDown returns an NMOS-like pull-down I/V table for the given
 // rail voltage and on-resistance class (piecewise linear: resistive knee
 // then saturation).

@@ -206,30 +206,6 @@ func TestLinearRamp(t *testing.T) {
 	}
 }
 
-func TestReceiverClamps(t *testing.T) {
-	c, vdd, vss := railCircuit(t)
-	in := c.Node("in")
-	// Drive the receiver input above the rail through a resistor; the clamp
-	// must hold it near vdd + a diode drop.
-	if _, err := c.AddVSource("VS", c.Node("s"), circuit.Ground, circuit.DC(6)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddResistor("RS", c.Node("s"), in, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := Receiver(c, "rx", in, vdd, vss, 2e-12, true); err != nil {
-		t.Fatal(err)
-	}
-	x, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vin := circuit.NodeVoltage(x, in)
-	if vin < 3.3 || vin > 4.3 {
-		t.Fatalf("clamped input = %g want ≈ vdd + diode drop", vin)
-	}
-}
-
 func TestTypicalTablesSymmetry(t *testing.T) {
 	pd := TypicalPullDown(3.3, 25)
 	pu := TypicalPullUp(3.3, 25)

@@ -28,12 +28,6 @@ const (
 	// indefinite matrix that should be PSD: eigenvalues below
 	// -EigClipRel·λmax escalate, small negatives are clipped to zero.
 	EigClipRel = 1e-9
-	// ResidualWarnFloor is the tightest residual warn limit CheckResidual
-	// will enforce: one decade above mat.RefineTarget, the stopping point
-	// of iterative refinement. A caller-supplied warnAt below this floor
-	// would warn on residuals the solver cannot beat even in principle, so
-	// CheckResidual clamps up to it.
-	ResidualWarnFloor = 10 * mat.RefineTarget
 )
 
 // CheckSymmetric verifies that m (a physically symmetric operator) is
@@ -155,27 +149,4 @@ func trustworthyDigits(cond float64) int {
 		dig = 0
 	}
 	return dig
-}
-
-// CheckResidual records a solve's relative residual. Residuals at or below
-// warnAt record Info; above it a Warning (the solution is degraded); above
-// 1e3·warnAt an Error plus ErrIllConditioned — the "solution" failed to
-// solve the system in any meaningful sense. warnAt is clamped up to
-// ResidualWarnFloor: limits below refinement's own stopping target are
-// unenforceable.
-func CheckResidual(d *Diagnostics, stage, check string, relres, warnAt float64) error {
-	if warnAt < ResidualWarnFloor {
-		warnAt = ResidualWarnFloor
-	}
-	failAt := warnAt * 1e3
-	switch {
-	case math.IsNaN(relres) || relres > failAt:
-		d.Errorf(stage, check, relres, failAt, "relative residual %.3g exceeds %.3g", relres, failAt)
-		return &simerr.IllConditionedError{Op: stage, Quantity: check, Value: relres, Limit: failAt}
-	case relres > warnAt:
-		d.Warnf(stage, check, relres, warnAt, false, "relative residual %.3g above target %.3g", relres, warnAt)
-	default:
-		d.Infof(stage, check, relres, warnAt, "relative residual %.3g", relres)
-	}
-	return nil
 }

@@ -126,17 +126,9 @@ func (d *Diagnostics) Items() []Diagnostic {
 	return append([]Diagnostic(nil), d.items...)
 }
 
-// Len reports the number of recorded diagnostics.
-func (d *Diagnostics) Len() int {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items)
-}
-
 // Worst returns the highest severity recorded, and false when empty.
+//
+//pdnlint:ignore deadapi the trust tests of circuit, diag, extract, fdtd and tline assert on the worst severity of a result's trail
 func (d *Diagnostics) Worst() (Severity, bool) {
 	if d == nil {
 		return Info, false
@@ -153,12 +145,6 @@ func (d *Diagnostics) Worst() (Severity, bool) {
 		}
 	}
 	return worst, true
-}
-
-// HasWarnings reports whether any diagnostic is Warning or worse.
-func (d *Diagnostics) HasWarnings() bool {
-	w, ok := d.Worst()
-	return ok && w >= Warning
 }
 
 // Merge appends every diagnostic from other (no-op for nil receivers or

@@ -73,7 +73,7 @@ func legacyGuyanReduce(c, gamma *mat.Matrix, keep, internal []int) (*mat.Matrix,
 	// C_red = C_kk − C_ki·x − xᵀ·C_ik + xᵀ·C_ii·x  (C_ik = C_kiᵀ).
 	red := ckk.SubM(cki.Mul(x))
 	red = red.SubM(x.T().Mul(cki.T()))
-	red = red.AddM(x.T().Mul(cii).Mul(x))
+	red = red.SubM(x.T().Mul(cii).Mul(x).Scale(-1))
 	red.Symmetrize()
 	return red, nil
 }

@@ -63,7 +63,8 @@ type Network struct {
 	// Zero disables the correction (the paper's first-order DC resistance,
 	// Eq. 13); §4.1 notes the "more sophisticated expansion" this
 	// implements. Time-domain realisations (Attach) always use the DC
-	// value. Use SkinCrossover to compute f_c from the conductor stackup.
+	// value. f_c = ρ/(π·μ0·t²) for a conductor of resistivity ρ and
+	// thickness t.
 	SkinCrossoverHz float64
 
 	// Diag holds the numerical-trust trail of the extraction: symmetry and
@@ -72,17 +73,6 @@ type Network struct {
 	// eigenvalue clip) are recorded here; violations past the escalation
 	// thresholds abort the extraction with simerr.ErrIllConditioned instead.
 	Diag *diag.Diagnostics
-}
-
-// SkinCrossover returns the frequency at which the skin depth of a
-// conductor with resistivity rho (Ω·m) equals its thickness t (m):
-// f_c = ρ/(π·μ0·t²). Below f_c current fills the conductor and the DC sheet
-// resistance holds; above it the effective resistance grows as √(f/f_c).
-func SkinCrossover(rho, thickness float64) float64 {
-	if rho <= 0 || thickness <= 0 {
-		return 0
-	}
-	return rho / (math.Pi * 4e-7 * math.Pi * thickness * thickness)
 }
 
 // skinFactor returns the resistance multiplier at angular frequency omega.
@@ -591,34 +581,8 @@ func (n *Network) Netlist(title string) string {
 // the largest eigenvalue. A connected plane's true zero mode computes to
 // O(machine-epsilon × conditioning) ≲ 1e-11 relative, while the first
 // physical resonance sits many decades higher, so 1e-9 splits them with
-// margin on both sides. Shared by ResonantFrequencies and FosterModel.
+// margin on both sides.
 const zeroModeRelTol = 1e-9
-
-// ResonantFrequencies returns the natural (open-circuit) resonant
-// frequencies of the lossless equivalent circuit in Hz, ascending. They are
-// the generalized eigenvalues of Γ·x = ω²·C·x — the poles of the impedance
-// matrix — computed directly instead of scanning Zin for peaks. The zero
-// mode (the floating network's common charging mode) is excluded.
-func (n *Network) ResonantFrequencies() ([]float64, error) {
-	vals, _, err := mat.GeneralizedSymEigen(n.Gamma, n.C)
-	if err != nil {
-		return nil, fmt.Errorf("extract: modal eigenproblem: %w", err)
-	}
-	scale := 0.0
-	for _, v := range vals {
-		if v > scale {
-			scale = v
-		}
-	}
-	out := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		if v <= zeroModeRelTol*scale {
-			continue // the singular common mode (Γ·1 = 0)
-		}
-		out = append(out, math.Sqrt(v)/(2*math.Pi))
-	}
-	return out, nil
-}
 
 // Attach realises the equivalent circuit inside a circuit.Circuit netlist.
 // Node i of the network becomes circuit node "<prefix>_n<i>"; the reference

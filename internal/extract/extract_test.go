@@ -2,6 +2,7 @@ package extract
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"pdnsim/internal/circuit"
 	"pdnsim/internal/geom"
 	"pdnsim/internal/greens"
+	"pdnsim/internal/mat"
 	"pdnsim/internal/mesh"
 )
 
@@ -651,4 +653,41 @@ func TestRefinePeak(t *testing.T) {
 	if RefinePeak(xs, ys, 0) != 1 {
 		t.Fatal("edge fallback failed")
 	}
+}
+
+// SkinCrossover returns the frequency at which the skin depth of a
+// conductor with resistivity rho (Ω·m) equals its thickness t (m):
+// f_c = ρ/(π·μ0·t²). Below f_c current fills the conductor and the DC sheet
+// resistance holds; above it the effective resistance grows as √(f/f_c).
+func SkinCrossover(rho, thickness float64) float64 {
+	if rho <= 0 || thickness <= 0 {
+		return 0
+	}
+	return rho / (math.Pi * 4e-7 * math.Pi * thickness * thickness)
+}
+
+// ResonantFrequencies returns the natural (open-circuit) resonant
+// frequencies of the lossless equivalent circuit in Hz, ascending. They are
+// the generalized eigenvalues of Γ·x = ω²·C·x — the poles of the impedance
+// matrix — computed directly instead of scanning Zin for peaks. The zero
+// mode (the floating network's common charging mode) is excluded.
+func (n *Network) ResonantFrequencies() ([]float64, error) {
+	vals, _, err := mat.GeneralizedSymEigen(n.Gamma, n.C)
+	if err != nil {
+		return nil, fmt.Errorf("extract: modal eigenproblem: %w", err)
+	}
+	scale := 0.0
+	for _, v := range vals {
+		if v > scale {
+			scale = v
+		}
+	}
+	out := make([]float64, 0, len(vals))
+	for _, v := range vals {
+		if v <= zeroModeRelTol*scale {
+			continue // the singular common mode (Γ·1 = 0)
+		}
+		out = append(out, math.Sqrt(v)/(2*math.Pi))
+	}
+	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"pdnsim/internal/circuit"
 	"pdnsim/internal/mat"
 
 	"pdnsim/internal/simerr"
@@ -105,48 +104,4 @@ func (f *Foster) Order() int {
 		n++
 	}
 	return n
-}
-
-// Attach realises the Foster chain between node a and the circuit ground:
-// series C0, the L‖C tanks, and the residual inductance. A tiny series
-// resistance accompanies each inductor so DC operating points stay
-// well-posed. Returns nothing to wire further: the chain terminates at
-// ground.
-func (f *Foster) Attach(c *circuit.Circuit, prefix string, a int) error {
-	cur := a
-	next := c.Node(prefix + "_c0")
-	if _, err := c.AddCapacitor(prefix+"_C0", cur, next, f.C0); err != nil {
-		return err
-	}
-	cur = next
-	for i, t := range f.Tanks {
-		next = c.Node(fmt.Sprintf("%s_t%d", prefix, i))
-		mid := c.Node(fmt.Sprintf("%s_t%dm", prefix, i))
-		if _, err := c.AddResistor(fmt.Sprintf("%s_Rt%d", prefix, i), cur, mid, 1e-6); err != nil {
-			return err
-		}
-		if _, err := c.AddInductor(fmt.Sprintf("%s_Lt%d", prefix, i), mid, next, t.L); err != nil {
-			return err
-		}
-		if _, err := c.AddCapacitor(fmt.Sprintf("%s_Ct%d", prefix, i), cur, next, t.C); err != nil {
-			return err
-		}
-		cur = next
-	}
-	if f.Lres > 0 {
-		next = c.Node(prefix + "_lr")
-		mid := c.Node(prefix + "_lrm")
-		if _, err := c.AddResistor(prefix+"_Rres", cur, mid, 1e-6); err != nil {
-			return err
-		}
-		if _, err := c.AddInductor(prefix+"_Lres", mid, next, f.Lres); err != nil {
-			return err
-		}
-		cur = next
-	}
-	// Terminate at ground.
-	if _, err := c.AddResistor(prefix+"_Rgnd", cur, circuit.Ground, 1e-9); err != nil {
-		return err
-	}
-	return nil
 }

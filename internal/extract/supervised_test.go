@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pdnsim/internal/bem"
+	"pdnsim/internal/diag"
 	"pdnsim/internal/geom"
 	"pdnsim/internal/simerr"
 	"pdnsim/internal/supervise"
@@ -70,7 +71,7 @@ func TestExtractRegularizeIsGentleAndRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Diag.HasWarnings() {
+	if w, _ := loaded.Diag.Worst(); w < diag.Warning {
 		t.Fatal("diagonal loading must be recorded as a repair in the Diag trail")
 	}
 	c0, c1 := plain.TotalCapacitance(), loaded.TotalCapacitance()
@@ -97,7 +98,7 @@ func TestExtractSupervisedRetriesEscalateRegularization(t *testing.T) {
 			seen = append(seen, o.Regularize)
 			return nil, &simerr.SingularError{Op: "test: rank-deficient assembly"}
 		})
-	if st.OK() {
+	if st.Err == nil {
 		t.Fatal("probe always fails")
 	}
 	if len(seen) != supervise.DefaultMaxAttempts {

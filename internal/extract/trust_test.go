@@ -64,7 +64,7 @@ func TestExtractedOperatorsSymmetricPSDRandomized(t *testing.T) {
 			if nw.G != nil {
 				requireSymPSD(t, "reduced G", nw.G, false)
 			}
-			if nw.Diag == nil || nw.Diag.Len() == 0 {
+			if nw.Diag == nil || len(nw.Diag.Items()) == 0 {
 				t.Fatal("extraction must carry its trust trail")
 			}
 			if w, _ := nw.Diag.Worst(); w >= diag.Error {
@@ -100,7 +100,7 @@ func TestSweptSParametersReciprocalPassiveRandomized(t *testing.T) {
 			if err := sw.Verify(); err != nil {
 				t.Fatalf("extracted sweep failed physics verification: %v\n%s", err, sw.Diag.Render(true))
 			}
-			if sw.Diag.Len() < 2 {
+			if len(sw.Diag.Items()) < 2 {
 				t.Fatal("Verify must record passivity and reciprocity margins")
 			}
 		})

@@ -251,10 +251,9 @@ type Injector struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	rules []ruleState
-	// counts tallies injections by point name, for tests and the
-	// -fault-schedule exit report.
+	// counts tallies injections by point name, for the chaos tests
+	// (Injected).
 	counts map[string]int
-	total  int
 }
 
 // NewInjector builds an injector for the schedule.
@@ -292,7 +291,6 @@ func (in *Injector) Decide(point, path, op string) Decision {
 		}
 		r.fired++
 		in.counts[point]++
-		in.total++
 		return in.decisionFor(r, point, path, op)
 	}
 	return Decision{}
@@ -324,6 +322,8 @@ func (in *Injector) decisionFor(r *ruleState, point, path, op string) Decision {
 }
 
 // Injected returns a snapshot of the per-point injection counts.
+//
+//pdnlint:ignore deadapi the fault and serve chaos tests read which injection points fired
 func (in *Injector) Injected() map[string]int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -332,13 +332,6 @@ func (in *Injector) Injected() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// Total returns how many faults have been injected so far.
-func (in *Injector) Total() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.total
 }
 
 // matchPoint matches a rule pattern against a point name: exact, "*", or

@@ -288,3 +288,12 @@ func TestWrapFSFaultsCheckpointSaveRename(t *testing.T) {
 		t.Fatalf("old snapshot after failed save: %v %v, want n=1 intact", out, err)
 	}
 }
+
+// Total returns how many faults have been injected so far.
+func (in *Injector) Total() int {
+	n := 0
+	for _, c := range in.Injected() {
+		n += c
+	}
+	return n
+}

@@ -15,15 +15,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p + q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns s·p.
-func (p Point) Scale(s float64) Point { return Point{s * p.X, s * p.Y} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
@@ -32,17 +23,6 @@ func (p Point) Dist(q Point) float64 {
 // Rect is an axis-aligned rectangle [X0,X1]×[Y0,Y1].
 type Rect struct {
 	X0, Y0, X1, Y1 float64
-}
-
-// NewRect normalises the corner ordering so X0 ≤ X1 and Y0 ≤ Y1.
-func NewRect(x0, y0, x1, y1 float64) Rect {
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
-	return Rect{x0, y0, x1, y1}
 }
 
 // W returns the width (x extent).
@@ -56,31 +36,6 @@ func (r Rect) Area() float64 { return r.W() * r.H() }
 
 // Center returns the rectangle centre.
 func (r Rect) Center() Point { return Point{(r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2} }
-
-// Contains reports whether p lies inside or on the boundary of r.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.X0 && p.X <= r.X1 && p.Y >= r.Y0 && p.Y <= r.Y1
-}
-
-// Intersect returns the overlap of two rectangles and whether it is non-empty.
-func (r Rect) Intersect(o Rect) (Rect, bool) {
-	out := Rect{
-		X0: math.Max(r.X0, o.X0), Y0: math.Max(r.Y0, o.Y0),
-		X1: math.Min(r.X1, o.X1), Y1: math.Min(r.Y1, o.Y1),
-	}
-	if out.X0 >= out.X1 || out.Y0 >= out.Y1 {
-		return Rect{}, false
-	}
-	return out, true
-}
-
-// Union returns the bounding box of two rectangles.
-func (r Rect) Union(o Rect) Rect {
-	return Rect{
-		X0: math.Min(r.X0, o.X0), Y0: math.Min(r.Y0, o.Y0),
-		X1: math.Max(r.X1, o.X1), Y1: math.Max(r.Y1, o.Y1),
-	}
-}
 
 // Polygon is a simple polygon given by its vertices in order (either
 // winding); the edge from the last vertex back to the first is implicit.
@@ -104,31 +59,6 @@ func (pg Polygon) SignedArea() float64 {
 		s += pg[i].X*pg[j].Y - pg[j].X*pg[i].Y
 	}
 	return s / 2
-}
-
-// Centroid returns the area centroid of the polygon.
-func (pg Polygon) Centroid() Point {
-	n := len(pg)
-	if n == 0 {
-		return Point{}
-	}
-	a := pg.SignedArea()
-	if a == 0 {
-		// Degenerate: average the vertices.
-		var c Point
-		for _, p := range pg {
-			c = c.Add(p)
-		}
-		return c.Scale(1 / float64(n))
-	}
-	var cx, cy float64
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		cross := pg[i].X*pg[j].Y - pg[j].X*pg[i].Y
-		cx += (pg[i].X + pg[j].X) * cross
-		cy += (pg[i].Y + pg[j].Y) * cross
-	}
-	return Point{cx / (6 * a), cy / (6 * a)}
 }
 
 // Contains reports whether p lies strictly inside the polygon, using the
@@ -166,15 +96,6 @@ func (pg Polygon) Bounds() Rect {
 		r.Y1 = math.Max(r.Y1, p.Y)
 	}
 	return r
-}
-
-// Translate returns a copy of the polygon shifted by d.
-func (pg Polygon) Translate(d Point) Polygon {
-	out := make(Polygon, len(pg))
-	for i, p := range pg {
-		out[i] = p.Add(d)
-	}
-	return out
 }
 
 // Shape is a polygon with optional holes (anti-pads, slots, split-outs). A

@@ -224,3 +224,85 @@ func TestPolygonAreaTranslationInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Geometry operations only these tests use; the mesher and the solver
+// never call them.
+
+// Add returns p + q.
+func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
+
+// Sub returns p - q.
+func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
+
+// Scale returns s·p.
+func (p Point) Scale(s float64) Point { return Point{s * p.X, s * p.Y} }
+
+// NewRect normalises the corner ordering so X0 ≤ X1 and Y0 ≤ Y1.
+func NewRect(x0, y0, x1, y1 float64) Rect {
+	if x0 > x1 {
+		x0, x1 = x1, x0
+	}
+	if y0 > y1 {
+		y0, y1 = y1, y0
+	}
+	return Rect{x0, y0, x1, y1}
+}
+
+// Contains reports whether p lies inside or on the boundary of r.
+func (r Rect) Contains(p Point) bool {
+	return p.X >= r.X0 && p.X <= r.X1 && p.Y >= r.Y0 && p.Y <= r.Y1
+}
+
+// Intersect returns the overlap of two rectangles and whether it is non-empty.
+func (r Rect) Intersect(o Rect) (Rect, bool) {
+	out := Rect{
+		X0: math.Max(r.X0, o.X0), Y0: math.Max(r.Y0, o.Y0),
+		X1: math.Min(r.X1, o.X1), Y1: math.Min(r.Y1, o.Y1),
+	}
+	if out.X0 >= out.X1 || out.Y0 >= out.Y1 {
+		return Rect{}, false
+	}
+	return out, true
+}
+
+// Union returns the bounding box of two rectangles.
+func (r Rect) Union(o Rect) Rect {
+	return Rect{
+		X0: math.Min(r.X0, o.X0), Y0: math.Min(r.Y0, o.Y0),
+		X1: math.Max(r.X1, o.X1), Y1: math.Max(r.Y1, o.Y1),
+	}
+}
+
+// Centroid returns the area centroid of the polygon.
+func (pg Polygon) Centroid() Point {
+	n := len(pg)
+	if n == 0 {
+		return Point{}
+	}
+	a := pg.SignedArea()
+	if a == 0 {
+		// Degenerate: average the vertices.
+		var c Point
+		for _, p := range pg {
+			c = c.Add(p)
+		}
+		return c.Scale(1 / float64(n))
+	}
+	var cx, cy float64
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		cross := pg[i].X*pg[j].Y - pg[j].X*pg[i].Y
+		cx += (pg[i].X + pg[j].X) * cross
+		cy += (pg[i].Y + pg[j].Y) * cross
+	}
+	return Point{cx / (6 * a), cy / (6 * a)}
+}
+
+// Translate returns a copy of the polygon shifted by d.
+func (pg Polygon) Translate(d Point) Polygon {
+	out := make(Polygon, len(pg))
+	for i, p := range pg {
+		out[i] = p.Add(d)
+	}
+	return out
+}

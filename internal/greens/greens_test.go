@@ -44,7 +44,7 @@ func TestGaussLegendreUnsupportedPanics(t *testing.T) {
 
 func TestRectIntegralFarField(t *testing.T) {
 	// Far from a small rectangle the integral tends to area/r.
-	rect := geom.NewRect(-0.5e-3, -0.5e-3, 0.5e-3, 0.5e-3)
+	rect := geom.Rect{X0: -0.5e-3, Y0: -0.5e-3, X1: 0.5e-3, Y1: 0.5e-3}
 	obs := geom.Point{X: 1.0, Y: 0.7}
 	got := RectIntegralInvR(rect, obs, 0)
 	r := math.Hypot(obs.X, obs.Y)
@@ -59,7 +59,7 @@ func TestRectIntegralSelfTermSquare(t *testing.T) {
 	// ∫∫ dA/r = 4·ln(1+√2)·a for an a×a square (classic result: for unit
 	// square the value is 2·ln(1+√2)·2 ≈ 3.5255).
 	a := 2.0
-	rect := geom.NewRect(-a/2, -a/2, a/2, a/2)
+	rect := geom.Rect{X0: -a / 2, Y0: -a / 2, X1: a / 2, Y1: a / 2}
 	got := RectIntegralInvR(rect, rect.Center(), 0)
 	want := 4 * math.Log(1+math.Sqrt2) * a
 	if relErr(got, want) > 1e-12 {
@@ -68,7 +68,7 @@ func TestRectIntegralSelfTermSquare(t *testing.T) {
 }
 
 func TestRectIntegralMatchesQuadratureOffPlane(t *testing.T) {
-	rect := geom.NewRect(0, 0, 2e-3, 1e-3)
+	rect := geom.Rect{X0: 0, Y0: 0, X1: 2e-3, Y1: 1e-3}
 	obs := geom.Point{X: 2.5e-3, Y: 0.4e-3}
 	z := 0.8e-3
 	got := RectIntegralInvR(rect, obs, z)
@@ -98,8 +98,8 @@ func TestRectIntegralSymmetryProperty(t *testing.T) {
 		ox := 2 * rng.NormFloat64()
 		oy := 2 * rng.NormFloat64()
 		z := rng.Float64()
-		a := RectIntegralInvR(geom.NewRect(0, 0, w, h), geom.Point{X: ox, Y: oy}, z)
-		b := RectIntegralInvR(geom.NewRect(0, 0, h, w), geom.Point{X: oy, Y: ox}, z)
+		a := RectIntegralInvR(geom.Rect{X0: 0, Y0: 0, X1: w, Y1: h}, geom.Point{X: ox, Y: oy}, z)
+		b := RectIntegralInvR(geom.Rect{X0: 0, Y0: 0, X1: h, Y1: w}, geom.Point{X: oy, Y: ox}, z)
 		return relErr(a, b) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -142,7 +142,7 @@ func TestOverGroundParallelPlateLimit(t *testing.T) {
 	}
 	// Plate 100h × 100h, uniform unit charge density; potential at centre.
 	side := 100 * h
-	plate := geom.NewRect(-side/2, -side/2, side/2, side/2)
+	plate := geom.Rect{X0: -side / 2, Y0: -side / 2, X1: side / 2, Y1: side / 2}
 	v := k.ScalarPanel(plate, plate.Center())
 	// Parallel plate: V = σ·h/ε.
 	want := h / (Eps0 * epsR)
@@ -161,7 +161,7 @@ func TestMicrostripParallelPlateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	side := 200 * h
-	plate := geom.NewRect(-side/2, -side/2, side/2, side/2)
+	plate := geom.Rect{X0: -side / 2, Y0: -side / 2, X1: side / 2, Y1: side / 2}
 	v := k.ScalarPanel(plate, plate.Center())
 	want := h / (Eps0 * epsR)
 	if relErr(v, want) > 0.05 {
@@ -174,7 +174,7 @@ func TestMicrostripDegeneratesToOverGround(t *testing.T) {
 	h := 1e-3
 	km, _ := NewKernel(Microstrip, h, 1, 20)
 	kg, _ := NewKernel(OverGround, h, 1, 1)
-	src := geom.NewRect(0, 0, 1e-3, 1e-3)
+	src := geom.Rect{X0: 0, Y0: 0, X1: 1e-3, Y1: 1e-3}
 	for _, obs := range []geom.Point{{X: 0.5e-3, Y: 0.5e-3}, {X: 3e-3, Y: 1e-3}, {X: 10e-3, Y: -2e-3}} {
 		a := km.ScalarPanel(src, obs)
 		b := kg.ScalarPanel(src, obs)
@@ -190,7 +190,7 @@ func TestGroundPlaneShielding(t *testing.T) {
 	h := 0.5e-3
 	kfs, _ := NewKernel(FreeSpace, 0, 1, 1)
 	kg, _ := NewKernel(OverGround, h, 1, 1)
-	src := geom.NewRect(0, 0, 1e-3, 1e-3)
+	src := geom.Rect{X0: 0, Y0: 0, X1: 1e-3, Y1: 1e-3}
 	prevRatio := 1.0
 	for _, d := range []float64{2e-3, 5e-3, 10e-3, 30e-3} {
 		obs := geom.Point{X: d, Y: 0.5e-3}
@@ -206,7 +206,7 @@ func TestVectorPanelImageSign(t *testing.T) {
 	h := 0.5e-3
 	k, _ := NewKernel(OverGround, h, 1, 1)
 	kfs, _ := NewKernel(FreeSpace, 0, 1, 1)
-	src := geom.NewRect(0, 0, 1e-3, 1e-3)
+	src := geom.Rect{X0: 0, Y0: 0, X1: 1e-3, Y1: 1e-3}
 	obs := geom.Point{X: 4e-3, Y: 0}
 	if k.VectorPanel(src, obs) >= kfs.VectorPanel(src, obs) {
 		t.Fatal("ground image must reduce the vector potential")
@@ -219,8 +219,8 @@ func TestVectorPanelImageSign(t *testing.T) {
 func TestGalerkinConvergesToCollocationForFarPanels(t *testing.T) {
 	// For well-separated panels Galerkin and collocation agree closely.
 	k, _ := NewKernel(OverGround, 0.3e-3, 4.2, 1)
-	src := geom.NewRect(0, 0, 1e-3, 1e-3)
-	obs := geom.NewRect(10e-3, 2e-3, 11e-3, 3e-3)
+	src := geom.Rect{X0: 0, Y0: 0, X1: 1e-3, Y1: 1e-3}
+	obs := geom.Rect{X0: 10e-3, Y0: 2e-3, X1: 11e-3, Y1: 3e-3}
 	colloc := k.ScalarPanel(src, obs.Center())
 	galerkin := k.ScalarPanelGalerkin(src, obs, 3)
 	if relErr(colloc, galerkin) > 1e-2 {
@@ -237,7 +237,7 @@ func TestGalerkinSelfTermLargerThanCollocationCenter(t *testing.T) {
 	// For the self panel, averaging 1/r over the panel gives a smaller value
 	// than evaluating at the centre (the centre is the singular maximum).
 	k, _ := NewKernel(FreeSpace, 0, 1, 1)
-	p := geom.NewRect(0, 0, 1e-3, 1e-3)
+	p := geom.Rect{X0: 0, Y0: 0, X1: 1e-3, Y1: 1e-3}
 	colloc := k.ScalarPanel(p, p.Center())
 	galerkin := k.ScalarPanelGalerkin(p, p, 4)
 	if galerkin >= colloc {
@@ -251,7 +251,7 @@ func TestGalerkinSelfTermLargerThanCollocationCenter(t *testing.T) {
 func TestMicrostripSeriesConvergence(t *testing.T) {
 	// Increasing the image count must converge geometrically.
 	h := 0.25e-3
-	src := geom.NewRect(0, 0, 1e-3, 1e-3)
+	src := geom.Rect{X0: 0, Y0: 0, X1: 1e-3, Y1: 1e-3}
 	obs := geom.Point{X: 2e-3, Y: 0.5e-3}
 	// εr = 9.6 gives image ratio K = 0.81, so convergence is geometric but
 	// slow: error ~ K^n.

@@ -72,9 +72,6 @@ func NewBandCholesky(n, bw int, a []float64) (*BandCholesky, error) {
 	return c, nil
 }
 
-// Size returns the matrix dimension.
-func (c *BandCholesky) Size() int { return c.n }
-
 // SolveTo solves A·x = b in place of dst (dst and b may alias). Forward
 // substitution with L, then back substitution with Lᵀ; O(n·bw) and
 // allocation-free, so it is safe to call from the CG projection inner loop.
@@ -110,26 +107,4 @@ func (c *BandCholesky) SolveTo(dst, b []float64) {
 			dst[k] -= l[i*w+(i-k)] * s
 		}
 	}
-}
-
-// Solve returns A⁻¹·b as a new vector.
-func (c *BandCholesky) Solve(b []float64) []float64 {
-	dst := make([]float64, c.n)
-	c.SolveTo(dst, b)
-	return dst
-}
-
-// PackBand extracts the packed lower band storage (bandwidth bw) of a dense
-// symmetric matrix, for tests and for building S = A·Aᵀ band factorisations
-// from explicitly assembled small blocks.
-func PackBand(a *Matrix, bw int) []float64 {
-	n := a.Rows
-	w := bw + 1
-	p := make([]float64, n*w)
-	for i := 0; i < n; i++ {
-		for d := 0; d <= bw && d <= i; d++ {
-			p[i*w+d] = a.At(i, i-d)
-		}
-	}
-	return p
 }

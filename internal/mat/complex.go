@@ -21,15 +21,6 @@ func CNew(r, c int) *CMatrix {
 	return &CMatrix{Rows: r, Cols: c, Data: make([]complex128, r*c)}
 }
 
-// CFromReal promotes a real matrix to complex.
-func CFromReal(m *Matrix) *CMatrix {
-	out := CNew(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = complex(v, 0)
-	}
-	return out
-}
-
 // CEye returns the n×n complex identity.
 func CEye(n int) *CMatrix {
 	m := CNew(n, n)
@@ -52,33 +43,6 @@ func (m *CMatrix) Add(r, c int, v complex128) { m.Data[r*m.Cols+c] += v }
 func (m *CMatrix) Clone() *CMatrix {
 	out := CNew(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// Zero clears all entries in place.
-func (m *CMatrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Scale multiplies every entry by s in place and returns m.
-func (m *CMatrix) Scale(s complex128) *CMatrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// AddM returns m + b.
-func (m *CMatrix) AddM(b *CMatrix) *CMatrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mat: dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
 	return out
 }
 
@@ -114,24 +78,8 @@ func (m *CMatrix) MulVec(x []complex128) []complex128 {
 
 // CLU is a complex LU factorisation with partial pivoting.
 type CLU struct {
-	lu    *CMatrix
-	piv   []int
-	norm1 float64 // 1-norm of the original matrix, for Cond1Est
-}
-
-// CNorm1 returns the 1-norm (maximum absolute column sum).
-func CNorm1(m *CMatrix) float64 {
-	var mx float64
-	for c := 0; c < m.Cols; c++ {
-		var s float64
-		for r := 0; r < m.Rows; r++ {
-			s += cmplx.Abs(m.Data[r*m.Cols+c])
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
+	lu  *CMatrix
+	piv []int
 }
 
 // NewCLU factors a square complex matrix with partial pivoting. Large
@@ -141,7 +89,7 @@ func NewCLU(a *CMatrix) (*CLU, error) {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: CLU requires a square matrix")
 	}
 	n := a.Rows
-	f := &CLU{lu: a.Clone(), piv: make([]int, n), norm1: CNorm1(a)}
+	f := &CLU{lu: a.Clone(), piv: make([]int, n)}
 	for i := range f.piv {
 		f.piv[i] = i
 	}

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"math"
-	"math/cmplx"
 
 	"pdnsim/internal/simerr"
 )
@@ -137,102 +136,6 @@ func (f *LU) Cond1Est() float64 {
 	return f.norm1 * est
 }
 
-// Cond1Est estimates κ₁ of the factored complex matrix with the same Hager
-// climb as the real version; the sign vector generalises to y/|y| on the
-// unit circle. Used by the AC/S-parameter path to detect near-resonant,
-// untrustworthy frequency points.
-func (f *CLU) Cond1Est() float64 {
-	n := f.lu.Rows
-	if n == 0 {
-		return 0
-	}
-	if f.norm1 == 0 {
-		return math.Inf(1)
-	}
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(1/float64(n), 0)
-	}
-	est := 0.0
-	for iter := 0; iter < 5; iter++ {
-		y, err := f.Solve(x)
-		if err != nil {
-			return math.Inf(1)
-		}
-		e := cvecNorm1(y)
-		if !isFiniteF(e) {
-			return math.Inf(1)
-		}
-		if e <= est && iter > 0 {
-			break
-		}
-		est = e
-		xi := make([]complex128, n)
-		for i, v := range y {
-			if a := cmplx.Abs(v); a > 0 {
-				xi[i] = v / complex(a, 0)
-			} else {
-				xi[i] = 1
-			}
-		}
-		z, err := f.SolveH(xi)
-		if err != nil {
-			return math.Inf(1)
-		}
-		j, zmax := 0, 0.0
-		for i, v := range z {
-			if a := cmplx.Abs(v); a > zmax {
-				j, zmax = i, a
-			}
-		}
-		var zx float64
-		for i := range z {
-			zx += cmplx.Abs(z[i]) * cmplx.Abs(x[i])
-		}
-		if zmax <= zx {
-			break
-		}
-		for i := range x {
-			x[i] = 0
-		}
-		x[j] = 1
-	}
-	return f.norm1 * est
-}
-
-// SolveH solves Aᴴ·x = b using the factorisation of A: x = Pᵀ·L⁻ᴴ·U⁻ᴴ·b.
-func (f *CLU) SolveH(b []complex128) ([]complex128, error) {
-	n := f.lu.Rows
-	if len(b) != n {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: rhs length mismatch")
-	}
-	lu := f.lu.Data
-	w := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= cmplx.Conj(lu[j*n+i]) * w[j]
-		}
-		d := cmplx.Conj(lu[i*n+i])
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		w[i] = s / d
-	}
-	for i := n - 2; i >= 0; i-- {
-		s := w[i]
-		for j := i + 1; j < n; j++ {
-			s -= cmplx.Conj(lu[j*n+i]) * w[j]
-		}
-		w[i] = s
-	}
-	x := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		x[f.piv[i]] = w[i]
-	}
-	return x, nil
-}
-
 func vecNorm1(v []float64) float64 {
 	var s float64
 	for _, x := range v {
@@ -249,14 +152,6 @@ func vecNormInf(v []float64) float64 {
 		}
 	}
 	return mx
-}
-
-func cvecNorm1(v []complex128) float64 {
-	var s float64
-	for _, x := range v {
-		s += cmplx.Abs(x)
-	}
-	return s
 }
 
 // dotAbsless returns zᵀ·x (Hager's stopping test compares it with ‖z‖∞).

@@ -114,27 +114,3 @@ func TestSolveTMatchesTransposedSystem(t *testing.T) {
 		}
 	}
 }
-
-func TestCLUCond1EstIdentityAndScaled(t *testing.T) {
-	n := 5
-	a := CEye(n)
-	f, err := NewCLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est := f.Cond1Est(); est < 0.5 || est > 10 {
-		t.Fatalf("κ₁(I) estimate = %g, want ~1", est)
-	}
-	// Complex diagonal with span 1e8.
-	d := CNew(n, n)
-	for i := 0; i < n; i++ {
-		d.Set(i, i, complex(0, math.Pow(1e8, float64(i)/float64(n-1))))
-	}
-	fd, err := NewCLU(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est := fd.Cond1Est(); est < 1e7 || est > 1e9 {
-		t.Fatalf("κ₁ estimate of 1e8-span complex diagonal = %g", est)
-	}
-}

@@ -258,31 +258,3 @@ func checkFiniteRHS(b []float64, cols int) error {
 	}
 	return nil
 }
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.Rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.Data[i*n+i]
-	}
-	return d
-}
-
-// Solve solves A·x = b by LU factorisation (convenience, one-shot).
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Inverse returns A⁻¹ computed by LU factorisation.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(Eye(a.Rows))
-}

@@ -25,23 +25,6 @@ func New(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("mat: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
 // Eye returns the n×n identity matrix.
 func Eye(n int) *Matrix {
 	m := New(n, n)
@@ -67,13 +50,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Zero clears all entries in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := New(m.Cols, m.Rows)
@@ -91,16 +67,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// AddM returns m + b as a new matrix.
-func (m *Matrix) AddM(b *Matrix) *Matrix {
-	checkSame(m, b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
 }
 
 // SubM returns m - b as a new matrix.
@@ -229,15 +195,6 @@ func (m *Matrix) Asymmetry() float64 {
 		}
 	}
 	return worst / scale
-}
-
-// FrobeniusNorm returns the Frobenius norm.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // IsSymmetric reports whether m is symmetric to within tol (relative to the

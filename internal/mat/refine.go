@@ -2,7 +2,6 @@ package mat
 
 import (
 	"math"
-	"math/cmplx"
 
 	"pdnsim/internal/simerr"
 )
@@ -103,21 +102,15 @@ func (s *ScaledLU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Cond1Est estimates κ₁ of the equilibrated matrix — the condition number
-// that governs the accuracy of solves through this factorisation. Scaling
-// frequently lowers κ by many orders of magnitude relative to the raw
-// matrix, which is exactly why the trust layer equilibrates first.
-func (s *ScaledLU) Cond1Est() float64 { return s.f.Cond1Est() }
-
 // Default iterative-refinement controls.
 const (
 	refineMaxIter = 8
 	// RefineTarget is the relative residual at which iterative refinement
 	// stops: a few ulps above double-precision roundoff on the residual
 	// scale. It is the accuracy floor of the whole trust layer — residual
-	// warn/fail limits elsewhere (diag.ResidualWarnFloor, the circuit
-	// engine's per-step thresholds) are expressed as multiples of it so a
-	// retuning here propagates consistently.
+	// limits elsewhere (the circuit engine's per-step thresholds) are
+	// expressed as multiples of it so a retuning here propagates
+	// consistently.
 	RefineTarget = 1e-15
 )
 
@@ -227,87 +220,4 @@ func ResidualVecN(a *Matrix, x, b []float64, normA float64) (res []float64, relr
 		return res, 0
 	}
 	return res, vecNormInf(res) / den
-}
-
-// CSolveRefined is the complex analogue of SolveRefined for the AC and
-// S-parameter path: one CLU factorisation plus residual-based refinement,
-// reporting ‖b − A·x‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞). The complex residual is
-// accumulated in plain complex128 (the AC path's accuracy demands are set by
-// the ~1e-6 measurement floor of S-parameters, not by double roundoff).
-func CSolveRefined(a *CMatrix, b []complex128) (x []complex128, relres float64, err error) {
-	if a.Rows != a.Cols {
-		return nil, 0, simerr.Tagf(simerr.ErrBadInput, "mat: CSolveRefined requires a square matrix")
-	}
-	if len(b) != a.Rows {
-		return nil, 0, simerr.Tagf(simerr.ErrBadInput, "mat: rhs length mismatch")
-	}
-	f, err := NewCLU(a)
-	if err != nil {
-		return nil, 0, err
-	}
-	x, err = f.Solve(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	normA := cNormInf(a)
-	normB := cvecNormInf(b)
-	res := make([]complex128, a.Rows)
-	relres = cResidualInto(res, a, x, b, normA, normB)
-	for iter := 0; iter < refineMaxIter && relres > RefineTarget; iter++ {
-		dx, derr := f.Solve(res)
-		if derr != nil {
-			break
-		}
-		xn := make([]complex128, len(x))
-		for i := range x {
-			xn[i] = x[i] + dx[i]
-		}
-		rn := cResidualInto(res, a, xn, b, normA, normB)
-		if rn >= relres {
-			break
-		}
-		x, relres = xn, rn
-	}
-	return x, relres, nil
-}
-
-func cResidualInto(res []complex128, a *CMatrix, x, b []complex128, normA, normB float64) float64 {
-	n := a.Rows
-	for i := 0; i < n; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		s := b[i]
-		for j, v := range row {
-			s -= v * x[j]
-		}
-		res[i] = s
-	}
-	den := normA*cvecNormInf(x) + normB
-	if den == 0 {
-		return 0
-	}
-	return cvecNormInf(res) / den
-}
-
-func cNormInf(m *CMatrix) float64 {
-	var mx float64
-	for r := 0; r < m.Rows; r++ {
-		var s float64
-		for _, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
-			s += cmplx.Abs(v)
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-func cvecNormInf(v []complex128) float64 {
-	var mx float64
-	for _, x := range v {
-		if a := cmplx.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }

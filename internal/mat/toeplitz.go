@@ -161,21 +161,6 @@ func (op *ToeplitzOp) Size() int { return op.n }
 // PaddedDims returns the padded circulant grid (px×py) the FFT runs on.
 func (op *ToeplitzOp) PaddedDims() (px, py int) { return op.px, op.py }
 
-// HasPreconditioner reports whether the circulant-inverse preconditioner is
-// available (the embedded spectrum is safely positive).
-func (op *ToeplitzOp) HasPreconditioner() bool { return op.pinv != nil }
-
-// Clone returns an independent operator sharing the immutable tables
-// (spectra, plan, slots) but with private scratch, for use on another
-// goroutine.
-func (op *ToeplitzOp) Clone() *ToeplitzOp {
-	cp := *op
-	cp.grid = make([]complex128, len(op.grid))
-	cp.prod = make([]complex128, len(op.prod))
-	cp.row = make([]complex128, len(op.row))
-	return &cp
-}
-
 // MulVecTo computes dst = T·x without allocating. len(dst) and len(x) must
 // equal Size(). Not safe for concurrent use (shared scratch).
 //
@@ -187,17 +172,11 @@ func (op *ToeplitzOp) MulVecTo(dst, x []float64) {
 	op.convolve(dst, x, op.spec)
 }
 
-// MulVec returns T·x as a new vector.
-func (op *ToeplitzOp) MulVec(x []float64) []float64 {
-	dst := make([]float64, op.n)
-	op.MulVecTo(dst, x)
-	return dst
-}
-
 // PrecondTo applies the circulant-inverse preconditioner dst ≈ T⁻¹·r (the
 // classic Strang-style circulant preconditioner restricted to the grid
 // subset: an SPD spectral approximation that clusters CG's spectrum). Falls
-// back to plain Jacobi scaling when HasPreconditioner is false.
+// back to plain Jacobi scaling when the embedded spectrum is not safely
+// positive.
 //
 //pdn:hot
 func (op *ToeplitzOp) PrecondTo(dst, r []float64) {

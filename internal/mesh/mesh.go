@@ -120,18 +120,6 @@ func Grid(shape geom.Shape, nx, ny int) (*Mesh, error) {
 	return m, nil
 }
 
-// GridWithPitch meshes with a target element pitch (same pitch both axes,
-// rounded to an integer cell count per axis).
-func GridWithPitch(shape geom.Shape, pitch float64) (*Mesh, error) {
-	if pitch <= 0 {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "mesh: pitch must be positive")
-	}
-	b := shape.Bounds()
-	nx := int(math.Max(1, math.Round(b.W()/pitch)))
-	ny := int(math.Max(1, math.Round(b.H()/pitch)))
-	return Grid(shape, nx, ny)
-}
-
 func (m *Mesh) buildLinks() {
 	for _, c := range m.Cells {
 		// Link to the right neighbour.
@@ -153,14 +141,6 @@ func (m *Mesh) buildLinks() {
 			})
 		}
 	}
-}
-
-// CellAt returns the cell at grid coordinates (ix,iy) if present.
-func (m *Mesh) CellAt(ix, iy int) (Cell, bool) {
-	if i, ok := m.grid[[2]int{ix, iy}]; ok {
-		return m.Cells[i], true
-	}
-	return Cell{}, false
 }
 
 // NearestCell returns the index of the cell whose centre is closest to p.

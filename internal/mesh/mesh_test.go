@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pdnsim/internal/geom"
+	"pdnsim/internal/simerr"
 )
 
 func TestGridFullRectangle(t *testing.T) {
@@ -77,7 +78,7 @@ func TestGridWithHole(t *testing.T) {
 	if len(m.Cells) != 24 {
 		t.Fatalf("cells = %d, want 24 (one removed by the hole)", len(m.Cells))
 	}
-	if _, ok := m.CellAt(2, 2); ok {
+	if _, ok := m.grid[[2]int{2, 2}]; ok {
 		t.Fatal("centre cell should have been removed by the hole")
 	}
 }
@@ -257,4 +258,16 @@ func TestMeshAreaApproximatesShapeArea(t *testing.T) {
 	if prevErr > 0.02 {
 		t.Fatalf("coverage not converged: %g", prevErr)
 	}
+}
+
+// GridWithPitch meshes with a target element pitch (same pitch both axes,
+// rounded to an integer cell count per axis).
+func GridWithPitch(shape geom.Shape, pitch float64) (*Mesh, error) {
+	if pitch <= 0 {
+		return nil, simerr.Tagf(simerr.ErrBadInput, "mesh: pitch must be positive")
+	}
+	b := shape.Bounds()
+	nx := int(math.Max(1, math.Round(b.W()/pitch)))
+	ny := int(math.Max(1, math.Round(b.H()/pitch)))
+	return Grid(shape, nx, ny)
 }

@@ -4,8 +4,6 @@
 package pkgmodel
 
 import (
-	"math"
-
 	"pdnsim/internal/circuit"
 
 	"pdnsim/internal/simerr"
@@ -67,38 +65,6 @@ var (
 	// WirebondPin is a die bondwire only (chip-on-board).
 	WirebondPin = Pin{R: 80e-3, L: 3e-9, C: 0.1e-12}
 )
-
-// BondwireL estimates the partial self-inductance of a round bondwire of
-// length l and radius r (both metres): L = μ0·l/(2π)·(ln(2l/r) − 0.75).
-func BondwireL(l, r float64) float64 {
-	if l <= 0 || r <= 0 || r >= l {
-		return 0
-	}
-	const mu0over2pi = 2e-7
-	return mu0over2pi * l * (math.Log(2*l/r) - 0.75)
-}
-
-// LeadL estimates the partial self-inductance of a flat rectangular lead of
-// length l, width w and thickness t: L = μ0·l/(2π)·(ln(2l/(w+t)) + 0.5).
-func LeadL(l, w, t float64) float64 {
-	if l <= 0 || w+t <= 0 {
-		return 0
-	}
-	const mu0over2pi = 2e-7
-	return mu0over2pi * l * (math.Log(2*l/(w+t)) + 0.5)
-}
-
-// ViaL estimates the partial self-inductance of a cylindrical via of length
-// h and barrel diameter d (both metres), the standard closed form
-// L = μ0·h/(2π)·(ln(4h/d) + 1). Vias connect pins and decaps to the plane
-// pair; their inductance adds in series with the package pin.
-func ViaL(h, d float64) float64 {
-	if h <= 0 || d <= 0 || d >= 4*h {
-		return 0
-	}
-	const mu0over2pi = 2e-7
-	return mu0over2pi * h * (math.Log(4*h/d) + 1)
-}
 
 // RailPair attaches a Vdd pin and a Gnd pin for one chip: boardVdd → dieVdd
 // and boardGnd → dieGnd, each through its own pin parasitics. Returns the

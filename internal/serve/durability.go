@@ -105,13 +105,6 @@ func (s *Server) degraded() bool {
 	return s.durState == DurabilityDegraded
 }
 
-// Durability returns the current durability state.
-func (s *Server) Durability() DurabilityState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.durState
-}
-
 // degradeOn records a persistent storage-write failure: if it is a genuine
 // storage failure and durability was armed, the daemon flips to degraded
 // (one transition, one log line; the probe goroutine owns the way back).

@@ -8,8 +8,9 @@
 //     degrades service latency for new work instead of memory and tail
 //     latency for accepted work.
 //   - Deadlines, not hangs: every job runs under a per-job context deadline
-//     threaded through ExtractSupervisedCtx and SweepZSupervised, so a
-//     pathological solve costs its deadline, never a worker forever.
+//     threaded through ExtractSupervisedCtx and each shard's
+//     SweepZShardSupervised, so a pathological solve costs its deadline,
+//     never a worker forever.
 //   - Isolation, not contagion: per-point supervision (bounded retries with
 //     escalating perturbation) and simerr.ErrPartial mean one singular
 //     frequency point degrades one job to "partial" — reported with HTTP

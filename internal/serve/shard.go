@@ -369,28 +369,15 @@ func (s *Server) finalizeSweep(jb *job) {
 	s.mu.Lock()
 	jctx := jb.ctx
 	s.mu.Unlock()
-	cancelled := jctx == nil || jctx.Err() != nil
 	snapPath := s.snapshotPathFor(jb)
 
-	jb.sweepMu.Lock()
-	n := len(jb.freqs)
-	doneCount := 0
-	sw := &sparam.Sweep{Z0: jb.sweep.Z0}
-	for i := range jb.freqs {
-		if jb.done[i] {
-			doneCount++
-			sw.Points = append(sw.Points, sparam.Point{Freq: jb.freqs[i], S: jb.results[i]})
-		}
-	}
-	gen := 0
-	if cancelled && snapPath != "" {
-		jb.snapGen++
-		gen = jb.snapGen
-	}
-	jb.sweepMu.Unlock()
-
-	if cancelled {
-		if gen > 0 {
+	if jctx == nil || jctx.Err() != nil {
+		gen := 0
+		if snapPath != "" {
+			jb.sweepMu.Lock()
+			jb.snapGen++
+			gen = jb.snapGen
+			jb.sweepMu.Unlock()
 			// The drain contract: flush a final resumable snapshot (outside
 			// sweepMu — flushSweepSnapshot sets jb.snapshotPath on success)
 			// so the interrupted sweep lands "snapshotted", not lost.
@@ -407,33 +394,12 @@ func (s *Server) finalizeSweep(jb *job) {
 	s.mu.Lock()
 	statuses := append([]sparam.PointStatus(nil), jb.points...)
 	s.mu.Unlock()
-	failed := n - doneCount
-	var firstErr error
-	for i := range statuses {
-		if statuses[i].Err != nil {
-			firstErr = statuses[i].Err
-			break
-		}
-	}
-	if failed == n {
-		s.finalize(jb, fmt.Errorf("serve: sweep: every point failed: %w", firstErr))
+	jb.sweepMu.Lock()
+	sw, err := sparam.AssembleSweep("serve: sweep", jb.freqs, jb.sweep.Z0, jb.done, jb.results, statuses)
+	jb.sweepMu.Unlock()
+	if sw == nil {
+		s.finalize(jb, err)
 		return
-	}
-
-	// Observation mode plus the supervision trail, exactly as
-	// sparam.SweepZSupervised reports it: one Warning per skipped point,
-	// one Info per point that needed retries.
-	_ = sw.Verify()
-	for _, st := range statuses {
-		switch {
-		case st.Err != nil:
-			sw.Diag.Warnf("sparam", "skipped point", st.Freq, 0, false,
-				"point at %g Hz failed after %d attempts and was skipped: %v", st.Freq, st.Attempts, st.Err)
-		case st.Attempts > 1:
-			sw.Diag.Infof("sparam", "retried point", st.Freq, 0,
-				"point at %g Hz recovered on attempt %d (frequency perturbation %.3g)",
-				st.Freq, st.Attempts, st.PerturbRel)
-		}
 	}
 	ts, terr := sw.Touchstone(jb.spec.Name)
 	if terr != nil {
@@ -444,7 +410,7 @@ func (s *Server) finalizeSweep(jb *job) {
 	s.mu.Lock()
 	jb.touchstone = ts
 	jb.diag.Merge(sw.Diag)
-	if failed == 0 && jb.snapshotPath != "" {
+	if err == nil && jb.snapshotPath != "" {
 		// The sweep completed fully; its interim snapshot is no longer
 		// needed. A partial job keeps its snapshot: the failed points may
 		// succeed on a resubmit-with-resume.
@@ -455,11 +421,7 @@ func (s *Server) finalizeSweep(jb *job) {
 	if removeSnap {
 		_ = os.Remove(snapPath)
 	}
-	if failed > 0 {
-		s.finalize(jb, &simerr.PartialError{Op: "serve: sweep", Failed: failed, Total: n, Err: firstErr})
-		return
-	}
-	s.finalize(jb, nil)
+	s.finalize(jb, err)
 }
 
 // snapshotPathFor is the job's sweep snapshot location ("" without a state

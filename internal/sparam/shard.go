@@ -77,37 +77,3 @@ func SweepZShardSupervised(ctx context.Context, freqs []float64, lo, hi int, ski
 	}
 	return results, statuses, nil
 }
-
-// SaveSweepCheckpoint persists the completed points of a (possibly sharded)
-// sweep in the standard sweep-snapshot envelope — the same format
-// SweepZSupervised writes and ResumeFrom reads, so shard-scheduler snapshots
-// and client-supplied resume files are interchangeable. done[i] marks
-// results[i] as complete; incomplete entries are not recorded and will be
-// recomputed on resume.
-func SaveSweepCheckpoint(path string, freqs []float64, z0 float64, done []bool, results []*mat.CMatrix) error {
-	if len(done) != len(freqs) || len(results) != len(freqs) {
-		return simerr.BadInput("sparam: sweep checkpoint",
-			"done/results length %d/%d does not match %d frequencies", len(done), len(results), len(freqs))
-	}
-	return saveSweepSnapshot(path, freqs, z0, done, results)
-}
-
-// LoadSweepCheckpoint restores the completed points of a sweep snapshot
-// written by SaveSweepCheckpoint (or SweepZSupervised's checkpoint policy),
-// validating it against the requested frequency list and reference impedance
-// bitwise. Returns per-point done flags and S matrices of len(freqs).
-func LoadSweepCheckpoint(path string, freqs []float64, z0 float64) (done []bool, results []*mat.CMatrix, err error) {
-	snap, err := loadSweepSnapshot(path, freqs, z0)
-	if err != nil {
-		return nil, nil, err
-	}
-	done = make([]bool, len(freqs))
-	results = make([]*mat.CMatrix, len(freqs))
-	for i, ps := range snap.Points {
-		if ps.Done {
-			done[i] = true
-			results[i] = unpackPoint(ps)
-		}
-	}
-	return done, results, nil
-}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"strconv"
 	"strings"
 
 	"pdnsim/internal/diag"
@@ -42,33 +41,8 @@ func FromZ(z *mat.CMatrix, z0 float64) (*mat.CMatrix, error) {
 	return num.Mul(denInv), nil
 }
 
-// FromY converts an admittance matrix: S = (I − z0·Y)(I + z0·Y)⁻¹.
-func FromY(y *mat.CMatrix, z0 float64) (*mat.CMatrix, error) {
-	if y.Rows != y.Cols {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "sparam: Y must be square")
-	}
-	if z0 <= 0 {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "sparam: reference impedance must be positive")
-	}
-	n := y.Rows
-	num := y.Clone().Scale(complex(-z0, 0))
-	den := y.Clone().Scale(complex(z0, 0))
-	for i := 0; i < n; i++ {
-		num.Add(i, i, 1)
-		den.Add(i, i, 1)
-	}
-	denInv, err := mat.CInverse(den)
-	if err != nil {
-		return nil, fmt.Errorf("sparam: I + z0·Y singular: %w", err)
-	}
-	return num.Mul(denInv), nil
-}
-
 // DB returns 20·log10|s|.
 func DB(s complex128) float64 { return 20 * math.Log10(cmplx.Abs(s)) }
-
-// PhaseDeg returns the phase of s in degrees.
-func PhaseDeg(s complex128) float64 { return cmplx.Phase(s) * 180 / math.Pi }
 
 // Point is the S matrix at one frequency.
 type Point struct {
@@ -293,86 +267,6 @@ func (sw *Sweep) Touchstone(comment string) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// ParseTouchstone reads a Touchstone 1.x body produced by Touchstone (or any
-// tool using Hz / S / RI format) back into a sweep. nPorts must be given
-// (the file format encodes it only in the filename extension). 2-port files
-// use the historical S11 S21 S12 S22 column order.
-func ParseTouchstone(src string, nPorts int) (*Sweep, error) {
-	if nPorts < 1 {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "sparam: port count must be positive")
-	}
-	sw := &Sweep{Z0: 50}
-	sawOption := false
-	for ln, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "!") {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			// Expect: # HZ S RI R <z0>
-			if len(fields) < 5 || !strings.EqualFold(fields[1], "hz") ||
-				!strings.EqualFold(fields[2], "s") || !strings.EqualFold(fields[3], "ri") {
-				return nil, simerr.Tagf(simerr.ErrBadInput, "sparam: unsupported option line %q (need HZ S RI)", line)
-			}
-			z0, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-			if err != nil {
-				return nil, simerr.Tagf(simerr.ErrBadInput, "sparam: bad reference impedance in %q", line)
-			}
-			sw.Z0 = z0
-			sawOption = true
-			continue
-		}
-		fields := strings.Fields(line)
-		want := 1 + 2*nPorts*nPorts
-		if len(fields) != want {
-			return nil, simerr.Tagf(simerr.ErrBadInput, "sparam: line %d has %d columns, want %d for %d ports",
-				ln+1, len(fields), want, nPorts)
-		}
-		nums := make([]float64, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, simerr.Tagf(simerr.ErrBadInput, "sparam: line %d: bad number %q", ln+1, f)
-			}
-			nums[i] = v
-		}
-		s := mat.CNew(nPorts, nPorts)
-		if nPorts == 2 {
-			order := [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-			for k, ij := range order {
-				s.Set(ij[0], ij[1], complex(nums[1+2*k], nums[2+2*k]))
-			}
-		} else {
-			k := 0
-			for i := 0; i < nPorts; i++ {
-				for j := 0; j < nPorts; j++ {
-					s.Set(i, j, complex(nums[1+2*k], nums[2+2*k]))
-					k++
-				}
-			}
-		}
-		sw.Points = append(sw.Points, Point{Freq: nums[0], S: s})
-	}
-	if !sawOption || len(sw.Points) == 0 {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "sparam: no option line or data found")
-	}
-	return sw, nil
-}
-
-// Passive reports whether every S matrix in the sweep is passive: the
-// largest singular value (computed by power iteration on SᴴS) must not
-// exceed 1 + tol at any frequency. Use it as a sanity screen for extracted
-// macromodels.
-func (sw *Sweep) Passive(tol float64) bool {
-	for _, p := range sw.Points {
-		if MaxSingularValue(p.S) > 1+tol {
-			return false
-		}
-	}
-	return true
 }
 
 // sigmaIterTol is the relative stagnation bound that ends the spectral-norm

@@ -27,9 +27,6 @@ type PointStatus struct {
 	Err        error   // nil when the point is in the sweep
 }
 
-// OK reports whether the point made it into the sweep.
-func (st PointStatus) OK() bool { return st.Err == nil }
-
 // SweepOptions configure a supervised sweep.
 type SweepOptions struct {
 	// Z0 is the reference impedance (Ω).
@@ -72,71 +69,76 @@ type sweepSnapshot struct {
 	Points []sweepPointState `json:"points"`
 }
 
-func packPoint(s *mat.CMatrix) sweepPointState {
-	ps := sweepPointState{Done: true, N: s.Rows}
-	ps.RI = make([]float64, 0, 2*s.Rows*s.Cols)
-	for r := 0; r < s.Rows; r++ {
-		for c := 0; c < s.Cols; c++ {
-			v := s.At(r, c)
+// SaveSweepCheckpoint persists the completed points of a (possibly sharded)
+// sweep in the standard sweep-snapshot envelope — the same format
+// SweepZSupervised writes and ResumeFrom reads, so shard-scheduler snapshots
+// and client-supplied resume files are interchangeable. done[i] marks
+// results[i] as complete; incomplete entries are not recorded and will be
+// recomputed on resume.
+func SaveSweepCheckpoint(path string, freqs []float64, z0 float64, done []bool, results []*mat.CMatrix) error {
+	if len(done) != len(freqs) || len(results) != len(freqs) {
+		return simerr.BadInput("sparam: sweep checkpoint",
+			"done/results length %d/%d does not match %d frequencies", len(done), len(results), len(freqs))
+	}
+	snap := &sweepSnapshot{Z0: z0, Freqs: freqs, Points: make([]sweepPointState, len(freqs))}
+	for i, s := range results {
+		if !done[i] {
+			continue
+		}
+		ps := sweepPointState{Done: true, N: s.Rows, RI: make([]float64, 0, 2*len(s.Data))}
+		for _, v := range s.Data {
 			ps.RI = append(ps.RI, real(v), imag(v))
 		}
-	}
-	return ps
-}
-
-func unpackPoint(ps sweepPointState) *mat.CMatrix {
-	s := mat.CNew(ps.N, ps.N)
-	k := 0
-	for r := 0; r < ps.N; r++ {
-		for c := 0; c < ps.N; c++ {
-			s.Set(r, c, complex(ps.RI[k], ps.RI[k+1]))
-			k += 2
-		}
-	}
-	return s
-}
-
-func saveSweepSnapshot(path string, freqs []float64, z0 float64, done []bool, results []*mat.CMatrix) error {
-	snap := &sweepSnapshot{Z0: z0, Freqs: freqs, Points: make([]sweepPointState, len(freqs))}
-	for i := range freqs {
-		if done[i] {
-			snap.Points[i] = packPoint(results[i])
-		}
+		snap.Points[i] = ps
 	}
 	return checkpoint.Save(path, sweepSnapshotKind, snap)
 }
 
-// loadSweepSnapshot loads and validates a sweep snapshot against the
-// requested frequency list and reference impedance. Mismatches are
-// simerr.ErrBadInput-class errors.
-func loadSweepSnapshot(path string, freqs []float64, z0 float64) (*sweepSnapshot, error) {
+// LoadSweepCheckpoint restores the completed points of a sweep snapshot
+// written by SaveSweepCheckpoint (or SweepZSupervised's checkpoint policy),
+// validating it against the requested frequency list and reference impedance
+// bitwise. Returns per-point done flags and S matrices of len(freqs).
+// Mismatches and malformed point records are simerr.ErrBadInput-class
+// errors.
+func LoadSweepCheckpoint(path string, freqs []float64, z0 float64) (done []bool, results []*mat.CMatrix, err error) {
 	bad := func(format string, args ...any) error {
 		return simerr.BadInput("sparam: resume", format, args...)
 	}
 	var snap sweepSnapshot
 	if err := checkpoint.Load(path, sweepSnapshotKind, &snap); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !checkpoint.SameBits(snap.Z0, z0) {
-		return nil, bad("snapshot reference impedance %g does not match %g", snap.Z0, z0)
+		return nil, nil, bad("snapshot reference impedance %g does not match %g", snap.Z0, z0)
 	}
 	if len(snap.Freqs) != len(freqs) {
-		return nil, bad("snapshot has %d frequencies, sweep has %d", len(snap.Freqs), len(freqs))
+		return nil, nil, bad("snapshot has %d frequencies, sweep has %d", len(snap.Freqs), len(freqs))
 	}
 	for i := range freqs {
 		if !checkpoint.SameBits(snap.Freqs[i], freqs[i]) {
-			return nil, bad("snapshot frequency %d is %g Hz, sweep has %g Hz", i, snap.Freqs[i], freqs[i])
+			return nil, nil, bad("snapshot frequency %d is %g Hz, sweep has %g Hz", i, snap.Freqs[i], freqs[i])
 		}
 	}
 	if len(snap.Points) != len(freqs) {
-		return nil, bad("snapshot point records are inconsistent with its frequency list")
+		return nil, nil, bad("snapshot point records are inconsistent with its frequency list")
 	}
 	for i, ps := range snap.Points {
 		if ps.Done && (ps.N < 1 || len(ps.RI) != 2*ps.N*ps.N) {
-			return nil, bad("snapshot point %d has a malformed S matrix record", i)
+			return nil, nil, bad("snapshot point %d has a malformed S matrix record", i)
 		}
 	}
-	return &snap, nil
+	done = make([]bool, len(freqs))
+	results = make([]*mat.CMatrix, len(freqs))
+	for i, ps := range snap.Points {
+		if ps.Done {
+			done[i] = true
+			results[i] = mat.CNew(ps.N, ps.N)
+			for k := range results[i].Data {
+				results[i].Data[k] = complex(ps.RI[2*k], ps.RI[2*k+1])
+			}
+		}
+	}
+	return done, results, nil
 }
 
 // SweepZSupervised is SweepZCtx with run survivability: every frequency
@@ -174,15 +176,9 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 		statuses[i] = PointStatus{Freq: freqs[i]}
 	}
 	if opts.ResumeFrom != "" {
-		snap, err := loadSweepSnapshot(opts.ResumeFrom, freqs, opts.Z0)
-		if err != nil {
+		var err error
+		if done, results, err = LoadSweepCheckpoint(opts.ResumeFrom, freqs, opts.Z0); err != nil {
 			return nil, nil, fmt.Errorf("sparam: sweep resume: %w", err)
-		}
-		for i, ps := range snap.Points {
-			if ps.Done {
-				results[i] = unpackPoint(ps)
-				done[i] = true
-			}
 		}
 	}
 
@@ -191,7 +187,7 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 	// cancellation error.
 	cancelled := func(err error) (*Sweep, []PointStatus, error) {
 		if ckpt.Enabled() {
-			if serr := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
+			if serr := SaveSweepCheckpoint(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
 				return nil, statuses, fmt.Errorf("sparam: sweep cancelled and checkpoint flush failed: %w",
 					errors.Join(err, serr))
 			}
@@ -221,30 +217,43 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 			return cancelled(err)
 		}
 		if ckpt.Enabled() {
-			if err := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); err != nil {
+			if err := SaveSweepCheckpoint(ckpt.Path, freqs, opts.Z0, done, results); err != nil {
 				return nil, statuses, fmt.Errorf("sparam: sweep checkpoint: %w", err)
 			}
 		}
 	}
 
-	sw := &Sweep{Z0: opts.Z0}
-	failed := 0
-	var firstErr error
-	for i := range freqs {
+	sw, err := AssembleSweep("sparam: sweep", freqs, opts.Z0, done, results, statuses)
+	return sw, statuses, err
+}
+
+// AssembleSweep is the common tail of a supervised sweep, whole or sharded:
+// it collects the done points, in frequency order, into a Sweep that shares
+// their S matrices; verifies it in observation mode, as SweepZCtx does; and
+// appends the supervision trail to its diagnostics — one Warning per skipped
+// point, one Info per point that needed retries. op prefixes the errors:
+// when every point failed it returns no sweep and an error wrapping the
+// first point error, and when some failed a simerr.PartialError alongside
+// the sweep.
+func AssembleSweep(op string, freqs []float64, z0 float64, done []bool, results []*mat.CMatrix, statuses []PointStatus) (*Sweep, error) {
+	sw := &Sweep{Z0: z0}
+	for i, f := range freqs {
 		if done[i] {
-			sw.Points = append(sw.Points, Point{Freq: freqs[i], S: results[i]})
-		} else {
-			failed++
-			if firstErr == nil {
-				firstErr = statuses[i].Err
-			}
+			sw.Points = append(sw.Points, Point{Freq: f, S: results[i]})
+		}
+	}
+	n := len(freqs)
+	failed := n - len(sw.Points)
+	var firstErr error
+	for _, st := range statuses {
+		if st.Err != nil {
+			firstErr = st.Err
+			break
 		}
 	}
 	if failed == n {
-		return nil, statuses, fmt.Errorf("sparam: sweep: every point failed: %w", firstErr)
+		return nil, fmt.Errorf("%s: every point failed: %w", op, firstErr)
 	}
-	// Observation mode, as in SweepZCtx — plus the supervision trail: one
-	// Warning per skipped point, one Info per point that needed retries.
 	_ = sw.Verify()
 	for _, st := range statuses {
 		switch {
@@ -258,9 +267,9 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 		}
 	}
 	if failed > 0 {
-		return sw, statuses, &simerr.PartialError{Op: "sparam: sweep", Failed: failed, Total: n, Err: firstErr}
+		return sw, &simerr.PartialError{Op: op, Failed: failed, Total: n, Err: firstErr}
 	}
-	return sw, statuses, nil
+	return sw, nil
 }
 
 // supervisePoint evaluates one frequency point under the supervision policy.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pdnsim/internal/checkpoint"
+	"pdnsim/internal/diag"
 	"pdnsim/internal/mat"
 	"pdnsim/internal/simerr"
 	"pdnsim/internal/supervise"
@@ -71,19 +72,19 @@ func TestSweepSupervisedInjectedSingularPoint(t *testing.T) {
 			t.Fatalf("status %d is for %g Hz, want %g Hz", i, st.Freq, freqs[i])
 		}
 		if freqs[i] == badFreq {
-			if st.OK() || !errors.Is(st.Err, simerr.ErrSingular) {
+			if st.Err == nil || !errors.Is(st.Err, simerr.ErrSingular) {
 				t.Fatalf("bad point status must carry ErrSingular, got %v", st.Err)
 			}
 			if st.Attempts != supervise.DefaultMaxAttempts {
 				t.Fatalf("bad point must exhaust its %d attempts, used %d",
 					supervise.DefaultMaxAttempts, st.Attempts)
 			}
-		} else if !st.OK() || st.Attempts != 1 {
+		} else if st.Err != nil || st.Attempts != 1 {
 			t.Fatalf("healthy point %g Hz: attempts=%d err=%v", freqs[i], st.Attempts, st.Err)
 		}
 	}
 	// The supervision trail must mark the skipped point in the diagnostics.
-	if sw.Diag == nil || !sw.Diag.HasWarnings() {
+	if w, _ := sw.Diag.Worst(); w < diag.Warning {
 		t.Fatal("skipped point must leave a warning in the sweep diagnostics")
 	}
 }
@@ -109,7 +110,7 @@ func TestSweepSupervisedRetryRecovers(t *testing.T) {
 		t.Fatalf("want %d points, got %d", len(freqs), len(sw.Points))
 	}
 	st := statuses[2]
-	if st.Attempts != 2 || st.PerturbRel <= 0 || !st.OK() {
+	if st.Attempts != 2 || st.PerturbRel <= 0 || st.Err != nil {
 		t.Fatalf("pole point must recover on attempt 2 with a perturbation, got %+v", st)
 	}
 	if st.PerturbRel != supervise.DefaultPerturbRel {
@@ -136,7 +137,7 @@ func TestSweepSupervisedAllPointsFailed(t *testing.T) {
 		t.Fatalf("want the per-point cause, got %v", err)
 	}
 	for _, st := range statuses {
-		if st.OK() {
+		if st.Err == nil {
 			t.Fatalf("no status may claim success, got %+v", st)
 		}
 	}
@@ -225,7 +226,7 @@ func TestSweepSupervisedKillAndResume(t *testing.T) {
 	}
 	restored := 0
 	for _, st := range statuses {
-		if st.OK() && st.Attempts == 0 {
+		if st.Err == nil && st.Attempts == 0 {
 			restored++
 			if counter.seen[st.Freq] != 0 {
 				t.Fatalf("point %g Hz was restored from the snapshot but also re-evaluated", st.Freq)

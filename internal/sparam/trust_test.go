@@ -41,7 +41,7 @@ func TestVerifyPassesHealthySweep(t *testing.T) {
 	if w, ok := sw.Diag.Worst(); !ok || w != diag.Info {
 		t.Fatalf("healthy sweep must record Info margins, got worst %v (recorded %v)", w, ok)
 	}
-	if sw.Diag.Len() < 2 {
+	if len(sw.Diag.Items()) < 2 {
 		t.Fatal("Verify must record both passivity and reciprocity margins")
 	}
 }
@@ -94,11 +94,11 @@ func TestVerifyResetsDiagBetweenCalls(t *testing.T) {
 	if err := sw.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	n := sw.Diag.Len()
+	n := len(sw.Diag.Items())
 	if err := sw.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Diag.Len() != n {
-		t.Fatalf("repeated Verify must not accumulate records: %d → %d", n, sw.Diag.Len())
+	if len(sw.Diag.Items()) != n {
+		t.Fatalf("repeated Verify must not accumulate records: %d → %d", n, len(sw.Diag.Items()))
 	}
 }

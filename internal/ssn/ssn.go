@@ -358,16 +358,3 @@ func (s *System) Run(dt, tstop float64, method circuit.Method) (*Report, error) 
 	}
 	return rep, nil
 }
-
-// PeakToPeak returns max−min of a waveform.
-func PeakToPeak(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	lo, hi := v[0], v[0]
-	for _, x := range v {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	return hi - lo
-}

@@ -227,3 +227,16 @@ func TestPeakToPeak(t *testing.T) {
 		t.Fatal("peak-to-peak")
 	}
 }
+
+// PeakToPeak is the waveform metric these tests assert on.
+func PeakToPeak(v []float64) float64 {
+	if len(v) == 0 {
+		return 0
+	}
+	lo, hi := v[0], v[0]
+	for _, x := range v {
+		lo = math.Min(lo, x)
+		hi = math.Max(hi, x)
+	}
+	return hi - lo
+}

@@ -97,9 +97,6 @@ type Status struct {
 	Err        error   // nil on success; the final attempt's error otherwise
 }
 
-// OK reports whether the item eventually succeeded.
-func (s Status) OK() bool { return s.Err == nil }
-
 // maxAttempts resolves the effective attempt budget.
 func (p Policy) maxAttempts() int {
 	if p.MaxAttempts <= 0 {

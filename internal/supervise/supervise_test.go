@@ -19,7 +19,7 @@ func TestFirstTrySuccess(t *testing.T) {
 		}
 		return 42, nil
 	})
-	if !st.OK() || v != 42 || st.Attempts != 1 || st.Index != 7 {
+	if st.Err != nil || v != 42 || st.Attempts != 1 || st.Index != 7 {
 		t.Fatalf("clean success mangled: v=%d st=%+v", v, st)
 	}
 }
@@ -33,7 +33,7 @@ func TestRetriesSingularWithEscalatingPerturbation(t *testing.T) {
 		}
 		return "ok", nil
 	})
-	if !st.OK() || v != "ok" || st.Attempts != 3 {
+	if st.Err != nil || v != "ok" || st.Attempts != 3 {
 		t.Fatalf("retry path broken: v=%q st=%+v", v, st)
 	}
 	if perturbs[0] != 0 {
@@ -53,7 +53,7 @@ func TestBudgetExhaustionKeepsFinalError(t *testing.T) {
 		calls++
 		return 0, &simerr.IllConditionedError{Op: "test", Quantity: "κ", Value: 1e18, Limit: 1e12}
 	})
-	if st.OK() || calls != DefaultMaxAttempts || st.Attempts != DefaultMaxAttempts {
+	if st.Err == nil || calls != DefaultMaxAttempts || st.Attempts != DefaultMaxAttempts {
 		t.Fatalf("budget not honoured: calls=%d st=%+v", calls, st)
 	}
 	if !errors.Is(st.Err, simerr.ErrIllConditioned) {
@@ -76,7 +76,7 @@ func TestNonRetryableFailsImmediately(t *testing.T) {
 				calls++
 				return 0, tc.err
 			})
-			if calls != 1 || st.OK() {
+			if calls != 1 || st.Err == nil {
 				t.Fatalf("%s must not be retried: calls=%d st=%+v", tc.name, calls, st)
 			}
 		})
@@ -96,7 +96,7 @@ func TestCancellationStopsRetries(t *testing.T) {
 	}
 	// The attempt's own error is reported (the caller sees why the item
 	// failed); the next Do call on a dead ctx reports cancellation.
-	if st.OK() {
+	if st.Err == nil {
 		t.Fatal("status must carry an error")
 	}
 	_, st2 := Do(ctx, noWait(), 1, func(ctx context.Context, p float64) (int, error) {

@@ -274,15 +274,6 @@ func toRows(a *mat.Matrix) [][]float64 {
 	return out
 }
 
-// Z0 returns the single-line characteristic impedance √(L/C); only valid for
-// one-conductor cross-sections.
-func (p *Params) Z0() (float64, error) {
-	if p.N != 1 {
-		return 0, simerr.Tagf(simerr.ErrBadInput, "tline: Z0 is defined for one conductor, have %d", p.N)
-	}
-	return math.Sqrt(p.L.At(0, 0) / p.C.At(0, 0)), nil
-}
-
 // EpsEff returns the effective permittivity C/C0 of conductor i's
 // self-capacitance.
 func (p *Params) EpsEff(i int) float64 {
@@ -322,22 +313,4 @@ func (p *Params) Attach(c *circuit.Circuit, name string, end1 []int, ref1 int,
 		td[k] = length / m.Vel[k]
 	}
 	return c.AddMTLModal(name, end1, ref1, end2, ref2, m.TV, m.TVInv, m.TI, m.Z, td)
-}
-
-// MicrostripZ0Hammerstad returns the Hammerstad closed-form characteristic
-// impedance and effective permittivity of a single microstrip — the
-// published reference the MoM solver is validated against.
-func MicrostripZ0Hammerstad(w, h, epsR float64) (z0, epsEff float64) {
-	u := w / h
-	epsEff = (epsR+1)/2 + (epsR-1)/2/math.Sqrt(1+12/u)
-	if u < 1 {
-		epsEff += (epsR - 1) / 2 * 0.04 * (1 - u) * (1 - u)
-	}
-	const eta0 = 376.730313668
-	if u <= 1 {
-		z0 = eta0 / (2 * math.Pi * math.Sqrt(epsEff)) * math.Log(8/u+u/4)
-	} else {
-		z0 = eta0 / (math.Sqrt(epsEff) * (u + 1.393 + 0.667*math.Log(u+1.444)))
-	}
-	return z0, epsEff
 }

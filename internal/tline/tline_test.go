@@ -6,6 +6,7 @@ import (
 
 	"pdnsim/internal/circuit"
 	"pdnsim/internal/greens"
+	"pdnsim/internal/simerr"
 )
 
 func TestSolveValidation(t *testing.T) {
@@ -287,4 +288,35 @@ func TestHammerstadSanity(t *testing.T) {
 	if epsEff < 3 || epsEff > 4 {
 		t.Fatalf("Hammerstad εeff = %g", epsEff)
 	}
+}
+
+// The single-line impedance and the Hammerstad closed form are the
+// references the MoM solution is checked against; the product hands L and
+// C to the MTL model instead.
+
+// Z0 returns the single-line characteristic impedance √(L/C); only valid for
+// one-conductor cross-sections.
+func (p *Params) Z0() (float64, error) {
+	if p.N != 1 {
+		return 0, simerr.Tagf(simerr.ErrBadInput, "tline: Z0 is defined for one conductor, have %d", p.N)
+	}
+	return math.Sqrt(p.L.At(0, 0) / p.C.At(0, 0)), nil
+}
+
+// MicrostripZ0Hammerstad returns the Hammerstad closed-form characteristic
+// impedance and effective permittivity of a single microstrip — the
+// published reference the MoM solver is validated against.
+func MicrostripZ0Hammerstad(w, h, epsR float64) (z0, epsEff float64) {
+	u := w / h
+	epsEff = (epsR+1)/2 + (epsR-1)/2/math.Sqrt(1+12/u)
+	if u < 1 {
+		epsEff += (epsR - 1) / 2 * 0.04 * (1 - u) * (1 - u)
+	}
+	const eta0 = 376.730313668
+	if u <= 1 {
+		z0 = eta0 / (2 * math.Pi * math.Sqrt(epsEff)) * math.Log(8/u+u/4)
+	} else {
+		z0 = eta0 / (math.Sqrt(epsEff) * (u + 1.393 + 0.667*math.Log(u+1.444)))
+	}
+	return z0, epsEff
 }
