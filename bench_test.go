@@ -287,10 +287,10 @@ func BenchmarkAssembleOperator(b *testing.B) {
 
 // BenchmarkExtractLargeMesh — DESIGN.md §5l: the FFT-accelerated operator
 // solve path (Toeplitz matvec + projected CG) against the dense LU reduction
-// at a 32×32-cell plane, past the auto-mode crossover. The dense baseline is
-// extracted once outside the timed loop; dense_over_cg_x is its wall time
-// over the operator path's per-op time, and cap_dev_rel is the relative
-// total-capacitance disagreement between the two paths. Skipped in smoke
+// at a 32×32-cell plane, where auto takes the operator path. The dense
+// baseline is extracted once outside the timed loop; dense_over_cg_x is its
+// wall time over the operator path's per-op time, and cap_dev_rel is the
+// relative total-capacitance disagreement between the two paths. Skipped in smoke
 // runs: the dense baseline alone takes several seconds.
 func BenchmarkExtractLargeMesh(b *testing.B) {
 	if os.Getenv("BENCH_SMOKE") == "1" {
@@ -317,18 +317,16 @@ func BenchmarkExtractLargeMesh(b *testing.B) {
 	b.ReportMetric(capDev, "cap_dev_rel")
 }
 
-// BenchmarkExtractDense — DESIGN.md §5l: one ~600-cell board (24×25 grid)
-// extracted on the dense path, below the operator gate, where the
-// O(n³) reduction (Γ = YᵀY, one Γ_ii factor, C_red = Wᵀ·P⁻¹·W) leads the
-// job time. Short enough for the smoke gate.
-func BenchmarkExtractDense(b *testing.B) {
-	spec := &core.BoardSpec{
+// densePlane is a ~600-cell board (24×25 grid, 50×40 mm, 11 kept nodes)
+// under the given operator mode.
+func densePlane(operator string) *core.BoardSpec {
+	return &core.BoardSpec{
 		Name:       "dense plane",
 		Shape:      core.ShapeSpec{Type: "rect", W: 50, H: 40},
 		PlaneSepMM: 0.4,
 		EpsR:       4.5,
 		SheetRes:   0.0006,
-		Operator:   "dense",
+		Operator:   operator,
 		MeshNx:     24,
 		MeshNy:     25,
 		ExtraNodes: 8,
@@ -338,6 +336,10 @@ func BenchmarkExtractDense(b *testing.B) {
 			{Name: "VRM", X: 5, Y: 35},
 		},
 	}
+}
+
+// benchExtract extracts spec once per iteration and reports its cell count.
+func benchExtract(b *testing.B, spec *core.BoardSpec) {
 	var cells int
 	for i := 0; i < b.N; i++ {
 		res, err := spec.ExtractCtx(context.Background())
@@ -348,6 +350,18 @@ func BenchmarkExtractDense(b *testing.B) {
 	}
 	b.ReportMetric(float64(cells), "cells")
 }
+
+// BenchmarkExtractDense — DESIGN.md §5l: densePlane extracted on the dense
+// path (Operator: dense), where the O(n³) reduction (Γ = YᵀY, one Γ_ii
+// factor, C_red = Wᵀ·P⁻¹·W) leads the job time. Short enough for the smoke
+// gate.
+func BenchmarkExtractDense(b *testing.B) { benchExtract(b, densePlane("dense")) }
+
+// BenchmarkExtractAuto — DESIGN.md §5l: the same board under auto, where
+// the solve-path cost model picks the operator path; against
+// BenchmarkExtractDense it records what that choice buys. Short enough for
+// the smoke gate.
+func BenchmarkExtractAuto(b *testing.B) { benchExtract(b, densePlane("")) }
 
 // BenchmarkAblationMesh — DESIGN.md §5: mesh-density convergence of the
 // first plane resonance.

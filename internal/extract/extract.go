@@ -147,35 +147,32 @@ func ExtractCtx(ctx context.Context, a *bem.Assembly, opts Options) (nw *Network
 	d := diag.New()
 	var gammaRed, cRed, gRed *mat.Matrix
 	var gammaScale float64
-	done := false
 
-	// Operator path: when the assembly carries Toeplitz operators, the whole
-	// reduction runs through FFT-applied CG solves (operator.go) instead of
-	// the O(n³) dense factorisations. Auto mode engages it above a size gate;
-	// Operator: toeplitz forces it. Regularisation perturbs the assembled
-	// operators, which the structure-preserving product cannot represent, so
-	// it pins the dense path. Failures (projection not SPD, CG
+	// The operator path runs the whole reduction through FFT-applied CG
+	// solves (operator.go) instead of the O(n³) dense factorisations;
+	// chooseSolvePath (solvepath.go) decides which one runs. Operator-path
+	// failures other than cancellation (projection not SPD, CG
 	// non-convergence) are recorded and fall through to the dense path.
-	if opts.Regularize == 0 && len(internal) > 0 && operatorsAvailable(a) &&
-		(a.Opts.Operator == bem.OpToeplitz || len(a.Mesh.Cells) >= operatorPathMinCells) {
+	path := chooseSolvePath(a, opts.Regularize, nodeCells, internal)
+	if path.operator {
 		gammaRed, cRed, gRed, gammaScale, err = operatorReduce(ctx, a, d, nodeCells, internal)
 		switch {
 		case err == nil:
-			done = true
 		case errors.Is(err, simerr.ErrCancelled):
 			return nil, err
 		default:
 			d.Warnf("extract", "operator path", 0, 0, true,
 				"Toeplitz+CG reduction failed, dense fallback used: %v", err)
+			path.operator, path.why = false, "operator path failed"
 		}
 	}
-
-	if !done {
+	if !path.operator {
 		gammaRed, cRed, gRed, gammaScale, err = denseReduce(ctx, a, d, opts.Regularize, nodeCells, internal)
 		if err != nil {
 			return nil, err
 		}
 	}
+	recordSolvePath(d, a, path, len(nodeCells))
 
 	// Physics-invariant guards on the reduced operators (small matrices, so
 	// the eigen/condition checks cost nothing next to the O(n³) reductions).

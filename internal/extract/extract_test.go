@@ -547,13 +547,6 @@ func TestResonantFrequenciesMatchZinPeaks(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestAttachRealisationMatchesMatrixForm(t *testing.T) {
 	// Realising the equivalent circuit as R/L/C elements and solving it
 	// with the MNA engine must reproduce the matrix-form impedance (up to

@@ -37,12 +37,6 @@ import (
 	"pdnsim/internal/simerr"
 )
 
-// operatorPathMinCells is the auto-mode size gate for the operator path:
-// below it the dense reduction is both fast and exactly reproducible, so
-// the CG path only engages where the O(n³) cost starts to dominate. The
-// assembly's Operator: toeplitz mode bypasses the gate.
-const operatorPathMinCells = 1024
-
 // operatorCapCGTol is the relative residual target for the capacitance
 // solves P·z = w of the operator path. The reduced capacitance feeds branch
 // values directly, so it is held one decade tighter than the documented
@@ -152,24 +146,8 @@ type gridProjector struct {
 
 func newGridProjector(m *mesh.Mesh, internal []int) (*gridProjector, error) {
 	ni := len(internal)
-	pos := make([]int, len(m.Cells))
-	for i := range pos {
-		pos[i] = -1
-	}
-	for p, c := range internal {
-		pos[c] = p
-	}
-	bw := 0
-	for i := range m.Links {
-		pf, pt := pos[m.Links[i].From], pos[m.Links[i].To]
-		if pf >= 0 && pt >= 0 {
-			if d := pf - pt; d > bw {
-				bw = d
-			} else if -d > bw {
-				bw = -d
-			}
-		}
-	}
+	pos := positions(len(m.Cells), internal)
+	bw := bandwidth(m.Links, pos)
 	packed := make([]float64, ni*(bw+1))
 	for i := range m.Links {
 		pf, pt := pos[m.Links[i].From], pos[m.Links[i].To]
@@ -192,6 +170,33 @@ func newGridProjector(m *mesh.Mesh, internal []int) (*gridProjector, error) {
 		return nil, simerr.Tagf(simerr.ErrSingular, "extract: internal incidence Gramian not positive definite (isolated internal region?): %v", err)
 	}
 	return &gridProjector{links: m.Links, pos: pos, chol: chol, t: make([]float64, ni)}, nil
+}
+
+// positions maps each of n cell indices to its position in cells, or −1
+// when it is not there.
+func positions(n int, cells []int) []int {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for p, c := range cells {
+		pos[c] = p
+	}
+	return pos
+}
+
+// bandwidth is the largest position difference across a link between two
+// cells that pos places: the band of a grid Laplacian over those cells,
+// which in raster order is about one grid row.
+func bandwidth(links []mesh.Link, pos []int) int {
+	bw := 0
+	for i := range links {
+		pf, pt := pos[links[i].From], pos[links[i].To]
+		if pf >= 0 && pt >= 0 {
+			bw = max(bw, pf-pt, pt-pf)
+		}
+	}
+	return bw
 }
 
 // mulAITo computes dst = A_I·x for a link vector x.
@@ -319,13 +324,7 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, k
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	keepPos := make([]int, nCells)
-	for i := range keepPos {
-		keepPos[i] = -1
-	}
-	for p, c := range keep {
-		keepPos[c] = p
-	}
+	keepPos := positions(nCells, keep)
 
 	// Inductive reduction: one projected-CG solve per kept node yields both
 	// the Γ_red column (A_K·y) and the Guyan interpolant column (the
@@ -455,17 +454,7 @@ func reduceConductance(a *bem.Assembly, keep, internal []int, keepPos, intPos []
 		return nil, nil
 	}
 	ni, k := len(internal), len(keep)
-	bw := 0
-	for i := range a.Mesh.Links {
-		pf, pt := intPos[a.Mesh.Links[i].From], intPos[a.Mesh.Links[i].To]
-		if pf >= 0 && pt >= 0 {
-			if d := pf - pt; d > bw {
-				bw = d
-			} else if -d > bw {
-				bw = -d
-			}
-		}
-	}
+	bw := bandwidth(a.Mesh.Links, intPos)
 	packed := make([]float64, ni*(bw+1))
 	gkk := mat.New(k, k)
 	gik := mat.New(ni, k)
