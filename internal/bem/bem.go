@@ -591,31 +591,19 @@ func (a *Assembly) InverseInductanceLaplacian() (*mat.Matrix, error) {
 	return g, nil
 }
 
-// ConductanceLaplacian returns G = A·R⁻¹·Aᵀ over cells: the nodal DC
-// conductance operator. Returns nil if the assembly is lossless (all link
+// Conductances returns each link's DC conductance 1/R (0 where R is not
+// positive): the link weights of the nodal conductance Laplacian
+// G = A·R⁻¹·Aᵀ. Returns nil if the assembly is lossless (all link
 // resistances zero).
-func (a *Assembly) ConductanceLaplacian() *mat.Matrix {
-	anyR := false
-	for _, r := range a.R {
+func (a *Assembly) Conductances() []float64 {
+	var g []float64
+	for i, r := range a.R {
 		if r > 0 {
-			anyR = true
-			break
+			if g == nil {
+				g = make([]float64, len(a.R))
+			}
+			g[i] = 1 / r
 		}
-	}
-	if !anyR {
-		return nil
-	}
-	n := len(a.Mesh.Cells)
-	g := mat.New(n, n)
-	for i, l := range a.Mesh.Links {
-		if a.R[i] <= 0 {
-			continue
-		}
-		gi := 1 / a.R[i]
-		g.Add(l.From, l.From, gi)
-		g.Add(l.To, l.To, gi)
-		g.Add(l.From, l.To, -gi)
-		g.Add(l.To, l.From, -gi)
 	}
 	return g
 }
@@ -631,14 +619,14 @@ const irDropResidTol = 1e-6
 // injected into cells (positive = current drawn out of the plane into a
 // load) and one cell held at zero potential (the supply entry), it returns
 // the potential of every cell. This is the resistive-network solve of the
-// assembled conductance Laplacian — the practical IR-drop map a PDN designer
-// reads off the extraction. Meshes past 600 kept cells solve by
-// Jacobi-preconditioned CG, which checks ctx every few iterations; smaller
-// ones factor by Cholesky.
+// conductance Laplacian grounded at the reference — the practical IR-drop
+// map a PDN designer reads off the extraction. In raster order that
+// Laplacian is banded with about one grid row of bandwidth, so it factors
+// by band Cholesky in O(n·bw²).
 //
-//pdnlint:ignore ctxflow cancellation is stage-granular by design: the in-body loops are O(cells) bookkeeping around the ctx-checked CG solve
+//pdnlint:ignore ctxflow cancellation is checked once before the solve: the in-body loops are O(cells·bandwidth) bookkeeping and one banded factorisation
 func (a *Assembly) DCPotential(ctx context.Context, injections map[int]float64, refCell int) ([]float64, error) {
-	g := a.ConductanceLaplacian()
+	g := a.Conductances()
 	if g == nil {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "bem: lossless assembly has no DC resistance network")
 	}
@@ -646,14 +634,15 @@ func (a *Assembly) DCPotential(ctx context.Context, injections map[int]float64, 
 	if refCell < 0 || refCell >= n {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "bem: reference cell %d out of range", refCell)
 	}
-	var totalIn float64
 	rhs := make([]float64, n)
 	for cell, i := range injections {
 		if cell < 0 || cell >= n {
 			return nil, simerr.Tagf(simerr.ErrBadInput, "bem: injection cell %d out of range", cell)
 		}
 		rhs[cell] = -i // drawing current out of the plane
-		totalIn += i
+	}
+	if err := simerr.CheckCtx(ctx, "bem: IR-drop solve"); err != nil {
+		return nil, err
 	}
 	// The reference cell supplies the return current and is grounded:
 	// delete its row/column (grounded Laplacian).
@@ -663,48 +652,40 @@ func (a *Assembly) DCPotential(ctx context.Context, injections map[int]float64, 
 			keep = append(keep, i)
 		}
 	}
-	gk := g.Submatrix(keep, keep)
-	rk := make([]float64, len(keep))
-	for i, c := range keep {
-		rk[i] = rhs[c]
+	packed, bw, _ := a.Mesh.BandLaplacian(keep, g)
+	ch, err := mat.NewBandCholesky(len(keep), bw, packed)
+	if err != nil {
+		return nil, fmt.Errorf("bem: grounded conductance Laplacian not SPD (disconnected mesh?): %w", err)
 	}
-	var vk []float64
-	if len(keep) > 600 {
-		// Large mesh: the diagonally dominant grounded Laplacian converges
-		// quickly under preconditioned CG, avoiding the O(n³) factorisation.
-		pre, err := mat.NewJacobi(gk)
-		if err == nil {
-			vk, _, err = mat.ConjugateGradient(ctx, mat.DenseOp{M: gk}, pre, rk, 1e-11, 0)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bem: IR-drop CG solve: %w", err)
-		}
-	} else {
-		ch, err := mat.NewCholesky(gk)
-		if err != nil {
-			return nil, fmt.Errorf("bem: grounded conductance Laplacian not SPD (disconnected mesh?): %w", err)
-		}
-		vk, err = ch.Solve(rk)
-		if err != nil {
-			return nil, err
-		}
+	vk := make([]float64, len(keep))
+	for p, c := range keep {
+		vk[p] = rhs[c]
+	}
+	ch.SolveTo(vk, vk)
+	out := make([]float64, n)
+	for p, c := range keep {
+		out[c] = vk[p]
 	}
 	// A load on an island with no conductive path to the reference makes
 	// the system inconsistent; near-zero pivots can mask that in the
-	// factorisation, so verify the residual explicitly.
-	resid := gk.MulVec(vk)
+	// factorisation, so verify the residual G·v − i explicitly.
+	resid := make([]float64, n)
+	for i, l := range a.Mesh.Links {
+		f := g[i] * (out[l.From] - out[l.To])
+		resid[l.From] += f
+		resid[l.To] -= f
+	}
 	var rn, bn float64
-	for i := range resid {
-		d := resid[i] - rk[i]
+	for c := range resid {
+		if c == refCell {
+			continue
+		}
+		d := resid[c] - rhs[c]
 		rn += d * d
-		bn += rk[i] * rk[i]
+		bn += rhs[c] * rhs[c]
 	}
 	if bn > 0 && math.Sqrt(rn) > irDropResidTol*math.Sqrt(bn) {
 		return nil, simerr.Tagf(simerr.ErrSingular, "bem: IR-drop system inconsistent — no conductive path from a loaded cell to the reference")
-	}
-	out := make([]float64, n)
-	for i, c := range keep {
-		out[c] = vk[i]
 	}
 	return out, nil
 }

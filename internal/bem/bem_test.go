@@ -22,6 +22,17 @@ func mustMesh(t testing.TB, s geom.Shape, nx, ny int) *mesh.Mesh {
 	return m
 }
 
+// mulVec returns the dense product m·x.
+func mulVec(m *mat.Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		for j, v := range x {
+			out[i] += m.At(i, j) * v
+		}
+	}
+	return out
+}
+
 func mustKernel(t testing.TB, mode greens.KernelMode, h, epsR float64, n int) *greens.Kernel {
 	t.Helper()
 	k, err := greens.NewKernel(mode, h, epsR, n)
@@ -205,18 +216,13 @@ func TestResistanceAssembly(t *testing.T) {
 			t.Fatalf("R[%d] = %g want %g", i, a.R[i], want)
 		}
 	}
-	g := a.ConductanceLaplacian()
+	g := a.Conductances()
 	if g == nil {
-		t.Fatal("lossy assembly must produce a conductance Laplacian")
+		t.Fatal("lossy assembly must report link conductances")
 	}
-	// Laplacian row sums are zero.
-	for r := 0; r < g.Rows; r++ {
-		var s float64
-		for c := 0; c < g.Cols; c++ {
-			s += g.At(r, c)
-		}
-		if math.Abs(s) > 1e-6*g.At(r, r) {
-			t.Fatalf("conductance Laplacian row %d sum = %g", r, s)
+	for i, r := range a.R {
+		if g[i] != 1/r {
+			t.Fatalf("conductance[%d] = %g, want 1/R = %g", i, g[i], 1/r)
 		}
 	}
 }
@@ -228,8 +234,8 @@ func TestLosslessConductanceIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ConductanceLaplacian() != nil {
-		t.Fatal("lossless assembly must return nil conductance Laplacian")
+	if a.Conductances() != nil {
+		t.Fatal("lossless assembly must return nil link conductances")
 	}
 }
 
@@ -250,7 +256,7 @@ func TestInverseInductanceLaplacianNullspace(t *testing.T) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	prod := g.MulVec(ones)
+	prod := mulVec(g, ones)
 	scale := g.MaxAbs()
 	for i, v := range prod {
 		if math.Abs(v) > 1e-8*scale {
@@ -460,8 +466,8 @@ func TestDCCurrentsConservation(t *testing.T) {
 }
 
 func TestDCPotentialLargeMeshCGPath(t *testing.T) {
-	// >600 cells routes through the conjugate-gradient solver; the 1-D
-	// strip analytic answer must still hold exactly.
+	// A 700-cell strip, past the size that once switched the solve to
+	// conjugate gradients: the 1-D analytic answer must still hold.
 	m := mustMesh(t, geom.RectShape(0, 0, 70e-2, 1e-3), 700, 1)
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
 	opts := DefaultOptions()
@@ -476,7 +482,7 @@ func TestDCPotentialLargeMeshCGPath(t *testing.T) {
 	}
 	want := -1.0 * 2e-3 * 699
 	if math.Abs(v[699]-want) > 1e-6*math.Abs(want) {
-		t.Fatalf("CG strip drop = %g want %g", v[699], want)
+		t.Fatalf("strip drop = %g want %g", v[699], want)
 	}
 }
 
@@ -540,8 +546,9 @@ func TestGalerkinCloseToCollocation(t *testing.T) {
 }
 
 func TestDCPotentialCGBranchPlane(t *testing.T) {
-	// A 40×20 plane keeps 799 cells past the grounded reference, beyond the
-	// 600-cell gate, so the solve runs Jacobi-preconditioned CG.
+	// A 40×20 plane keeps 799 cells past the grounded reference, more than
+	// the 600 past which the solve once switched to Jacobi-preconditioned
+	// CG; it now factors the banded Laplacian like every other size.
 	k := mustKernel(t, greens.OverGround, 0.3e-3, 4.5, 1)
 	opts := DefaultOptions()
 	opts.SheetResistance = 0.7e-3
@@ -561,30 +568,14 @@ func TestDCPotentialCGBranchPlane(t *testing.T) {
 	}
 
 	t.Run("matches dense Cholesky", func(t *testing.T) {
-		n := len(a.Mesh.Cells)
-		keep := make([]int, 0, n-1)
-		for i := 1; i < n; i++ {
-			keep = append(keep, i)
-		}
-		rk := make([]float64, len(keep))
-		for i, c := range keep {
-			rk[i] = -loads[c]
-		}
-		ch, err := mat.NewCholesky(a.ConductanceLaplacian().Submatrix(keep, keep))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ch.Solve(rk)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := denseIRDrop(t, a, loads, 0)
 		var diff, scale float64
-		for i, c := range keep {
-			diff = math.Max(diff, math.Abs(v[c]-want[i]))
-			scale = math.Max(scale, math.Abs(want[i]))
+		for c := range want {
+			diff = math.Max(diff, math.Abs(v[c]-want[c]))
+			scale = math.Max(scale, math.Abs(want[c]))
 		}
 		if v[0] != 0 || diff > 1e-9*scale {
-			t.Fatalf("CG potentials off the Cholesky solve: max diff %g of %g (reference cell %g)", diff, scale, v[0])
+			t.Fatalf("potentials off the dense Cholesky solve: max diff %g of %g (reference cell %g)", diff, scale, v[0])
 		}
 	})
 

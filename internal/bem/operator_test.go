@@ -178,7 +178,7 @@ func TestToeplitzOpsMatchDenseFill(t *testing.T) {
 			x[i] = math.Sin(float64(3*i + 1)) // deterministic non-trivial vector
 		}
 		got := toeplitzMulVec(a.POp, x)
-		want := a.P().MulVec(x)
+		want := mulVec(a.P(), x)
 		assertVecAgree(t, "P", got, want)
 
 		// Per-direction L blocks: apply the operator to the direction's
@@ -209,7 +209,7 @@ func TestToeplitzOpsMatchDenseFill(t *testing.T) {
 				full[li] = xb[i]
 			}
 			gotB := toeplitzMulVec(op, xb)
-			wantFull := a.L().MulVec(full)
+			wantFull := mulVec(a.L(), full)
 			wantB := make([]float64, len(idx))
 			for i, li := range idx {
 				wantB[i] = wantFull[li]

@@ -21,10 +21,25 @@ import (
 // under this bound on the fixture meshes.
 const reductionAgreeRelTol = 1e-9
 
+// schurReduce returns the dense Schur complement A_kk − A_ki·A_ii⁻¹·A_ik
+// of the internal index set: Kron reduction onto the kept nodes.
+func schurReduce(t *testing.T, a *mat.Matrix, keep, internal []int) *mat.Matrix {
+	t.Helper()
+	akk := a.Submatrix(keep, keep)
+	if len(internal) == 0 {
+		return akk
+	}
+	x, err := mat.SolveSPD(a.Submatrix(internal, internal), a.Submatrix(internal, keep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return akk.SubM(a.Submatrix(keep, internal).Mul(x))
+}
+
 // legacyDenseReduce is the historical dense reduction, kept as the
 // reference for denseReduce: Γ = A·L⁻¹·Aᵀ from an explicit L⁻¹, C as the
-// explicit inverse P⁻¹, Γ Kron-reduced by its own SchurReduce, and the
-// Guyan congruence factoring Γ_ii a second time.
+// explicit inverse P⁻¹, Γ and the dense n×n G = A·R⁻¹·Aᵀ Kron-reduced on
+// their own, and the Guyan congruence factoring Γ_ii a second time.
 func legacyDenseReduce(t *testing.T, a *bem.Assembly, reg float64, keep, internal []int) (gammaRed, cRed, gRed *mat.Matrix) {
 	t.Helper()
 	inc := a.Mesh.Incidence()
@@ -43,18 +58,20 @@ func legacyDenseReduce(t *testing.T, a *bem.Assembly, reg float64, keep, interna
 		loadDiagonal(gamma, reg)
 		loadDiagonal(c, reg)
 	}
-	if gammaRed, err = mat.SchurReduce(gamma, keep, internal); err != nil {
-		t.Fatal(err)
-	}
+	gammaRed = schurReduce(t, gamma, keep, internal)
 	if cRed, err = legacyGuyanReduce(c, gamma, keep, internal); err != nil {
 		t.Fatal(err)
 	}
-	if g := a.ConductanceLaplacian(); g != nil {
-		if gRed, err = mat.SchurReduce(g, keep, internal); err != nil {
-			t.Fatal(err)
-		}
+	n := len(a.Mesh.Cells)
+	g := mat.New(n, n)
+	for i, l := range a.Mesh.Links {
+		gi := 1 / a.R[i]
+		g.Add(l.From, l.From, gi)
+		g.Add(l.To, l.To, gi)
+		g.Add(l.From, l.To, -gi)
+		g.Add(l.To, l.From, -gi)
 	}
-	return gammaRed, cRed, gRed
+	return gammaRed, cRed, schurReduce(t, g, keep, internal)
 }
 
 // legacyGuyanReduce computes Wᵀ·C·W with W = [I; −Γ_ii⁻¹·Γ_ik] (kept nodes

@@ -101,11 +101,6 @@ type Options struct {
 	// circuit nodes, uniformly subsampled over the mesh. More nodes extend
 	// the upper frequency limit of the macromodel.
 	ExtraNodes int
-	// BranchTol drops inductive/resistive branches whose reduced matrix
-	// entry is smaller than BranchTol times the matrix diagonal — Kron
-	// reduction produces a complete graph with many negligible couplings.
-	// Default 1e-9.
-	BranchTol float64
 	// Regularize, when positive, applies relative diagonal loading to the
 	// assembled Γ and C operators before reduction: each diagonal entry
 	// grows by Regularize times the operator's mean diagonal. This is the
@@ -119,10 +114,9 @@ type Options struct {
 
 // ExtractCtx reduces an assembled plane to an equivalent circuit on the
 // mesh ports plus opts.ExtraNodes interior nodes. Each reduction stage
-// (inductance, capacitance, resistance — every one an O(n³) factorisation)
-// checks ctx at its boundary, so a timed-out extraction returns a
-// simerr.ErrCancelled-class error within one stage. Internal panics surface
-// as simerr.ErrBadInput.
+// (inductance, capacitance, resistance) checks ctx at its boundary, so a
+// timed-out extraction returns a simerr.ErrCancelled-class error within one
+// stage. Internal panics surface as simerr.ErrBadInput.
 //
 //pdnlint:ignore ctxflow cancellation is stage-granular by design: the in-body loops are O(ports) bookkeeping between ctx-checked O(n³) factorisation stages
 func ExtractCtx(ctx context.Context, a *bem.Assembly, opts Options) (nw *Network, err error) {
@@ -133,9 +127,6 @@ func ExtractCtx(ctx context.Context, a *bem.Assembly, opts Options) (nw *Network
 	ports := a.Mesh.PortCells()
 	if len(ports) == 0 {
 		return nil, simerr.BadInput("extract", "mesh has no ports; call AddPort first")
-	}
-	if opts.BranchTol <= 0 {
-		opts.BranchTol = 1e-9
 	}
 	if math.IsNaN(opts.Regularize) || math.IsInf(opts.Regularize, 0) || opts.Regularize < 0 {
 		return nil, simerr.BadInput("extract", "regularization must be a finite non-negative fraction, got %g", opts.Regularize)
@@ -270,7 +261,9 @@ func loadDiagonal(m *mat.Matrix, rel float64) {
 // preserves the total plane capacitance exactly (W maps the all-ones vector
 // to the all-ones vector because Γ·1 = 0). C·W = P⁻¹·W is one k-column
 // solve against the factorised P; only a regularised extraction forms the
-// explicit C, whose diagonal it loads. gammaScale is ‖Γ‖∞ for checkReduced.
+// explicit C, whose diagonal it loads. G is reduced by the operator path's
+// banded reduceConductance, so G_red is the same on both paths. gammaScale
+// is ‖Γ‖∞ for checkReduced.
 func denseReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, reg float64, keep, internal []int) (gammaRed, cRed, gRed *mat.Matrix, gammaScale float64, err error) {
 	if err := simerr.CheckCtx(ctx, "extract: inductance system"); err != nil {
 		return nil, nil, nil, 0, err
@@ -297,15 +290,7 @@ func denseReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, reg 
 	if err := simerr.CheckCtx(ctx, "extract: capacitance system"); err != nil {
 		return nil, nil, nil, 0, err
 	}
-	w := mat.New(len(keep)+len(internal), len(keep))
-	for j, c := range keep {
-		w.Set(c, j, 1)
-	}
-	for r, c := range internal {
-		for j := range keep {
-			w.Set(c, j, -x.At(r, j))
-		}
-	}
+	w := guyanInterpolant(len(keep)+len(internal), keep, internal, x)
 	var cw *mat.Matrix
 	if reg > 0 {
 		var cFull *mat.Matrix
@@ -319,17 +304,13 @@ func denseReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, reg 
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("extract: capacitance system: %w", err)
 	}
-	cRed = w.T().Mul(cw)
-	cRed.Symmetrize()
+	cRed = guyanCongruence(w, cw)
 
 	if err := simerr.CheckCtx(ctx, "extract: resistance system"); err != nil {
 		return nil, nil, nil, 0, err
 	}
-	if g := a.ConductanceLaplacian(); g != nil {
-		gRed, err = mat.SchurReduce(g, keep, internal)
-		if err != nil {
-			return nil, nil, nil, 0, fmt.Errorf("extract: resistance reduction: %w", err)
-		}
+	if gRed, err = reduceConductance(a, keep, internal); err != nil {
+		return nil, nil, nil, 0, fmt.Errorf("extract: resistance reduction: %w", err)
 	}
 	return gammaRed, cRed, gRed, mat.NormInf(gamma), nil
 }

@@ -347,17 +347,6 @@ func TestNodeSubsamplingConsistency(t *testing.T) {
 	}
 }
 
-func TestSkinCrossover(t *testing.T) {
-	// 35 µm copper (1 oz): f_c = ρ/(πμ0t²) ≈ 3.55 MHz.
-	fc := SkinCrossover(1.72e-8, 35e-6)
-	if fc < 3e6 || fc > 4.2e6 {
-		t.Fatalf("copper crossover = %g", fc)
-	}
-	if SkinCrossover(-1, 1) != 0 || SkinCrossover(1, 0) != 0 {
-		t.Fatal("invalid inputs must return 0")
-	}
-}
-
 func TestSkinEffectDampsResonance(t *testing.T) {
 	m, err := mesh.Grid(geom.RectShape(0, 0, 20e-3, 20e-3), 10, 10)
 	if err != nil {
@@ -646,17 +635,6 @@ func TestRefinePeak(t *testing.T) {
 	if RefinePeak(xs, ys, 0) != 1 {
 		t.Fatal("edge fallback failed")
 	}
-}
-
-// SkinCrossover returns the frequency at which the skin depth of a
-// conductor with resistivity rho (Ω·m) equals its thickness t (m):
-// f_c = ρ/(π·μ0·t²). Below f_c current fills the conductor and the DC sheet
-// resistance holds; above it the effective resistance grows as √(f/f_c).
-func SkinCrossover(rho, thickness float64) float64 {
-	if rho <= 0 || thickness <= 0 {
-		return 0
-	}
-	return rho / (math.Pi * 4e-7 * math.Pi * thickness * thickness)
 }
 
 // ResonantFrequencies returns the natural (open-circuit) resonant

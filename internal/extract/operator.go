@@ -17,7 +17,7 @@
 //     Toeplitz P operator instead of a dense inverse.
 //   - G_red is a Schur complement of the sparse conductance Laplacian whose
 //     internal block is banded the same way, so it also factors via
-//     BandCholesky.
+//     BandCholesky (reduceConductance, which the dense path calls too).
 //
 // Any failure along the way (projection matrix not positive definite, CG
 // non-convergence) is reported to the caller, which records a diagnostic
@@ -145,58 +145,12 @@ type gridProjector struct {
 }
 
 func newGridProjector(m *mesh.Mesh, internal []int) (*gridProjector, error) {
-	ni := len(internal)
-	pos := positions(len(m.Cells), internal)
-	bw := bandwidth(m.Links, pos)
-	packed := make([]float64, ni*(bw+1))
-	for i := range m.Links {
-		pf, pt := pos[m.Links[i].From], pos[m.Links[i].To]
-		if pf >= 0 {
-			packed[pf*(bw+1)] += 1
-		}
-		if pt >= 0 {
-			packed[pt*(bw+1)] += 1
-		}
-		if pf >= 0 && pt >= 0 {
-			hi, lo := pf, pt
-			if hi < lo {
-				hi, lo = lo, hi
-			}
-			packed[hi*(bw+1)+(hi-lo)] -= 1
-		}
-	}
-	chol, err := mat.NewBandCholesky(ni, bw, packed)
+	packed, bw, pos := m.BandLaplacian(internal, nil)
+	chol, err := mat.NewBandCholesky(len(internal), bw, packed)
 	if err != nil {
 		return nil, simerr.Tagf(simerr.ErrSingular, "extract: internal incidence Gramian not positive definite (isolated internal region?): %v", err)
 	}
-	return &gridProjector{links: m.Links, pos: pos, chol: chol, t: make([]float64, ni)}, nil
-}
-
-// positions maps each of n cell indices to its position in cells, or −1
-// when it is not there.
-func positions(n int, cells []int) []int {
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for p, c := range cells {
-		pos[c] = p
-	}
-	return pos
-}
-
-// bandwidth is the largest position difference across a link between two
-// cells that pos places: the band of a grid Laplacian over those cells,
-// which in raster order is about one grid row.
-func bandwidth(links []mesh.Link, pos []int) int {
-	bw := 0
-	for i := range links {
-		pf, pt := pos[links[i].From], pos[links[i].To]
-		if pf >= 0 && pt >= 0 {
-			bw = max(bw, pf-pt, pt-pf)
-		}
-	}
-	return bw
+	return &gridProjector{links: m.Links, pos: pos, chol: chol, t: make([]float64, len(internal))}, nil
 }
 
 // mulAITo computes dst = A_I·x for a link vector x.
@@ -324,7 +278,7 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, k
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	keepPos := positions(nCells, keep)
+	keepPos := a.Mesh.Positions(keep)
 
 	// Inductive reduction: one projected-CG solve per kept node yields both
 	// the Γ_red column (A_K·y) and the Guyan interpolant column (the
@@ -371,13 +325,7 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, k
 
 	// Capacitive reduction: C_red = Wᵀ·P⁻¹·W with W = [I; −v] in cell
 	// space — k circulant-preconditioned CG solves against the Toeplitz P.
-	w := mat.New(nCells, k) // columns of W, cell-indexed
-	for j := 0; j < k; j++ {
-		w.Set(keep[j], j, 1)
-		for p, c := range internal {
-			w.Set(c, j, -v.At(p, j))
-		}
-	}
+	w := guyanInterpolant(nCells, keep, internal, v)
 	z := mat.New(nCells, k)
 	wcol := make([]float64, nCells)
 	for j := 0; j < k; j++ {
@@ -396,21 +344,11 @@ func operatorReduce(ctx context.Context, a *bem.Assembly, d *diag.Diagnostics, k
 			z.Set(i, j, zj[i])
 		}
 	}
-	cRed = mat.New(k, k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			var s float64
-			for c := 0; c < nCells; c++ {
-				s += w.At(c, i) * z.At(c, j)
-			}
-			cRed.Set(i, j, s)
-		}
-	}
-	cRed.Symmetrize()
+	cRed = guyanCongruence(w, z)
 
 	// Resistive reduction: Schur complement of the sparse conductance
 	// Laplacian; its internal block shares the banded structure of S.
-	gRed, err = reduceConductance(a, keep, internal, keepPos, proj.pos)
+	gRed, err = reduceConductance(a, keep, internal)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
@@ -439,45 +377,49 @@ func fftGrids(a *bem.Assembly) string {
 	return s
 }
 
-// reduceConductance Schur-reduces G = A·R⁻¹·Aᵀ onto the kept cells using a
-// banded factorisation of the internal block. Returns nil for a lossless
-// assembly (matching bem.ConductanceLaplacian).
-func reduceConductance(a *bem.Assembly, keep, internal []int, keepPos, intPos []int) (*mat.Matrix, error) {
-	anyR := false
-	for _, r := range a.R {
-		if r > 0 {
-			anyR = true
-			break
+// guyanInterpolant returns the cell-indexed Guyan interpolant W (cells×k):
+// row keep[j] is e_jᵀ and row internal[p] is −x[p,:], with x = Γ_ii⁻¹·Γ_ik
+// from the inductive reduction (nil when no cell is internal).
+func guyanInterpolant(nCells int, keep, internal []int, x *mat.Matrix) *mat.Matrix {
+	w := mat.New(nCells, len(keep))
+	for j, c := range keep {
+		w.Set(c, j, 1)
+	}
+	for p, c := range internal {
+		for j := range keep {
+			w.Set(c, j, -x.At(p, j))
 		}
 	}
-	if !anyR {
+	return w
+}
+
+// guyanCongruence returns C_red = Wᵀ·(C·W), symmetrised, from the
+// interpolant and the capacitance applied to it.
+func guyanCongruence(w, cw *mat.Matrix) *mat.Matrix {
+	cRed := w.T().Mul(cw)
+	cRed.Symmetrize()
+	return cRed
+}
+
+// reduceConductance Schur-reduces G = A·R⁻¹·Aᵀ onto the kept cells using a
+// banded factorisation of the internal block. Both reduction paths call it,
+// so G_red does not depend on the path. Returns nil for a lossless
+// assembly.
+func reduceConductance(a *bem.Assembly, keep, internal []int) (*mat.Matrix, error) {
+	cond := a.Conductances()
+	if cond == nil {
 		return nil, nil
 	}
 	ni, k := len(internal), len(keep)
-	bw := bandwidth(a.Mesh.Links, intPos)
-	packed := make([]float64, ni*(bw+1))
+	packed, bw, intPos := a.Mesh.BandLaplacian(internal, cond)
+	keepPos := a.Mesh.Positions(keep)
 	gkk := mat.New(k, k)
 	gik := mat.New(ni, k)
 	for i, l := range a.Mesh.Links {
-		if a.R[i] <= 0 {
-			continue
-		}
-		g := 1 / a.R[i]
+		g := cond[i]
 		pf, pt := intPos[l.From], intPos[l.To]
 		qf, qt := keepPos[l.From], keepPos[l.To]
-		if pf >= 0 {
-			packed[pf*(bw+1)] += g
-		}
-		if pt >= 0 {
-			packed[pt*(bw+1)] += g
-		}
 		switch {
-		case pf >= 0 && pt >= 0:
-			hi, lo := pf, pt
-			if hi < lo {
-				hi, lo = lo, hi
-			}
-			packed[hi*(bw+1)+(hi-lo)] -= g
 		case qf >= 0 && qt >= 0:
 			gkk.Add(qf, qf, g)
 			gkk.Add(qt, qt, g)
@@ -490,6 +432,9 @@ func reduceConductance(a *bem.Assembly, keep, internal []int, keepPos, intPos []
 			gkk.Add(qf, qf, g)
 			gik.Add(pt, qf, -g)
 		}
+	}
+	if ni == 0 {
+		return gkk, nil // every cell is kept: nothing to eliminate
 	}
 	chol, err := mat.NewBandCholesky(ni, bw, packed)
 	if err != nil {

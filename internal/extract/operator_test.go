@@ -346,3 +346,59 @@ func TestProjectedCGSolvesConstrainedSystem(t *testing.T) {
 		t.Fatalf("projected residual not vanished: %g vs %g", math.Sqrt(prnorm), math.Sqrt(rnorm))
 	}
 }
+
+// TestReduceConductanceStrip pins the banded G reduction to circuit
+// theory on a 1-cell-wide strip, a chain of equal link resistors R: keeping
+// the two end cells leaves one branch of the series resistance 9R, and
+// keeping every cell leaves the chain's own Laplacian.
+func TestReduceConductanceStrip(t *testing.T) {
+	m, err := mesh.Grid(geom.RectShape(0, 0, 10e-3, 1e-3), 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := greens.NewKernel(greens.OverGround, 0.3e-3, 4.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := bem.DefaultOptions()
+	opts.SheetResistance = 1e-3 // each link is one square: R = 1 mΩ
+	a, err := bem.AssembleCtx(context.Background(), m, k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := reduceConductance(a, []int{0, 9}, mat.Complement(10, []int{0, 9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1 / (9 * 1e-3)
+	for _, e := range []struct {
+		i, j int
+		v    float64
+	}{{0, 0, want}, {1, 1, want}, {0, 1, -want}, {1, 0, -want}} {
+		if got := g.At(e.i, e.j); math.Abs(got-e.v) > 1e-12*want {
+			t.Fatalf("G_red[%d][%d] = %.15g, want %.15g", e.i, e.j, got, e.v)
+		}
+	}
+
+	all := mat.Complement(10, nil)
+	g, err = reduceConductance(a, all, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 10; j++ {
+			var v float64
+			switch {
+			case i == j && (i == 0 || i == 9):
+				v = 1e3
+			case i == j:
+				v = 2e3
+			case i-j == 1 || j-i == 1:
+				v = -1e3
+			}
+			if got := g.At(i, j); math.Abs(got-v) > 1e-9 {
+				t.Fatalf("unreduced G[%d][%d] = %g, want %g", i, j, got, v)
+			}
+		}
+	}
+}

@@ -132,7 +132,7 @@ func operatorCost(a *bem.Assembly, k int, internal []int) float64 {
 			lFFT += fftCost(op)
 		}
 	}
-	bw := float64(bandwidth(a.Mesh.Links, positions(len(a.Mesh.Cells), internal)))
+	bw := float64(a.Mesh.Bandwidth(a.Mesh.Positions(internal)))
 	return opFFTNs*((proj+scale)*lFFT+2*capIters*fftCost(a.POp)) +
 		opBandNs*proj*float64(len(internal))*bw +
 		opVectorNs*(proj*links+capIters*n) +

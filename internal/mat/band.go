@@ -1,10 +1,11 @@
-// Banded symmetric positive-definite Cholesky factorisation. The projected
-// CG reduction in internal/extract repeatedly solves with S = A·Aᵀ where A
-// is the internal-node slice of a raster-ordered grid incidence matrix; S
-// is then a grid-graph Laplacian-like matrix whose bandwidth is the grid
-// row length, so a banded factorisation costs O(n·bw²) instead of O(n³)
-// and each solve costs O(n·bw) — cheap enough to run inside every CG
-// projection step.
+// Banded symmetric positive-definite Cholesky factorisation. Every grid
+// Laplacian of the pipeline is factored here: the projector S = A_I·A_Iᵀ of
+// the operator path's projected CG, the internal conductance block that
+// both reduction paths Schur-reduce, and the grounded conductance Laplacian
+// of the IR-drop solve. Over raster-ordered cells (mesh.BandLaplacian packs
+// them) their bandwidth is the grid row length, so a banded factorisation
+// costs O(n·bw²) instead of O(n³) and each solve costs O(n·bw) — cheap
+// enough to run inside every CG projection step.
 package mat
 
 import (

@@ -190,24 +190,3 @@ func BenchmarkToeplitzPrecond(b *testing.B) {
 	}
 	b.ReportMetric(float64(op.Size()), "n")
 }
-
-// mulVecBatch is how many 400×400 matrix-vector products one iteration of
-// BenchmarkMulVec400x64 runs. A single product is a memory-bound ~0.1 ms
-// kernel whose 2-iteration smoke runs spread past the 2x gate on a shared
-// host; 64 of them make an iteration of a few ms.
-const mulVecBatch = 64
-
-func BenchmarkMulVec400x64(b *testing.B) {
-	a := benchMatrix(6, benchN, benchN)
-	x := make([]float64, benchN)
-	for i := range x {
-		x[i] = float64(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < mulVecBatch; j++ {
-			a.MulVec(x)
-		}
-	}
-}

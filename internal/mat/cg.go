@@ -13,16 +13,16 @@ import (
 // it serves, and well inside every downstream trust limit.
 const DefaultCGTol = 1e-10
 
-// cgCtxCheckEvery is how many CG iterations run between context checks: one
-// check per iteration would be noise next to the O(n²) dense matvec, but
-// the operator path's matvecs can be fast enough that a small batch keeps
-// cancellation latency bounded without measurable cost.
+// cgCtxCheckEvery is how many CG iterations run between context checks: the
+// operator path's matvecs can be fast enough that a check on every one
+// would show, while a small batch keeps cancellation latency bounded
+// without measurable cost.
 const cgCtxCheckEvery = 8
 
 // LinearOperator is a square linear operator usable by the iterative
-// solvers: anything that can apply itself to a vector. Dense matrices,
-// FFT-backed Toeplitz operators and matrix-free compositions (the extract
-// package's reduction operators) all implement it.
+// solvers: anything that can apply itself to a vector. FFT-backed Toeplitz
+// operators and matrix-free compositions (the extract package's reduction
+// operators) implement it.
 type LinearOperator interface {
 	// Size returns the operator dimension n (the operator maps R^n → R^n).
 	Size() int
@@ -36,58 +36,11 @@ type Preconditioner interface {
 	PrecondTo(dst, r []float64)
 }
 
-// DenseOp adapts a dense square matrix to the LinearOperator interface. Each
-// output entry is one row dot product.
-type DenseOp struct{ M *Matrix }
-
-// Size returns the matrix dimension.
-func (d DenseOp) Size() int { return d.M.Rows }
-
-// MulVecTo computes dst = M·x.
-func (d DenseOp) MulVecTo(dst, x []float64) {
-	n := d.M.Rows
-	for i := 0; i < n; i++ {
-		dst[i] = dot(d.M.Data[i*n:(i+1)*n], x)
-	}
-}
-
-// Jacobi is the diagonal preconditioner of a dense matrix.
-type Jacobi struct{ dinv []float64 }
-
-// NewJacobi builds the Jacobi preconditioner of a. It rejects a non-square
-// matrix and a non-positive diagonal entry (simerr.ErrBadInput), neither of
-// which an SPD system can have.
-func NewJacobi(a *Matrix) (Jacobi, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return Jacobi{}, simerr.Tagf(simerr.ErrBadInput, "mat: CG requires a square matrix")
-	}
-	dinv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d := a.At(i, i)
-		if d <= 0 {
-			return Jacobi{}, simerr.Tagf(simerr.ErrBadInput, "mat: CG needs positive diagonal, got %g at %d", d, i)
-		}
-		dinv[i] = 1 / d
-	}
-	return Jacobi{dinv}, nil
-}
-
-// PrecondTo computes dst = diag(M)⁻¹·r.
-func (j Jacobi) PrecondTo(dst, r []float64) {
-	for i := range r {
-		dst[i] = j.dinv[i] * r[i]
-	}
-}
-
 // ConjugateGradient solves A·x = b for a symmetric positive-definite
 // operator with preconditioned CG, without ever materialising A: each
 // iteration costs one operator apply plus one preconditioner apply. With an
-// O(n log n) Toeplitz apply the whole solve is superlinear instead of cubic;
-// with DenseOp and NewJacobi it is the large-mesh alternative to a dense
-// Cholesky factorisation, since the iteration count grows with √κ rather
-// than paying the fixed O(n³) factorisation. pre may be nil
-// (unpreconditioned CG). Returns the solution and the number of iterations
+// O(n log n) Toeplitz apply the whole solve is superlinear instead of cubic.
+// pre may be nil (unpreconditioned CG). Returns the solution and the number of iterations
 // performed.
 //
 // tol is the relative residual target ‖b − A·x‖/‖b‖ (DefaultCGTol when

@@ -50,7 +50,7 @@ func TestConjugateGradientOpToeplitzMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xd, err := ch.Solve(b)
+	xd, err := ch.solveVec(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestConjugateGradientOpToeplitzMatchesDense(t *testing.T) {
 }
 
 func TestConjugateGradientOpRejectsBadRHS(t *testing.T) {
-	op := DenseOp{Eye(3)}
+	op := denseOp{Eye(3)}
 	if _, _, err := ConjugateGradient(context.Background(), op, nil, []float64{1, 2}, 0, 0); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("want ErrBadInput for short rhs, got %v", err)
 	}
@@ -119,7 +119,7 @@ func TestBandCholeskyMatchesDense(t *testing.T) {
 	}
 	got := make([]float64, n)
 	bc.SolveTo(got, b)
-	want, err := ch.Solve(b)
+	want, err := ch.solveVec(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,39 +89,6 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 // L returns (a copy of) the lower-triangular factor.
 func (c *Cholesky) L() *Matrix { return c.l.Clone() }
 
-// Solve solves A·x = b using the factorisation. Non-finite entries in b are
-// rejected up front, as in LU.Solve.
-func (c *Cholesky) Solve(b []float64) ([]float64, error) {
-	n := c.l.Rows
-	if len(b) != n {
-		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: rhs length mismatch")
-	}
-	if err := checkFiniteRHS(b, 1); err != nil {
-		return nil, err
-	}
-	ld := c.l.Data
-	x := make([]float64, n)
-	copy(x, b)
-	// L·y = b
-	for i := 0; i < n; i++ {
-		s := x[i]
-		row := ld[i*n : i*n+i]
-		for j, v := range row {
-			s -= v * x[j]
-		}
-		x[i] = s / ld[i*n+i]
-	}
-	// Lᵀ·x = y
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= ld[j*n+i] * x[j]
-		}
-		x[i] = s / ld[i*n+i]
-	}
-	return x, nil
-}
-
 // SolveMatrix solves A·X = B with the blocked triangular solves (block.go):
 // L·Y = B, then Lᵀ·X = Y reading the factor's rows as its transpose, over
 // disjoint column chunks of B that run in parallel when the work is large

@@ -48,17 +48,6 @@ func TestCGNonConvergenceClass(t *testing.T) {
 	}
 }
 
-func TestSchurReduceBadInputClassAndMessage(t *testing.T) {
-	_, err := SchurReduce(New(2, 3), []int{0}, []int{1})
-	if !errors.Is(err, simerr.ErrBadInput) {
-		t.Fatalf("non-square SchurReduce must be ErrBadInput-class, got %v", err)
-	}
-	// Tagging must preserve the exact pre-taxonomy message text.
-	if got, want := err.Error(), "mat: SchurReduce requires a square matrix"; got != want {
-		t.Fatalf("tagged error text changed: got %q want %q", got, want)
-	}
-}
-
 func TestJacobiEigenBadInputClass(t *testing.T) {
 	if _, _, err := JacobiEigen(New(2, 3)); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("non-square JacobiEigen must be ErrBadInput-class, got %v", err)

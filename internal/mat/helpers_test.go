@@ -1,8 +1,11 @@
 package mat
 
+import "pdnsim/internal/simerr"
+
 // Matrix operations only the tests use: the dense references (Solve,
-// Inverse, Det) the solvers are checked against, and the constructors and
-// accessors that keep fixtures short. The solvers never call them.
+// Inverse, Det, Cholesky.solveVec) the solvers are checked against, and the
+// constructors and accessors that keep fixtures short. The solvers never
+// call them.
 
 // FromRows builds a matrix from a slice of equal-length rows.
 func FromRows(rows [][]float64) *Matrix {
@@ -19,6 +22,33 @@ func FromRows(rows [][]float64) *Matrix {
 		copy(m.Data[i*c:(i+1)*c], row)
 	}
 	return m
+}
+
+// solveVec solves A·x = b one column at a time from the Cholesky factor:
+// forward substitution with L, then back substitution with Lᵀ. It is the
+// plain reference the blocked SolveMatrix is pinned to.
+func (c *Cholesky) solveVec(b []float64) ([]float64, error) {
+	n := c.l.Rows
+	if len(b) != n {
+		return nil, simerr.Tagf(simerr.ErrBadInput, "mat: rhs length mismatch")
+	}
+	ld := c.l.Data
+	x := append([]float64(nil), b...)
+	for i := 0; i < n; i++ {
+		s := x[i]
+		for j, v := range ld[i*n : i*n+i] {
+			s -= v * x[j]
+		}
+		x[i] = s / ld[i*n+i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= ld[j*n+i] * x[j]
+		}
+		x[i] = s / ld[i*n+i]
+	}
+	return x, nil
 }
 
 // Det returns the determinant of the factored matrix.
@@ -102,6 +132,19 @@ func (op *ToeplitzOp) Clone() *ToeplitzOp {
 	cp.prod = make([]complex128, len(op.prod))
 	cp.row = make([]complex128, len(op.row))
 	return &cp
+}
+
+// MulVec returns the matrix-vector product m·x, one row dot product per
+// entry.
+func (m *Matrix) MulVec(x []float64) []float64 {
+	if m.Cols != len(x) {
+		panic("mat: MulVec dimension mismatch")
+	}
+	out := make([]float64, m.Rows)
+	for i := range out {
+		out[i] = dot(m.Data[i*m.Cols:(i+1)*m.Cols], x)
+	}
+	return out
 }
 
 // MulVec returns T·x as a new vector.

@@ -99,30 +99,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product m·x, row-parallel for large
-// matrices (each row is an independent unrolled dot product).
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d · %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	if m.Rows*m.Cols < parallelMinFlops {
-		for i := 0; i < m.Rows; i++ {
-			out[i] = dot(m.Data[i*m.Cols:(i+1)*m.Cols], x)
-		}
-		return out
-	}
-	nblk := (m.Rows + gemmRowBlock - 1) / gemmRowBlock
-	ParallelFor(nblk, func(bi int) {
-		r0 := bi * gemmRowBlock
-		r1 := minInt(r0+gemmRowBlock, m.Rows)
-		for i := r0; i < r1; i++ {
-			out[i] = dot(m.Data[i*m.Cols:(i+1)*m.Cols], x)
-		}
-	})
-	return out
-}
-
 // Submatrix extracts the block with the given row and column index sets.
 func (m *Matrix) Submatrix(rows, cols []int) *Matrix {
 	out := New(len(rows), len(cols))
@@ -241,4 +217,21 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// Complement returns the indices in [0,n) that are not in the given set.
+func Complement(n int, set []int) []int {
+	in := make([]bool, n)
+	for _, i := range set {
+		if i >= 0 && i < n {
+			in[i] = true
+		}
+	}
+	out := make([]int, 0, n-len(set))
+	for i := 0; i < n; i++ {
+		if !in[i] {
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -273,7 +273,7 @@ func TestCholeskyKnown(t *testing.T) {
 	}
 	l := ch.L()
 	matAlmostEq(t, l.Mul(l.T()), a, 1e-12)
-	x, err := ch.Solve([]float64{1, 1})
+	x, err := ch.solveVec([]float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestCholeskySolveMatchesLUProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x1, err := ch.Solve(b)
+		x1, err := ch.solveVec(b)
 		if err != nil {
 			return false
 		}
@@ -426,47 +426,6 @@ func TestGeneralizedSymEigen(t *testing.T) {
 	matAlmostEq(t, xtbx, Eye(n), 1e-7)
 }
 
-func TestSchurReduceMatchesDirectElimination(t *testing.T) {
-	// For a resistor-network Laplacian, Kron reduction of internal nodes must
-	// preserve the port behaviour. Build a 3-node chain: p0 -1Ω- i -2Ω- p1.
-	// Nodal conductance (nodes: p0=0, internal=1, p1=2):
-	g1, g2 := 1.0, 0.5
-	a := FromRows([][]float64{
-		{g1, -g1, 0},
-		{-g1, g1 + g2, -g2},
-		{0, -g2, g2},
-	})
-	s, err := SchurReduce(a, []int{0, 2}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Series combination: g = 1/(1/1 + 1/0.5) = 1/3.
-	want := 1.0 / 3.0
-	if !almostEq(s.At(0, 0), want, 1e-12) || !almostEq(s.At(0, 1), -want, 1e-12) {
-		t.Fatalf("Kron reduction wrong: %v", s)
-	}
-}
-
-func TestSchurReduceEmptyInternal(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	s, err := SchurReduce(a, []int{1, 0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FromRows([][]float64{{4, 3}, {2, 1}})
-	matAlmostEq(t, s, want, 0)
-}
-
-func TestSchurReduceValidation(t *testing.T) {
-	a := Eye(3)
-	if _, err := SchurReduce(a, []int{0, 1}, []int{1}); err == nil {
-		t.Fatal("expected overlap error")
-	}
-	if _, err := SchurReduce(a, []int{0}, []int{1}); err == nil {
-		t.Fatal("expected partition error")
-	}
-}
-
 func TestComplement(t *testing.T) {
 	got := Complement(5, []int{1, 3})
 	want := []int{0, 2, 4}
@@ -477,28 +436,5 @@ func TestComplement(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Complement = %v", got)
 		}
-	}
-}
-
-func TestSchurReduceTwoStageProperty(t *testing.T) {
-	// Eliminating internal nodes in one shot must equal eliminating them in
-	// two stages (a defining property of the Schur complement).
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		n := 6
-		a := randSPD(rng, n)
-		oneShot, err := SchurReduce(a, []int{0, 1}, []int{2, 3, 4, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stage1, err := SchurReduce(a, []int{0, 1, 2, 3}, []int{4, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stage2, err := SchurReduce(stage1, []int{0, 1}, []int{2, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		matAlmostEq(t, oneShot, stage2, 1e-9)
 	}
 }

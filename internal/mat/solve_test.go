@@ -80,7 +80,7 @@ func TestBlockedSolveMatchesColumnSolve(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireClose(t, "Cholesky.SolveMatrix", got, colSolve(t, b, ch.Solve))
+				requireClose(t, "Cholesky.SolveMatrix", got, colSolve(t, b, ch.solveVec))
 				got, err = lu.SolveMatrix(b)
 				if err != nil {
 					t.Fatal(err)
@@ -277,7 +277,6 @@ func TestSolveEntryPointsRejectNonFiniteRHS(t *testing.T) {
 		mtx := New(n, 4)
 		mtx.Set(2, 1, bad)
 		for name, solve := range map[string]func() error{
-			"Cholesky.Solve":       func() error { _, err := ch.Solve(vec); return err },
 			"Cholesky.SolveMatrix": func() error { _, err := ch.SolveMatrix(mtx); return err },
 			"Cholesky.SolveLower":  func() error { _, err := ch.SolveLower(mtx); return err },
 			"LU.Solve":             func() error { _, err := lu.Solve(vec); return err },

@@ -197,6 +197,62 @@ func (m *Mesh) Incidence() *mat.Matrix {
 	return a
 }
 
+// Positions maps every cell index to its position in cells, or −1 when it
+// is not there.
+func (m *Mesh) Positions(cells []int) []int {
+	pos := make([]int, len(m.Cells))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for p, c := range cells {
+		pos[c] = p
+	}
+	return pos
+}
+
+// Bandwidth is the largest position difference across a link between two
+// cells that pos places: the band of a grid Laplacian over those cells,
+// which in raster order is about one grid row.
+func (m *Mesh) Bandwidth(pos []int) int {
+	bw := 0
+	for i := range m.Links {
+		pf, pt := pos[m.Links[i].From], pos[m.Links[i].To]
+		if pf >= 0 && pt >= 0 {
+			bw = max(bw, pf-pt, pt-pf)
+		}
+	}
+	return bw
+}
+
+// BandLaplacian packs the link-weighted Laplacian A·diag(w)·Aᵀ, restricted
+// to the given cells in their given order, in mat.NewBandCholesky's packed
+// lower storage: packed[p*(bw+1)+d] holds entry (p, p−d). A link to a cell
+// outside the set adds its weight to the diagonal only, which grounds the
+// set there. A nil w weights every link 1. pos is Positions(cells).
+func (m *Mesh) BandLaplacian(cells []int, w []float64) (packed []float64, bw int, pos []int) {
+	pos = m.Positions(cells)
+	bw = m.Bandwidth(pos)
+	packed = make([]float64, len(cells)*(bw+1))
+	for i := range m.Links {
+		g := 1.0
+		if w != nil {
+			g = w[i]
+		}
+		pf, pt := pos[m.Links[i].From], pos[m.Links[i].To]
+		if pf >= 0 {
+			packed[pf*(bw+1)] += g
+		}
+		if pt >= 0 {
+			packed[pt*(bw+1)] += g
+		}
+		if pf >= 0 && pt >= 0 {
+			hi, lo := max(pf, pt), min(pf, pt)
+			packed[hi*(bw+1)+(hi-lo)] -= g
+		}
+	}
+	return packed, bw, pos
+}
+
 // Area returns the summed cell area (≈ the shape area for fine meshes).
 func (m *Mesh) Area() float64 {
 	var s float64

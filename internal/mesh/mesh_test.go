@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pdnsim/internal/geom"
+	"pdnsim/internal/mat"
 	"pdnsim/internal/simerr"
 )
 
@@ -270,4 +271,72 @@ func GridWithPitch(shape geom.Shape, pitch float64) (*Mesh, error) {
 	nx := int(math.Max(1, math.Round(b.W()/pitch)))
 	ny := int(math.Max(1, math.Round(b.H()/pitch)))
 	return Grid(shape, nx, ny)
+}
+
+// TestBandLaplacianMatchesIncidence checks the packed band against the
+// dense A·diag(w)·Aᵀ restricted to a cell subset, on an L-shaped mesh with
+// cells left out: every in-band entry matches, nothing falls outside the
+// band, and over all cells with unit weights every row sums to zero.
+func TestBandLaplacianMatchesIncidence(t *testing.T) {
+	m, err := Grid(geom.LShape(8e-3, 6e-3, 3e-3, 2e-3), 8, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float64, len(m.Links))
+	for i := range w {
+		w[i] = 1 + float64(i%5)
+	}
+	full := mat.New(len(m.Cells), len(m.Cells))
+	for i, l := range m.Links {
+		full.Add(l.From, l.From, w[i])
+		full.Add(l.To, l.To, w[i])
+		full.Add(l.From, l.To, -w[i])
+		full.Add(l.To, l.From, -w[i])
+	}
+	var cells []int
+	for c := range m.Cells {
+		if c%7 != 3 {
+			cells = append(cells, c)
+		}
+	}
+	packed, bw, pos := m.BandLaplacian(cells, w)
+	if len(packed) != len(cells)*(bw+1) {
+		t.Fatalf("packed has %d entries, want %d·%d", len(packed), len(cells), bw+1)
+	}
+	for p, c := range cells {
+		if pos[c] != p {
+			t.Fatalf("pos[%d] = %d, want %d", c, pos[c], p)
+		}
+		for q, d := range cells[:p+1] {
+			want := full.At(c, d)
+			if p-q > bw {
+				if want != 0 {
+					t.Fatalf("entry (%d,%d) = %g lies outside bandwidth %d", p, q, want, bw)
+				}
+				continue
+			}
+			if got := packed[p*(bw+1)+(p-q)]; math.Abs(got-want) > 1e-12 {
+				t.Fatalf("entry (%d,%d) = %g, want %g", p, q, got, want)
+			}
+		}
+	}
+
+	all := make([]int, len(m.Cells))
+	for i := range all {
+		all[i] = i
+	}
+	packed, bw, _ = m.BandLaplacian(all, nil)
+	rows := make([]float64, len(all))
+	for p := range all {
+		rows[p] += packed[p*(bw+1)]
+		for d := 1; d <= bw && d <= p; d++ {
+			rows[p] += packed[p*(bw+1)+d]
+			rows[p-d] += packed[p*(bw+1)+d]
+		}
+	}
+	for p, s := range rows {
+		if s != 0 {
+			t.Fatalf("unit-weight Laplacian row %d sums to %g", p, s)
+		}
+	}
 }
